@@ -208,9 +208,12 @@ class RunConfig:
         if not isinstance(tree, dict):
             raise ConfigError("top-level config must be a JSON object")
         _reject_unknown("", tree, _TOP_KEYS)
+        features = tree.get("features", list(DEFAULT_FEATURES))
+        if not isinstance(features, list):
+            raise ConfigError("features must be a non-empty list")
         cfg = cls(
             data=dict(tree.get("data", {})) if isinstance(tree.get("data", {}), dict) else tree["data"],
-            features=tuple(tree["features"]) if "features" in tree else tuple(DEFAULT_FEATURES),
+            features=tuple(features),
             target=tree.get("target", "close"),
             n_steps_in=tree.get("n_steps_in", 30),
             n_steps_out=tree.get("n_steps_out", 1),

@@ -121,9 +121,6 @@ class RegTree:
             idx[rows] = np.where(go_left, self.left[node], self.right[node])
         return self.weight[idx]
 
-    def predict_one(self, x) -> float:
-        return float(self.predict(np.asarray(x, dtype=np.float64)[np.newaxis, :])[0])
-
     def to_dict(self) -> dict:
         return {
             "feature": [int(v) for v in self.feature],
@@ -263,9 +260,6 @@ class Booster:
         for tree in self.trees:
             out += self.params.learning_rate * tree.predict(M)
         return out
-
-    def predict_one(self, x) -> float:
-        return float(self.predict(np.asarray(x, dtype=np.float64)[np.newaxis, :])[0])
 
     def to_dict(self) -> dict:
         return {

@@ -14,6 +14,11 @@ handed to the downstream tree ensemble. Training attaches a temporary
 linear head, minimizes mean squared error on the window targets with full
 backpropagation through time, and discards the head afterwards.
 
+There is one batched kernel: a step function over (N, k) rows and one BPTT
+function. Training runs it on each batch as is. Latent extraction and the
+single-sequence functions run it on zero-padded tiles of TILE_ROWS rows, so
+a window's latent is bitwise the same whichever windows share its tile.
+
 All gate weights are (k, k+d) acting on the concatenated [h, x] vector;
 initial h and C are zero. Weight init is uniform on +-1/sqrt(k+d) drawn in
 the fixed order W_f, W_i, W_C, W_o, head; b_f starts at 1.0 so memory is
@@ -33,6 +38,11 @@ from .numkernel import Rng, seeded_uniform, sigmoid
 _WEIGHTS = ("W_f", "W_i", "W_C", "W_o")
 _BIASES = ("b_f", "b_i", "b_C", "b_o")
 PARAM_FIELDS = _WEIGHTS + _BIASES
+
+# Rows per forward tile outside training. BLAS picks its kernel by matrix
+# shape, so running every window in a tile of this fixed height makes a
+# window's result independent of the batch it arrives in.
+TILE_ROWS = 64
 
 
 @dataclass
@@ -84,10 +94,6 @@ class LstmState:
     C: np.ndarray
 
 
-def init_state(hidden_size: int) -> LstmState:
-    return LstmState(h=np.zeros(hidden_size), C=np.zeros(hidden_size))
-
-
 def init_params(input_size: int, hidden_size: int, rng: Rng) -> LstmParams:
     """Seeded uniform init on +-1/sqrt(k+d); forget bias 1.0, others zero."""
     if input_size < 1 or hidden_size < 1:
@@ -124,6 +130,39 @@ class SequenceCache:
     input_size: int
 
 
+def _step(params: LstmParams, h: np.ndarray, C: np.ndarray, x: np.ndarray):
+    """One cell step over a batch of rows: (N, k), (N, k), (N, d) -> (h, C, cache)."""
+    concat = np.concatenate([h, x], axis=1)
+    f = sigmoid(concat @ params.W_f.T + params.b_f)
+    i = sigmoid(concat @ params.W_i.T + params.b_i)
+    c_tilde = np.tanh(concat @ params.W_C.T + params.b_C)
+    o = sigmoid(concat @ params.W_o.T + params.b_o)
+    C_new = f * C + i * c_tilde
+    tanh_C = np.tanh(C_new)
+    cache = StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=C, tanh_C=tanh_C)
+    return o * tanh_C, C_new, cache
+
+
+def _forward(params: LstmParams, X3: np.ndarray):
+    """Run (N, n, d) sequences from zero state; returns (H_n, per-step caches)."""
+    N, n, _ = X3.shape
+    k = params.hidden_size
+    h = np.zeros((N, k))
+    C = np.zeros((N, k))
+    steps = []
+    for t in range(n):
+        h, C, cache = _step(params, h, C, X3[:, t, :])
+        steps.append(cache)
+    return h, steps
+
+
+def _tile(rows: np.ndarray) -> np.ndarray:
+    """Zero-pad up to TILE_ROWS rows along the first axis."""
+    out = np.zeros((TILE_ROWS,) + rows.shape[1:])
+    out[: rows.shape[0]] = rows
+    return out
+
+
 def cell_forward(params: LstmParams, x, state: LstmState):
     """One LSTM step; returns the new state and the cache needed for BPTT."""
     k, d = params.hidden_size, params.input_size
@@ -134,16 +173,9 @@ def cell_forward(params: LstmParams, x, state: LstmState):
         raise ShapeError(
             f"state vectors have shapes {state.h.shape}/{state.C.shape}, expected {(k,)}"
         )
-    concat = np.concatenate([state.h, xv])
-    f = sigmoid(params.W_f @ concat + params.b_f)
-    i = sigmoid(params.W_i @ concat + params.b_i)
-    c_tilde = np.tanh(params.W_C @ concat + params.b_C)
-    o = sigmoid(params.W_o @ concat + params.b_o)
-    C = f * state.C + i * c_tilde
-    tanh_C = np.tanh(C)
-    h = o * tanh_C
-    cache = StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=state.C, tanh_C=tanh_C)
-    return LstmState(h=h, C=C), cache
+    h, C, cache = _step(params, _tile(state.h[None]), _tile(state.C[None]), _tile(xv[None]))
+    row = StepCache(**{name: rows[0] for name, rows in vars(cache).items()})
+    return LstmState(h=h[0], C=C[0]), row
 
 
 def sequence_forward(params: LstmParams, X):
@@ -157,13 +189,9 @@ def sequence_forward(params: LstmParams, X):
         raise ShapeError(
             f"sequence has {mat.shape[1]} feature(s), params expect {params.input_size}"
         )
-    state = init_state(params.hidden_size)
-    steps: list[StepCache] = []
-    for t in range(mat.shape[0]):
-        state, cache = cell_forward(params, mat[t], state)
-        steps.append(cache)
+    H, steps = _forward(params, _tile(mat[None]))
     seq_cache = SequenceCache(steps=steps, hidden_size=params.hidden_size, input_size=params.input_size)
-    return state.h, seq_cache
+    return H[0], seq_cache
 
 
 @dataclass
@@ -182,12 +210,41 @@ class LstmGrads:
         return cls(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS})
 
 
+def _backward(params: LstmParams, steps: list[StepCache], dHn: np.ndarray) -> LstmGrads:
+    """Backpropagation through time over batched step caches from a gradient on H_n."""
+    k = params.hidden_size
+    grads = LstmGrads.zeros_like(params)
+    dh = dHn.copy()
+    dC = np.zeros_like(dHn)
+    for step in reversed(steps):
+        do = dh * step.tanh_C
+        dC = dC + dh * step.o * (1.0 - step.tanh_C**2)
+        df = dC * step.C_prev
+        di = dC * step.c_tilde
+        dct = dC * step.i
+        da_f = df * step.f * (1.0 - step.f)
+        da_i = di * step.i * (1.0 - step.i)
+        da_c = dct * (1.0 - step.c_tilde**2)
+        da_o = do * step.o * (1.0 - step.o)
+        grads.W_f += da_f.T @ step.concat
+        grads.W_i += da_i.T @ step.concat
+        grads.W_C += da_c.T @ step.concat
+        grads.W_o += da_o.T @ step.concat
+        grads.b_f += da_f.sum(axis=0)
+        grads.b_i += da_i.sum(axis=0)
+        grads.b_C += da_c.sum(axis=0)
+        grads.b_o += da_o.sum(axis=0)
+        dconcat = da_f @ params.W_f + da_i @ params.W_i + da_c @ params.W_C + da_o @ params.W_o
+        dh = dconcat[:, :k]
+        dC = dC * step.f
+    return grads
+
+
 def sequence_backward(params: LstmParams, cache: SequenceCache, grad_h_n) -> LstmGrads:
     """Full backpropagation through time from a gradient on h_n alone.
 
-    Reverse accumulation over the cached steps; returns parameter gradients
-    of the same shapes as the params. A zero incoming gradient yields
-    exactly zero everywhere.
+    Returns parameter gradients of the same shapes as the params. A zero
+    incoming gradient yields exactly zero everywhere.
     """
     k = params.hidden_size
     if cache.hidden_size != k or cache.input_size != params.input_size:
@@ -198,36 +255,8 @@ def sequence_backward(params: LstmParams, cache: SequenceCache, grad_h_n) -> Lst
     dh = np.asarray(grad_h_n, dtype=np.float64).ravel()
     if dh.size != k:
         raise ShapeError(f"gradient on h_n has length {dh.size}, expected {k}")
-    grads = LstmGrads.zeros_like(params)
-    dh = dh.copy()
-    dC = np.zeros(k)
-    for step in reversed(cache.steps):
-        do = dh * step.tanh_C
-        dC = dC + dh * step.o * (1.0 - step.tanh_C**2)
-        df = dC * step.C_prev
-        di = dC * step.c_tilde
-        dct = dC * step.i
-        da_f = df * step.f * (1.0 - step.f)
-        da_i = di * step.i * (1.0 - step.i)
-        da_c = dct * (1.0 - step.c_tilde**2)
-        da_o = do * step.o * (1.0 - step.o)
-        grads.W_f += np.outer(da_f, step.concat)
-        grads.W_i += np.outer(da_i, step.concat)
-        grads.W_C += np.outer(da_c, step.concat)
-        grads.W_o += np.outer(da_o, step.concat)
-        grads.b_f += da_f
-        grads.b_i += da_i
-        grads.b_C += da_c
-        grads.b_o += da_o
-        dconcat = (
-            params.W_f.T @ da_f
-            + params.W_i.T @ da_i
-            + params.W_C.T @ da_c
-            + params.W_o.T @ da_o
-        )
-        dh = dconcat[:k]
-        dC = dC * step.f
-    return grads
+    # the padding rows get a zero gradient, so they add exact zeros
+    return _backward(params, cache.steps, _tile(dh[None]))
 
 
 @dataclass
@@ -279,60 +308,6 @@ class TrainConfig:
             raise DomainError(f"clip norm must be positive, got {self.clip_norm}")
         if self.batch_size is not None and self.batch_size < 1:
             raise SizingError(f"batch size must be at least 1, got {self.batch_size}")
-
-
-# --- batched forward/backward used by training -----------------------------
-# Same math as the per-sequence functions above, but over (N, n, d) at once;
-# the per-sequence path stays the reference implementation.
-
-
-def _forward_batch(params: LstmParams, X3: np.ndarray):
-    N, n, _ = X3.shape
-    k = params.hidden_size
-    h = np.zeros((N, k))
-    C = np.zeros((N, k))
-    steps = []
-    for t in range(n):
-        concat = np.concatenate([h, X3[:, t, :]], axis=1)
-        f = sigmoid(concat @ params.W_f.T + params.b_f)
-        i = sigmoid(concat @ params.W_i.T + params.b_i)
-        c_tilde = np.tanh(concat @ params.W_C.T + params.b_C)
-        o = sigmoid(concat @ params.W_o.T + params.b_o)
-        C_new = f * C + i * c_tilde
-        tanh_C = np.tanh(C_new)
-        steps.append(StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=C, tanh_C=tanh_C))
-        C = C_new
-        h = o * tanh_C
-    return h, steps
-
-
-def _backward_batch(params: LstmParams, steps: list[StepCache], dHn: np.ndarray) -> LstmGrads:
-    k = params.hidden_size
-    grads = LstmGrads.zeros_like(params)
-    dh = dHn.copy()
-    dC = np.zeros_like(dHn)
-    for step in reversed(steps):
-        do = dh * step.tanh_C
-        dC = dC + dh * step.o * (1.0 - step.tanh_C**2)
-        df = dC * step.C_prev
-        di = dC * step.c_tilde
-        dct = dC * step.i
-        da_f = df * step.f * (1.0 - step.f)
-        da_i = di * step.i * (1.0 - step.i)
-        da_c = dct * (1.0 - step.c_tilde**2)
-        da_o = do * step.o * (1.0 - step.o)
-        grads.W_f += da_f.T @ step.concat
-        grads.W_i += da_i.T @ step.concat
-        grads.W_C += da_c.T @ step.concat
-        grads.W_o += da_o.T @ step.concat
-        grads.b_f += da_f.sum(axis=0)
-        grads.b_i += da_i.sum(axis=0)
-        grads.b_C += da_c.sum(axis=0)
-        grads.b_o += da_o.sum(axis=0)
-        dconcat = da_f @ params.W_f + da_i @ params.W_i + da_c @ params.W_C + da_o @ params.W_o
-        dh = dconcat[:, :k]
-        dC = dC * step.f
-    return grads
 
 
 class _Sgd:
@@ -421,7 +396,7 @@ def train(dataset: WindowedDataset, config: TrainConfig):
             for start in range(0, N, batch):
                 stop = min(start + batch, N)
                 B = stop - start
-                Hn, steps = _forward_batch(params, X3[start:stop])
+                Hn, steps = _forward(params, X3[start:stop])
                 preds = Hn @ head.W.T + head.b
                 err = preds - Y[start:stop]
                 sq_err_total += float((err * err).sum())
@@ -431,7 +406,7 @@ def train(dataset: WindowedDataset, config: TrainConfig):
                     "head_b": dpred.sum(axis=0),
                 }
                 dHn = dpred @ head.W
-                lstm_grads = _backward_batch(params, steps, dHn)
+                lstm_grads = _backward(params, steps, dHn)
                 for name in PARAM_FIELDS:
                     grad_map[name] = getattr(lstm_grads, name)
                 _clip_global(grad_map, config.clip_norm)
@@ -446,12 +421,20 @@ def train(dataset: WindowedDataset, config: TrainConfig):
 def extract_latents(params: LstmParams, dataset: WindowedDataset) -> np.ndarray:
     """Final hidden state of every window, one row per sample.
 
-    Runs each sample through :func:`sequence_forward` so row i is bitwise
-    identical to the single-sequence path.
+    Windows run through the training forward in tiles of TILE_ROWS rows, the
+    last one zero-padded. Every product then has the same shape, so row i is
+    bitwise identical to :func:`sequence_forward` on window i alone, whatever
+    other windows are extracted with it.
     """
-    N = dataset.n_samples
-    k = params.hidden_size
-    Z = np.zeros((N, k))
-    for i in range(N):
-        Z[i], _ = sequence_forward(params, dataset.X[i])
+    X3 = np.asarray(dataset.X, dtype=np.float64)
+    if X3.ndim != 3 or X3.shape[2] != params.input_size:
+        raise ShapeError(
+            f"windows have shape {X3.shape}, params expect (N, n, {params.input_size})"
+        )
+    N = X3.shape[0]
+    Z = np.zeros((N, params.hidden_size))
+    for start in range(0, N, TILE_ROWS):
+        rows = X3[start : start + TILE_ROWS]
+        H, _ = _forward(params, _tile(rows))
+        Z[start : start + rows.shape[0]] = H[: rows.shape[0]]
     return Z

@@ -1,39 +1,13 @@
-"""Dense numeric kernels: matrix products, activations, seeded random draws.
+"""Numeric kernels: the logistic activation and seeded random draws.
 
-Matrices are plain 2-D float64 C-order numpy arrays. Randomness always goes
-through :class:`Rng`, which wraps a PCG64 stream so that a given seed yields
-the same draw sequence on every platform.
+Randomness always goes through :class:`Rng`, which wraps a PCG64 stream so
+that a given seed yields the same draw sequence on every platform.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-
-
-def as_matrix(data) -> np.ndarray:
-    """Coerce ``data`` to a 2-D float64 array, rejecting other ranks."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got {m.ndim} dimension(s)")
-    return np.ascontiguousarray(m)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit dimension and overflow checks."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            "cannot multiply {}x{} by {}x{}: inner dimensions differ".format(
-                a.shape[0], a.shape[1], b.shape[0], b.shape[1]
-            )
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise DomainError("matrix product produced non-finite values")
-    return out
 
 
 def sigmoid(x):
@@ -52,15 +26,6 @@ def sigmoid(x):
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)
-
-
-def tanh(x):
-    """Hyperbolic tangent; scalar in, float out."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.tanh(arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
 
 
 class Rng:

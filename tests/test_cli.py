@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import random_walk_rows, rows_to_csv_text
+import coincast
 from coincast.cli import entry, main
 
 FAST_SECTIONS = {
@@ -348,6 +352,17 @@ class TestEntryPoint:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.startswith("coincast ")
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(coincast.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "coincast", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout.strip() == f"coincast {coincast.__version__}"
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

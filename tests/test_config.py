@@ -101,6 +101,7 @@ class TestFromDict:
             {**MINIMAL, "pipeline": {"dump_windows": "yes"}},
             {**MINIMAL, "pipeline": {"mape_epsilon": 0}},
             {**MINIMAL, "lstm": 7},
+            {**MINIMAL, "features": 5},
         ],
     )
     def test_invalid_trees_rejected(self, tree):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -15,7 +16,6 @@ from coincast.lstm import (
     cell_forward,
     extract_latents,
     init_params,
-    init_state,
     sequence_backward,
     sequence_forward,
     train,
@@ -34,6 +34,10 @@ def zero_params(hidden: int, inputs: int) -> LstmParams:
         W_C=np.zeros(shape), b_C=np.zeros(hidden),
         W_o=np.zeros(shape), b_o=np.zeros(hidden),
     )
+
+
+def zero_state(hidden: int) -> LstmState:
+    return LstmState(h=np.zeros(hidden), C=np.zeros(hidden))
 
 
 def with_field(params: LstmParams, name: str, value: np.ndarray) -> LstmParams:
@@ -60,7 +64,7 @@ def tiny_dataset(n_samples=12, n_in=5, d=2, n_out=1, seed=5):
 class TestCell:
     def test_zero_everything_gives_zero_h(self):
         params = zero_params(3, 2)
-        state, _ = cell_forward(params, np.zeros(2), init_state(3))
+        state, _ = cell_forward(params, np.zeros(2), zero_state(3))
         npt.assert_array_equal(state.h, np.zeros(3))
         npt.assert_array_equal(state.C, np.zeros(3))
 
@@ -85,7 +89,7 @@ class TestCell:
 
     def test_gates_bounded(self):
         params = init_params(3, 4, Rng(9))
-        _, cache = cell_forward(params, np.array([0.3, -2.0, 1.5]), init_state(4))
+        _, cache = cell_forward(params, np.array([0.3, -2.0, 1.5]), zero_state(4))
         for gate in (cache.f, cache.i, cache.o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
         assert np.all(np.abs(cache.c_tilde) < 1.0)
@@ -93,7 +97,7 @@ class TestCell:
     def test_input_width_checked(self):
         params = zero_params(3, 2)
         with pytest.raises(ShapeError):
-            cell_forward(params, np.zeros(5), init_state(3))
+            cell_forward(params, np.zeros(5), zero_state(3))
 
     def test_params_validate_names_offender(self):
         bad = with_field(zero_params(3, 2), "W_i", np.zeros((2, 5)))
@@ -106,7 +110,7 @@ class TestSequence:
         params = init_params(2, 4, Rng(11))
         x = np.array([[0.25, -0.5]])
         h_n, _ = sequence_forward(params, x)
-        expected, _ = cell_forward(params, x[0], init_state(4))
+        expected, _ = cell_forward(params, x[0], zero_state(4))
         npt.assert_array_equal(h_n, expected.h)
 
     def test_final_hidden_shape_and_cache_depth(self):
@@ -275,15 +279,51 @@ class TestTrain:
             TrainConfig(epochs=0)
 
 
+def reference_latent(params: LstmParams, X) -> np.ndarray:
+    """Plain per-vector loop over one window: the cell equations as written."""
+    h = np.zeros(params.hidden_size)
+    C = np.zeros(params.hidden_size)
+    for x in X:
+        concat = np.concatenate([h, x])
+        f = sigmoid(params.W_f @ concat + params.b_f)
+        i = sigmoid(params.W_i @ concat + params.b_i)
+        c_tilde = np.tanh(params.W_C @ concat + params.b_C)
+        o = sigmoid(params.W_o @ concat + params.b_o)
+        C = f * C + i * c_tilde
+        h = o * np.tanh(C)
+    return h
+
+
 class TestLatents:
-    def test_shape_and_bitwise_contract(self):
-        ds = tiny_dataset()
+    @pytest.mark.parametrize("n_samples", [12, 64, 65, 130])
+    def test_shape_and_bitwise_contract(self, n_samples):
+        ds = tiny_dataset(n_samples=n_samples)
         params, _, _ = train(ds, TrainConfig(hidden_size=5, epochs=2, learning_rate=0.01, seed=9))
         latents = extract_latents(params, ds)
         assert latents.shape == (ds.n_samples, 5)
         for row in range(ds.n_samples):
             h_n, _ = sequence_forward(params, ds.X[row])
             npt.assert_array_equal(latents[row], h_n)
+
+    def test_slice_matches_full_dataset_rows(self):
+        ds = tiny_dataset(n_samples=150)
+        params = init_params(2, 6, Rng(26))
+        full = extract_latents(params, ds)
+        for start, stop in ((0, 1), (5, 69), (63, 150), (70, 71)):
+            part = dataclasses.replace(ds, X=ds.X[start:stop], Y=ds.Y[start:stop])
+            npt.assert_array_equal(extract_latents(params, part), full[start:stop])
+
+    def test_matches_per_vector_reference(self):
+        ds = tiny_dataset(n_samples=70, d=3)
+        params = init_params(3, 7, Rng(27))
+        latents = extract_latents(params, ds)
+        expected = np.array([reference_latent(params, window) for window in ds.X])
+        npt.assert_allclose(latents, expected, rtol=1e-12, atol=1e-12)
+
+    def test_width_mismatch_rejected(self):
+        params = init_params(3, 4, Rng(28))
+        with pytest.raises(ShapeError):
+            extract_latents(params, tiny_dataset(d=2))
 
 
 class TestSerialization:
