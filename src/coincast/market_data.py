@@ -267,21 +267,6 @@ class MinMaxScaler:
         out = (m - self.mins) / safe
         return np.where(span > 0, out, 0.5)
 
-    def invert(self, rows) -> np.ndarray:
-        """Undo :meth:`apply`; exact for constant features."""
-        self._check_fitted()
-        m = np.asarray(rows, dtype=np.float64)
-        self._check_width(m)
-        return self.mins + m * (self.maxs - self.mins)
-
-    def apply_column(self, col: int, values) -> np.ndarray:
-        self._check_fitted()
-        v = np.asarray(values, dtype=np.float64)
-        span = self.maxs[col] - self.mins[col]
-        if span > 0:
-            return (v - self.mins[col]) / span
-        return np.full_like(v, 0.5)
-
     def invert_column(self, col: int, values) -> np.ndarray:
         """Undo scaling for a single feature column (any array shape)."""
         self._check_fitted()

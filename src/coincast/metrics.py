@@ -47,12 +47,6 @@ def rmse(actual, forecast) -> float:
     return float(np.sqrt(np.mean((a - f) ** 2)))
 
 
-def mae(actual, forecast) -> float:
-    """Mean absolute error."""
-    a, f = _paired(actual, forecast)
-    return float(np.mean(np.abs(a - f)))
-
-
 def minmax_rmse(actual, forecast) -> float:
     """RMSE divided by the range max(A) - min(A) of the actual series.
 

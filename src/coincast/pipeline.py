@@ -101,7 +101,10 @@ class HybridModel:
 
     def predict_prices(self, dataset: WindowedDataset) -> np.ndarray:
         """Forecast the horizon for every window, in original price units."""
-        Z = lstm_mod.extract_latents(self.lstm, dataset)
+        return self.predict_from_latents(lstm_mod.extract_latents(self.lstm, dataset))
+
+    def predict_from_latents(self, Z: np.ndarray) -> np.ndarray:
+        """:meth:`predict_prices` on latents already extracted with ``self.lstm``."""
         scaled = _apply_horizon_boosters(self.boosters, Z, self.n_steps_out, self.horizon_mode)
         return _invert_target(self.scaler, self.target_col, scaled)
 
@@ -117,7 +120,10 @@ class LstmForecaster:
     name = "lstm-only"
 
     def predict_prices(self, dataset: WindowedDataset) -> np.ndarray:
-        Z = lstm_mod.extract_latents(self.lstm, dataset)
+        return self.predict_from_latents(lstm_mod.extract_latents(self.lstm, dataset))
+
+    def predict_from_latents(self, Z: np.ndarray) -> np.ndarray:
+        """:meth:`predict_prices` on latents already extracted with ``self.lstm``."""
         return _invert_target(self.scaler, self.target_col, self.head.predict(Z))
 
 
@@ -324,16 +330,25 @@ class EvalReport:
 def evaluate(models, dataset: WindowedDataset, mape_epsilon: float | None = None) -> EvalReport:
     """Score every model on the same windows; metrics averaged over horizon steps.
 
-    Unlike :func:`predict_hybrid` this is strict: undefined metrics raise.
+    Models that share one LSTM (the hybrid and the ``lstm-only`` baseline)
+    share one latent pass over the windows. Unlike :func:`predict_hybrid`
+    this is strict: undefined metrics raise.
     """
     models = list(models)
     if not models:
         raise SizingError("need at least one model to evaluate")
     if dataset.n_samples < 1:
         raise SizingError("cannot evaluate on an empty dataset")
+    latents: dict[int, np.ndarray] = {}  # id of the LstmParams -> its latents
     rows = []
     for model in models:
-        predictions = model.predict_prices(dataset)
+        params = getattr(model, "lstm", None)
+        if params is None:
+            predictions = model.predict_prices(dataset)
+        else:
+            if id(params) not in latents:
+                latents[id(params)] = lstm_mod.extract_latents(params, dataset)
+            predictions = model.predict_from_latents(latents[id(params)])
         targets = _invert_target(getattr(model, "scaler", None), dataset.target_col, dataset.Y)
         mapes = [
             metrics_mod.mape(targets[:, s], predictions[:, s], epsilon=mape_epsilon)

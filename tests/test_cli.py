@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,17 @@ def write_workspace(root: Path, symbols=("BTC", "ETH"), T=240, extra=None) -> Pa
     cfg = root / "config.json"
     cfg.write_text(json.dumps(tree, indent=2), encoding="utf-8")
     return cfg
+
+
+def run_module(module: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -m module args`` on this checkout, bounded by a timeout."""
+    src = str(Path(coincast.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def read_rows(path: Path) -> list[list[str]]:
@@ -260,6 +272,25 @@ class TestEvaluate:
         assert code == 0
         assert (tmp_path / "elsewhere" / "report" / "report_BTC.csv").is_file()
 
+    def test_tampered_tree_file_exits_3(self, workspace, trained, tmp_path):
+        # a root that is its own child on both sides used to make evaluate
+        # route every row forever
+        _, cfg = workspace
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        booster_path = model / "BTC" / "gbt_booster_00.json"
+        payload = json.loads(booster_path.read_text(encoding="utf-8"))
+        root = payload["trees"][0]
+        root["feature"][0], root["left"][0], root["right"][0] = 0, 0, 0
+        booster_path.write_text(json.dumps(payload), encoding="utf-8")
+        done = run_module(
+            "coincast", "evaluate", "--config", str(cfg), "--model", str(model),
+            "--set", f'output_dir="{tmp_path / "out"}"',
+        )
+        assert done.returncode == 3
+        assert "error:" in done.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_evaluate_without_model_fails_cleanly(self, tmp_path):
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
         assert main(["evaluate", "--config", str(cfg)]) == 3
@@ -354,13 +385,12 @@ class TestEntryPoint:
         assert capsys.readouterr().out.startswith("coincast ")
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(coincast.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-m", "coincast", "--version"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = run_module("coincast", "--version")
+        assert done.returncode == 0
+        assert done.stdout.strip() == f"coincast {coincast.__version__}"
+
+    def test_python_dash_m_on_the_cli_module(self):
+        done = run_module("coincast.cli", "--version")
         assert done.returncode == 0
         assert done.stdout.strip() == f"coincast {coincast.__version__}"
 

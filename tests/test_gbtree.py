@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coincast.errors import DomainError, ShapeError
+from coincast.errors import DomainError, SchemaError, ShapeError
 from coincast.gbtree import (
     Booster,
     RegTree,
@@ -15,6 +15,88 @@ from coincast.gbtree import (
     split_gain,
     train_booster,
 )
+
+
+def sorting_best_split(X, g, h, idx, params):
+    """Reference split search: argsort every feature at every node and scan
+    its boundaries one feature at a time. The production search must agree
+    with it bit for bit."""
+    lam, gamma = params.lam, params.gamma
+    min_leaf = params.min_samples_leaf
+    G = float(g[idx].sum())
+    H = float(h[idx].sum())
+    parent_score = G * G / (H + lam)
+
+    best = None
+    n = idx.size
+    counts = np.arange(1, n)  # left-child sizes for each candidate boundary
+    for feat in range(X.shape[1]):
+        values = X[idx, feat]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        sg = np.cumsum(g[idx][order])[:-1]
+        sh = np.cumsum(h[idx][order])[:-1]
+        valid = (sv[:-1] < sv[1:]) & (counts >= min_leaf) & (n - counts >= min_leaf)
+        if not valid.any():
+            continue
+        GL, HL = sg[valid], sh[valid]
+        GR, HR = G - GL, H - HL
+        gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score) - gamma
+        k = int(np.argmax(gains))  # first maximum = lowest threshold
+        gain = float(gains[k])
+        if gain > 0 and (best is None or gain > best[0]):
+            boundary = np.nonzero(valid)[0][k]
+            threshold = 0.5 * (sv[boundary] + sv[boundary + 1])
+            best = (gain, feat, float(threshold))
+    return best
+
+
+def sorting_tree(X, g, h, params) -> RegTree:
+    """Reference depth-first grower around :func:`sorting_best_split`."""
+    feature, threshold, left, right, weight = [], [], [], [], []
+
+    def grow(idx, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        weight.append(0.0)
+        best = None
+        if depth < params.max_depth and idx.size >= 2 * params.min_samples_leaf:
+            best = sorting_best_split(X, g, h, idx, params)
+        if best is None:
+            weight[node] = leaf_weight(float(g[idx].sum()), float(h[idx].sum()), params.lam)
+            return node
+        _, feat, thr = best
+        go_left = X[idx, feat] < thr
+        feature[node] = feat
+        threshold[node] = thr
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return RegTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        weight=np.asarray(weight, dtype=np.float64),
+    )
+
+
+def sorting_booster(X, y, params, n_rounds) -> Booster:
+    """Reference boosting loop with the same base score and prediction order
+    as ``train_booster``."""
+    booster = Booster(base_score=float(np.mean(y)), params=params, n_features=X.shape[1])
+    preds = np.full(y.size, booster.base_score)
+    for _ in range(n_rounds):
+        g, h = grad_hess(preds, y)
+        tree = sorting_tree(X, g, h, params)
+        booster.trees.append(tree)
+        preds = preds + params.learning_rate * tree.predict(X)
+    return booster
 
 
 def brute_force_split(X, g, h, idx, params):
@@ -190,12 +272,102 @@ class TestBuildTree:
             reference = brute_force_tree(X, g, h, np.arange(48), params)
             assert_same_tree(grown, reference)
 
+    def test_same_tree_as_train_booster_for_the_same_gradients(self):
+        rng = np.random.default_rng(38)
+        X = np.round(rng.normal(size=(40, 4)), 1)
+        y = rng.normal(size=40)
+        params = TreeParams(lam=1.0, max_depth=3, min_samples_leaf=2)
+        booster = train_booster(X, y, params, 6)
+        preds = np.full(y.size, booster.base_score)
+        for tree in booster.trees:
+            g, h = grad_hess(preds, y)
+            assert build_tree(X, g, h, params).to_dict() == tree.to_dict()
+            preds = preds + params.learning_rate * tree.predict(X)
+
     def test_rejects_nan(self):
         X = np.ones((4, 1))
         X[2, 0] = np.nan
         g, h = grad_hess(np.zeros(4), np.ones(4))
         with pytest.raises(DomainError):
             build_tree(X, g, h, TreeParams())
+
+
+# (rows, features, decimals or None, lam, gamma, min_samples_leaf, max_depth)
+SORTING_CASES = [
+    (1, 3, None, 1.0, 0.0, 1, 3),
+    (2, 2, None, 0.0, 0.0, 1, 2),
+    (2, 1, 0, 1.0, 0.0, 1, 1),
+    (3, 1, None, 0.0, 0.1, 1, 5),
+    (17, 1, 0, 0.0, 0.0, 1, 4),
+    (30, 3, 0, 1.0, 0.1, 2, 3),
+    (48, 5, 1, 0.0, 0.0, 3, 5),
+    (64, 2, 1, 1.0, 0.0, 1, 0),
+    (64, 4, None, 1.0, 0.1, 2, 4),
+    (97, 6, 2, 0.0, 0.1, 3, 2),
+]
+
+
+class TestPresortedSearch:
+    @pytest.mark.parametrize("case", range(len(SORTING_CASES)))
+    def test_boosters_equal_the_per_node_sorting_reference(self, case):
+        n, p, decimals, lam, gamma, min_leaf, depth = SORTING_CASES[case]
+        rng = np.random.default_rng(400 + case)
+        X = rng.normal(size=(n, p))
+        if decimals is not None:
+            X = np.round(X, decimals)  # heavy ties
+        y = rng.normal(size=n)
+        params = TreeParams(lam=lam, gamma=gamma, max_depth=depth, min_samples_leaf=min_leaf)
+        assert train_booster(X, y, params, 8).to_dict() == sorting_booster(X, y, params, 8).to_dict()
+
+
+class TestLoadValidation:
+    @staticmethod
+    def payload():
+        rng = np.random.default_rng(39)
+        X = rng.normal(size=(32, 3))
+        booster = train_booster(X, rng.normal(size=32), TreeParams(max_depth=2), 2)
+        payload = json.loads(json.dumps(booster.to_dict()))
+        tree = payload["trees"][0]
+        assert tree["feature"][0] != -1 and tree["feature"][1] != -1 and tree["feature"][-1] == -1
+        return payload
+
+    def test_valid_payload_loads(self):
+        assert Booster.from_dict(self.payload()).n_features == 3
+
+    @pytest.mark.parametrize(
+        "key, index, value",
+        [
+            ("left", 0, 0),                   # cycle: the root is its own child
+            ("right", 0, 99),                 # child past the last node
+            ("right", 1, 1),                  # internal node 1 is its own child
+            ("left", -1, 0),                  # the last node is a leaf with a child
+            ("feature", 0, 3),                # feature the booster was not trained on
+            ("feature", 0, -2),               # negative feature
+            ("threshold", 0, float("nan")),
+            ("weight", 1, float("inf")),
+            ("weight", None, None),           # arrays of unequal length
+            ("left", None, "x"),              # not an array of ints
+        ],
+    )
+    def test_malformed_tree_raises(self, key, index, value):
+        payload = self.payload()
+        tree = payload["trees"][0]
+        if key == "weight" and index is None:
+            tree["weight"].pop()
+        elif index is None:
+            tree[key] = value
+        else:
+            tree[key][index] = value
+        with pytest.raises(SchemaError):
+            Booster.from_dict(payload)
+
+
+    @pytest.mark.parametrize("key", ["trees", "n_features", "params"])
+    def test_booster_without_a_key_raises(self, key):
+        payload = self.payload()
+        del payload[key]
+        with pytest.raises(SchemaError):
+            Booster.from_dict(payload)
 
 
 class TestPredictRouting:

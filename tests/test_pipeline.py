@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_walk_rows, rows_to_series
+from coincast import lstm as lstm_mod
 from coincast.errors import DomainError, ShapeError, SizingError
 from coincast.gbtree import TreeParams
 from coincast.lstm import TrainConfig
@@ -202,6 +203,23 @@ class TestEvaluate:
         for row in report.rows:
             assert row.test_mape >= 0.0
             assert row.test_minmax_rmse >= 0.0
+
+    def test_one_latent_pass_for_models_sharing_an_lstm(self, splits, trained, monkeypatch):
+        _, test_ds = splits
+        hybrid, lstm_only, _ = trained
+        assert hybrid.lstm is lstm_only.lstm
+        expected = [predict_hybrid(m, test_ds).step_mape[0] for m in trained]
+        calls = []
+        extract = lstm_mod.extract_latents
+
+        def counting(params, dataset):
+            calls.append(dataset.n_samples)
+            return extract(params, dataset)
+
+        monkeypatch.setattr(lstm_mod, "extract_latents", counting)
+        report = evaluate(trained, test_ds)
+        assert calls == [test_ds.n_samples]
+        assert [row.test_mape for row in report.rows] == expected
 
     def test_csv_and_json_text(self):
         report = EvalReport(rows=(EvalRow(model="hybrid", test_mape=1.5, test_minmax_rmse=0.25),))
