@@ -262,23 +262,12 @@ def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
             cfg.n_steps_out,
             cfg.train_fraction,
         )
-        stage1 = pipeline.fit_temporal_extractor(train_ds, lstm_cfg)
-        hybrid = pipeline.train_hybrid(
-            train_ds,
-            lstm_cfg,
-            tree_params,
-            cfg.gbt.n_rounds,
-            cfg.pipeline.horizon_mode,
-            stage1=stage1,
-        )
-        lstm_baseline = pipeline.train_baseline_lstm(train_ds, lstm_cfg, stage1=stage1)
-        gbt_baseline = pipeline.train_baseline_gbt(
-            train_ds, tree_params, cfg.gbt.n_rounds, cfg.pipeline.horizon_mode
+        models, loss_history = pipeline.train_models(
+            train_ds, lstm_cfg, tree_params, cfg.gbt.n_rounds, cfg.pipeline.horizon_mode
         )
         bundle = pipeline.TrainedBundle(
-            hybrid=hybrid,
-            lstm_baseline=lstm_baseline,
-            gbt_baseline=gbt_baseline,
+            *models,
+            loss_history=loss_history,
             config_snapshot=cfg.to_dict(),
             data_hash=hashlib.sha256(raw).hexdigest(),
             feature_names=tuple(cfg.features),

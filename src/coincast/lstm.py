@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizingError, TrainingError
+from .errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError
 from .market_data import WindowedDataset
 from .numkernel import Rng, seeded_uniform, sigmoid
 
@@ -43,6 +43,11 @@ PARAM_FIELDS = _WEIGHTS + _BIASES
 # shape, so running every window in a tile of this fixed height makes a
 # window's result independent of the batch it arrives in.
 TILE_ROWS = 64
+
+# Adam moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -65,10 +70,9 @@ class LstmParams:
         return self.W_f.shape[1] - self.W_f.shape[0]
 
     def validate(self) -> None:
-        k = self.W_f.shape[0]
-        width = self.W_f.shape[1]
-        if width <= k:
+        if self.W_f.ndim != 2 or self.W_f.shape[1] <= self.W_f.shape[0]:
             raise ShapeError(f"W_f is {self.W_f.shape}; expected (k, k+d) with d >= 1")
+        k, width = self.W_f.shape
         for name in _WEIGHTS:
             w = getattr(self, name)
             if w.shape != (k, width):
@@ -83,7 +87,14 @@ class LstmParams:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LstmParams":
-        params = cls(**{name: np.asarray(payload[name], dtype=np.float64) for name in PARAM_FIELDS})
+        """Inverse of :meth:`to_dict`; raises SchemaError for missing or non-finite values."""
+        try:
+            arrays = {name: np.asarray(payload[name], dtype=np.float64) for name in PARAM_FIELDS}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed LSTM parameters: {exc!r}") from None
+        if not all(np.all(np.isfinite(a)) for a in arrays.values()):
+            raise SchemaError("LSTM parameters have non-finite values")
+        params = cls(**arrays)
         params.validate()
         return params
 
@@ -279,7 +290,16 @@ class LinearHead:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LinearHead":
-        return cls(W=np.asarray(payload["W"], dtype=np.float64), b=np.asarray(payload["b"], dtype=np.float64))
+        """Inverse of :meth:`to_dict`; raises SchemaError for a malformed head."""
+        try:
+            head = cls(W=np.asarray(payload["W"], dtype=np.float64), b=np.asarray(payload["b"], dtype=np.float64))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed linear head: {exc!r}") from None
+        if head.W.ndim != 2 or head.b.shape != head.W.shape[:1]:
+            raise SchemaError(f"head W {head.W.shape} and b {head.b.shape} are not (n_out, k) and (n_out,)")
+        if not (np.all(np.isfinite(head.W)) and np.all(np.isfinite(head.b))):
+            raise SchemaError("linear head has non-finite values")
+        return head
 
 
 @dataclass
@@ -291,9 +311,6 @@ class TrainConfig:
     optimizer: str = "adam"
     clip_norm: float | None = 5.0
     batch_size: int | None = None  # None = full batch
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.hidden_size < 1:
@@ -320,22 +337,22 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, shapes: dict):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float, shapes: dict):
+        self.lr = lr
         self.t = 0
         self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
 
     def step(self, tensors: dict, grads: dict):
         self.t += 1
-        correction1 = 1.0 - self.beta1**self.t
-        correction2 = 1.0 - self.beta2**self.t
+        correction1 = 1.0 - ADAM_BETA1**self.t
+        correction2 = 1.0 - ADAM_BETA2**self.t
         for name, grad in grads.items():
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * grad
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * grad * grad
+            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * grad
+            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * grad * grad
             m_hat = m / correction1
             v_hat = v / correction2
-            tensors[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tensors[name] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _clip_global(grads: dict, clip_norm: float | None):
@@ -376,13 +393,7 @@ def train(dataset: WindowedDataset, config: TrainConfig):
     tensors["head_W"] = head.W
     tensors["head_b"] = head.b
     if config.optimizer == "adam":
-        optimizer = _Adam(
-            config.learning_rate,
-            config.beta1,
-            config.beta2,
-            config.eps,
-            {name: t.shape for name, t in tensors.items()},
-        )
+        optimizer = _Adam(config.learning_rate, {name: t.shape for name, t in tensors.items()})
     else:
         optimizer = _Sgd(config.learning_rate)
 

@@ -68,14 +68,13 @@ class PriceSeries:
 
 
 def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):
+        return data
+    try:
         return data.decode("utf-8")
-    return data
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"file is not UTF-8 text: {exc}") from None
 
 
 def _parse_day(raw: str, line_no: int) -> date:
@@ -283,11 +282,21 @@ class MinMaxScaler:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MinMaxScaler":
+        """Inverse of :meth:`to_dict`; raises SchemaError for a malformed scaler."""
         scaler = cls()
-        scaler.mins = np.asarray(payload["mins"], dtype=np.float64)
-        scaler.maxs = np.asarray(payload["maxs"], dtype=np.float64)
-        names = payload.get("feature_names")
-        scaler.feature_names = tuple(names) if names else None
+        try:
+            scaler.mins = np.asarray(payload["mins"], dtype=np.float64)
+            scaler.maxs = np.asarray(payload["maxs"], dtype=np.float64)
+            names = payload.get("feature_names")
+            scaler.feature_names = tuple(names) if names else None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed scaler: {exc!r}") from None
+        if scaler.mins.ndim != 1 or scaler.mins.shape != scaler.maxs.shape:
+            raise SchemaError(
+                f"scaler mins {scaler.mins.shape} and maxs {scaler.maxs.shape} are not vectors of one length"
+            )
+        if not (np.all(np.isfinite(scaler.mins)) and np.all(np.isfinite(scaler.maxs))):
+            raise SchemaError("scaler has non-finite values")
         return scaler
 
 

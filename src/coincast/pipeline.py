@@ -5,6 +5,7 @@ linear head) and keeps only the recurrent weights. Stage 2 fits one boosted
 tree ensemble per horizon step on the latent vectors the LSTM produces for
 the training windows. Two baselines ride along for every run: the LSTM with
 its linear head used directly, and boosters fit on flattened raw windows.
+All three are one :class:`Forecaster`: a readout on per-window features.
 
 All model quality numbers are computed in original price units after
 inverting the fitted min-max scaler.
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import lstm as lstm_mod
 from . import metrics as metrics_mod
-from .errors import DomainError, ShapeError, SizingError
+from .errors import DomainError, SchemaError, ShapeError, SizingError
 from .gbtree import Booster, TreeParams, train_booster
 from .market_data import (
     MinMaxScaler,
@@ -87,78 +88,44 @@ def _invert_target(scaler: MinMaxScaler | None, target_col: int, values: np.ndar
 
 
 @dataclass
-class HybridModel:
-    """LSTM feature extractor + per-step boosted trees."""
+class Forecaster:
+    """A readout on per-window features, forecasting in original price units.
 
-    lstm: lstm_mod.LstmParams
-    boosters: list[Booster]
+    With ``lstm`` set the features are the LSTM's latent vectors; without it
+    they are the flattened windows (n_steps_in * d lag features). The readout
+    is either the boosters (one per horizon step, or one on the horizon mean
+    repeated over every step) or the linear head of the LSTM pre-training.
+    """
+
+    name: str
+    lstm: lstm_mod.LstmParams | None
+    readout: list[Booster] | lstm_mod.LinearHead
     scaler: MinMaxScaler | None
     target_col: int
     n_steps_out: int
     horizon_mode: str = "per_step"
-    loss_history: tuple[float, ...] = ()
-    name = "hybrid"
+
+    def features(self, dataset: WindowedDataset) -> np.ndarray:
+        """The (N, p) matrix the readout sees for every window."""
+        if self.lstm is None:
+            return dataset.X.reshape(dataset.n_samples, -1)
+        return lstm_mod.extract_latents(self.lstm, dataset)
+
+    def predict_from_features(self, F: np.ndarray) -> np.ndarray:
+        """:meth:`predict_prices` on features already computed by :meth:`features`."""
+        if isinstance(self.readout, lstm_mod.LinearHead):
+            scaled = self.readout.predict(F)
+        elif self.horizon_mode == "horizon_mean":
+            scaled = np.tile(self.readout[0].predict(F)[:, np.newaxis], (1, self.n_steps_out))
+        elif len(self.readout) != self.n_steps_out:
+            raise ShapeError(f"{len(self.readout)} booster(s) for a {self.n_steps_out}-step horizon")
+        else:
+            scaled = np.column_stack([b.predict(F) for b in self.readout])
+        return _invert_target(self.scaler, self.target_col, scaled)
 
     def predict_prices(self, dataset: WindowedDataset) -> np.ndarray:
         """Forecast the horizon for every window, in original price units."""
-        return self.predict_from_latents(lstm_mod.extract_latents(self.lstm, dataset))
-
-    def predict_from_latents(self, Z: np.ndarray) -> np.ndarray:
-        """:meth:`predict_prices` on latents already extracted with ``self.lstm``."""
-        scaled = _apply_horizon_boosters(self.boosters, Z, self.n_steps_out, self.horizon_mode)
-        return _invert_target(self.scaler, self.target_col, scaled)
-
-
-@dataclass
-class LstmForecaster:
-    """Baseline: the stage-1 LSTM with its linear head used as the model."""
-
-    lstm: lstm_mod.LstmParams
-    head: lstm_mod.LinearHead
-    scaler: MinMaxScaler | None
-    target_col: int
-    name = "lstm-only"
-
-    def predict_prices(self, dataset: WindowedDataset) -> np.ndarray:
-        return self.predict_from_latents(lstm_mod.extract_latents(self.lstm, dataset))
-
-    def predict_from_latents(self, Z: np.ndarray) -> np.ndarray:
-        """:meth:`predict_prices` on latents already extracted with ``self.lstm``."""
-        return _invert_target(self.scaler, self.target_col, self.head.predict(Z))
-
-
-@dataclass
-class GbtLagForecaster:
-    """Baseline: boosters on flattened windows (n_steps_in * d lag features)."""
-
-    boosters: list[Booster]
-    scaler: MinMaxScaler | None
-    target_col: int
-    n_steps_out: int
-    horizon_mode: str = "per_step"
-    name = "gbt-lags"
-
-    def predict_prices(self, dataset: WindowedDataset) -> np.ndarray:
-        N = dataset.n_samples
-        flat = dataset.X.reshape(N, -1)
-        scaled = _apply_horizon_boosters(self.boosters, flat, self.n_steps_out, self.horizon_mode)
-        return _invert_target(self.scaler, self.target_col, scaled)
-
-
-def _apply_horizon_boosters(boosters, features: np.ndarray, n_steps_out: int, horizon_mode: str) -> np.ndarray:
-    if horizon_mode == "horizon_mean":
-        single = boosters[0].predict(features)
-        return np.tile(single[:, np.newaxis], (1, n_steps_out))
-    if len(boosters) != n_steps_out:
-        raise ShapeError(
-            f"{len(boosters)} booster(s) for a {n_steps_out}-step horizon"
-        )
-    return np.column_stack([b.predict(features) for b in boosters])
-
-
-def fit_temporal_extractor(train_ds: WindowedDataset, config: lstm_mod.TrainConfig):
-    """Stage 1: returns (params, head, loss_history)."""
-    return lstm_mod.train(train_ds, config)
+        return self.predict_from_features(self.features(dataset))
 
 
 def fit_horizon_boosters(
@@ -176,61 +143,41 @@ def fit_horizon_boosters(
     return [train_booster(Z, Y[:, step], tree_params, n_rounds) for step in range(Y.shape[1])]
 
 
-def train_hybrid(
+def train_models(
     train_ds: WindowedDataset,
     lstm_config: lstm_mod.TrainConfig,
     tree_params: TreeParams,
     n_rounds: int,
     horizon_mode: str = "per_step",
-    stage1=None,
-) -> HybridModel:
-    """Fit both stages on the training windows.
+) -> tuple[tuple[Forecaster, ...], tuple[float, ...]]:
+    """Fit the hybrid and both baselines on the training windows.
 
-    ``stage1`` may carry an already-fitted (params, head, history) triple;
-    with the same config and data a fresh fit is bit-identical, so sharing
-    it with the LSTM baseline only saves time.
+    The LSTM is fit once: the hybrid's boosters read its latents and the
+    ``lstm-only`` baseline keeps its pre-training head. Returns the models
+    ``(hybrid, lstm-only, gbt-lags)`` and the LSTM's per-epoch loss history.
     """
-    if stage1 is None:
-        stage1 = fit_temporal_extractor(train_ds, lstm_config)
-    params, _, history = stage1
-    Z = lstm_mod.extract_latents(params, train_ds)
-    boosters = fit_horizon_boosters(Z, train_ds.Y, tree_params, n_rounds, horizon_mode)
-    return HybridModel(
-        lstm=params,
-        boosters=boosters,
+    params, head, history = lstm_mod.train(train_ds, lstm_config)
+    shared = dict(
         scaler=train_ds.scaler,
         target_col=train_ds.target_col,
         n_steps_out=train_ds.n_steps_out,
         horizon_mode=horizon_mode,
-        loss_history=tuple(history),
     )
+    models = _models(params, head, [], [], **shared)
+    hybrid, _, gbt_lags = models
+    for model in (hybrid, gbt_lags):
+        model.readout = fit_horizon_boosters(
+            model.features(train_ds), train_ds.Y, tree_params, n_rounds, horizon_mode
+        )
+    return models, tuple(history)
 
 
-def train_baseline_lstm(
-    train_ds: WindowedDataset, lstm_config: lstm_mod.TrainConfig, stage1=None
-) -> LstmForecaster:
-    if stage1 is None:
-        stage1 = fit_temporal_extractor(train_ds, lstm_config)
-    params, head, _ = stage1
-    return LstmForecaster(
-        lstm=params, head=head, scaler=train_ds.scaler, target_col=train_ds.target_col
-    )
-
-
-def train_baseline_gbt(
-    train_ds: WindowedDataset,
-    tree_params: TreeParams,
-    n_rounds: int,
-    horizon_mode: str = "per_step",
-) -> GbtLagForecaster:
-    flat = train_ds.X.reshape(train_ds.n_samples, -1)
-    boosters = fit_horizon_boosters(flat, train_ds.Y, tree_params, n_rounds, horizon_mode)
-    return GbtLagForecaster(
-        boosters=boosters,
-        scaler=train_ds.scaler,
-        target_col=train_ds.target_col,
-        n_steps_out=train_ds.n_steps_out,
-        horizon_mode=horizon_mode,
+def _models(params, head, hybrid_boosters, gbt_boosters, **shared) -> tuple[Forecaster, ...]:
+    """The ``hybrid``, ``lstm-only`` and ``gbt-lags`` forecasters of one run."""
+    return (
+        Forecaster("hybrid", params, hybrid_boosters, **shared),
+        Forecaster("lstm-only", params, head, **shared),
+        Forecaster("gbt-lags", None, gbt_boosters, **shared),
     )
 
 
@@ -238,9 +185,9 @@ def train_baseline_gbt(
 class ForecastResult:
     """Predictions and targets in original units plus per-step accuracy.
 
-    Step metrics that are undefined for the given targets (zero actuals for
-    MAPE, zero range for MinMax RMSE) are reported as NaN rather than
-    raising, so degenerate fixtures can still be inspected.
+    From :func:`predict_hybrid`, step metrics that are undefined for the
+    given targets (zero actuals for MAPE, zero range for MinMax RMSE) are
+    NaN rather than raising, so degenerate fixtures can still be inspected.
     """
 
     predictions: np.ndarray  # (N, n_steps_out)
@@ -257,43 +204,48 @@ class ForecastResult:
         return float(np.mean(self.step_minmax_rmse))
 
 
-def _lenient(metric, actual, forecast, **kwargs) -> float:
-    try:
-        return metric(actual, forecast, **kwargs)
-    except (DomainError, SizingError):
-        return float("nan")
+def _score(
+    model: Forecaster, dataset: WindowedDataset, predictions, mape_epsilon, strict: bool
+) -> ForecastResult:
+    """Check and score predictions in price units; an undefined step metric
+    raises when ``strict``, else it is NaN."""
+    expected = (dataset.n_samples, dataset.n_steps_out)
+    if predictions.shape != expected:
+        raise ShapeError(f"predictions have shape {predictions.shape}, expected {expected}")
+    if not np.all(np.isfinite(predictions)):
+        raise DomainError(f"model {model.name!r} produced non-finite predictions")
+    targets = _invert_target(model.scaler, dataset.target_col, dataset.Y)
+
+    def per_step(metric, **kwargs) -> tuple[float, ...]:
+        values = []
+        for s in range(dataset.n_steps_out):
+            try:
+                values.append(metric(targets[:, s], predictions[:, s], **kwargs))
+            except (DomainError, SizingError):
+                if strict:
+                    raise
+                values.append(float("nan"))
+        return tuple(values)
+
+    return ForecastResult(
+        predictions=predictions,
+        targets=targets,
+        step_mape=per_step(metrics_mod.mape, epsilon=mape_epsilon),
+        step_minmax_rmse=per_step(metrics_mod.minmax_rmse),
+    )
 
 
 def predict_hybrid(
-    model, dataset: WindowedDataset, mape_epsilon: float | None = None
+    model: Forecaster, dataset: WindowedDataset, mape_epsilon: float | None = None
 ) -> ForecastResult:
     """Run any trained forecaster over a windowed dataset.
 
-    Accepts the hybrid model or either baseline (anything with
-    ``predict_prices``). Pure: repeated calls return identical results.
+    Lenient: step metrics undefined for the targets come back as NaN. Pure:
+    repeated calls return identical results.
     """
     if dataset.n_samples < 1:
         raise SizingError("cannot forecast over an empty dataset")
-    predictions = model.predict_prices(dataset)
-    if predictions.shape != (dataset.n_samples, dataset.n_steps_out):
-        raise ShapeError(
-            f"predictions have shape {predictions.shape}, expected "
-            f"{(dataset.n_samples, dataset.n_steps_out)}"
-        )
-    if not np.all(np.isfinite(predictions)):
-        raise DomainError("model produced non-finite predictions")
-    targets = _invert_target(getattr(model, "scaler", None), dataset.target_col, dataset.Y)
-    step_mape = tuple(
-        _lenient(metrics_mod.mape, targets[:, s], predictions[:, s], epsilon=mape_epsilon)
-        for s in range(dataset.n_steps_out)
-    )
-    step_mm = tuple(
-        _lenient(metrics_mod.minmax_rmse, targets[:, s], predictions[:, s])
-        for s in range(dataset.n_steps_out)
-    )
-    return ForecastResult(
-        predictions=predictions, targets=targets, step_mape=step_mape, step_minmax_rmse=step_mm
-    )
+    return _score(model, dataset, model.predict_prices(dataset), mape_epsilon, strict=False)
 
 
 @dataclass(frozen=True)
@@ -331,7 +283,7 @@ def evaluate(models, dataset: WindowedDataset, mape_epsilon: float | None = None
     """Score every model on the same windows; metrics averaged over horizon steps.
 
     Models that share one LSTM (the hybrid and the ``lstm-only`` baseline)
-    share one latent pass over the windows. Unlike :func:`predict_hybrid`
+    share one feature pass over the windows. Unlike :func:`predict_hybrid`
     this is strict: undefined metrics raise.
     """
     models = list(models)
@@ -339,32 +291,15 @@ def evaluate(models, dataset: WindowedDataset, mape_epsilon: float | None = None
         raise SizingError("need at least one model to evaluate")
     if dataset.n_samples < 1:
         raise SizingError("cannot evaluate on an empty dataset")
-    latents: dict[int, np.ndarray] = {}  # id of the LstmParams -> its latents
+    features: dict[int, np.ndarray] = {}  # id of the LstmParams (or None) -> features
     rows = []
     for model in models:
-        params = getattr(model, "lstm", None)
-        if params is None:
-            predictions = model.predict_prices(dataset)
-        else:
-            if id(params) not in latents:
-                latents[id(params)] = lstm_mod.extract_latents(params, dataset)
-            predictions = model.predict_from_latents(latents[id(params)])
-        targets = _invert_target(getattr(model, "scaler", None), dataset.target_col, dataset.Y)
-        mapes = [
-            metrics_mod.mape(targets[:, s], predictions[:, s], epsilon=mape_epsilon)
-            for s in range(dataset.n_steps_out)
-        ]
-        mms = [
-            metrics_mod.minmax_rmse(targets[:, s], predictions[:, s])
-            for s in range(dataset.n_steps_out)
-        ]
-        rows.append(
-            EvalRow(
-                model=model.name,
-                test_mape=float(np.mean(mapes)),
-                test_minmax_rmse=float(np.mean(mms)),
-            )
-        )
+        key = id(model.lstm)
+        if key not in features:
+            features[key] = model.features(dataset)
+        predictions = model.predict_from_features(features[key])
+        result = _score(model, dataset, predictions, mape_epsilon, strict=True)
+        rows.append(EvalRow(model.name, result.mean_mape, result.mean_minmax_rmse))
     return EvalReport(rows=tuple(rows))
 
 
@@ -375,9 +310,10 @@ def evaluate(models, dataset: WindowedDataset, mape_epsilon: float | None = None
 class TrainedBundle:
     """Everything one symbol's training run produces."""
 
-    hybrid: HybridModel
-    lstm_baseline: LstmForecaster
-    gbt_baseline: GbtLagForecaster
+    hybrid: Forecaster
+    lstm_baseline: Forecaster
+    gbt_baseline: Forecaster
+    loss_history: tuple[float, ...] = ()
     config_snapshot: dict = field(default_factory=dict)
     data_hash: str = ""
     feature_names: tuple[str, ...] = ()
@@ -388,9 +324,12 @@ def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_json(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: Path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise SchemaError(f"{path} is not a JSON file: {exc}") from None
 
 
 def save_bundle(directory, bundle: TrainedBundle) -> None:
@@ -405,11 +344,9 @@ def save_bundle(directory, bundle: TrainedBundle) -> None:
         "scaler": "scaler.json",
         "lstm": "lstm.json",
         "head": "head.json",
-        "hybrid_boosters": [
-            f"hybrid_booster_{i:02d}.json" for i in range(len(hybrid.boosters))
-        ],
+        "hybrid_boosters": [f"hybrid_booster_{i:02d}.json" for i in range(len(hybrid.readout))],
         "gbt_boosters": [
-            f"gbt_booster_{i:02d}.json" for i in range(len(bundle.gbt_baseline.boosters))
+            f"gbt_booster_{i:02d}.json" for i in range(len(bundle.gbt_baseline.readout))
         ],
     }
     manifest = {
@@ -427,64 +364,55 @@ def save_bundle(directory, bundle: TrainedBundle) -> None:
     _dump_json(directory / "manifest.json", manifest)
     _dump_json(directory / files["scaler"], hybrid.scaler.to_dict())
     _dump_json(directory / files["lstm"], hybrid.lstm.to_dict())
-    _dump_json(directory / files["head"], bundle.lstm_baseline.head.to_dict())
-    for fname, booster in zip(files["hybrid_boosters"], hybrid.boosters):
-        _dump_json(directory / fname, booster.to_dict())
-    for fname, booster in zip(files["gbt_boosters"], bundle.gbt_baseline.boosters):
-        _dump_json(directory / fname, booster.to_dict())
+    _dump_json(directory / files["head"], bundle.lstm_baseline.readout.to_dict())
+    for kind, model in (("hybrid_boosters", hybrid), ("gbt_boosters", bundle.gbt_baseline)):
+        for fname, booster in zip(files[kind], model.readout):
+            _dump_json(directory / fname, booster.to_dict())
     loss_lines = ["epoch,loss"]
-    loss_lines.extend(f"{i},{v!r}" for i, v in enumerate(hybrid.loss_history))
+    loss_lines.extend(f"{i},{v!r}" for i, v in enumerate(bundle.loss_history))
     (directory / "loss_history.csv").write_text("\n".join(loss_lines) + "\n", encoding="utf-8")
 
 
 def load_bundle(directory) -> TrainedBundle:
-    """Inverse of :func:`save_bundle`."""
+    """Inverse of :func:`save_bundle`; a malformed model directory raises SchemaError."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise SizingError(f"no manifest.json under {directory}")
     manifest = _load_json(manifest_path)
-    if manifest.get("format") != MODEL_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MODEL_FORMAT:
         raise DomainError(f"{manifest_path} is not a recognized model manifest")
-    files = manifest["files"]
-    scaler = MinMaxScaler.from_dict(_load_json(directory / files["scaler"]))
-    params = lstm_mod.LstmParams.from_dict(_load_json(directory / files["lstm"]))
-    head = lstm_mod.LinearHead.from_dict(_load_json(directory / files["head"]))
-    hybrid_boosters = [
-        Booster.from_dict(_load_json(directory / f)) for f in files["hybrid_boosters"]
-    ]
-    gbt_boosters = [Booster.from_dict(_load_json(directory / f)) for f in files["gbt_boosters"]]
-    target_col = int(manifest["target_col"])
-    n_out = int(manifest["n_steps_out"])
-    mode = manifest["horizon_mode"]
-    loss_history: tuple[float, ...] = ()
-    loss_path = directory / "loss_history.csv"
-    if loss_path.is_file():
-        lines = loss_path.read_text(encoding="utf-8").strip().splitlines()[1:]
-        loss_history = tuple(float(line.split(",")[1]) for line in lines)
-    hybrid = HybridModel(
-        lstm=params,
-        boosters=hybrid_boosters,
-        scaler=scaler,
-        target_col=target_col,
-        n_steps_out=n_out,
-        horizon_mode=mode,
-        loss_history=loss_history,
+    try:
+        files = manifest["files"]
+        scaler = MinMaxScaler.from_dict(_load_json(directory / files["scaler"]))
+        params = lstm_mod.LstmParams.from_dict(_load_json(directory / files["lstm"]))
+        head = lstm_mod.LinearHead.from_dict(_load_json(directory / files["head"]))
+        hybrid_boosters, gbt_boosters = (
+            [Booster.from_dict(_load_json(directory / f)) for f in files[kind]]
+            for kind in ("hybrid_boosters", "gbt_boosters")
+        )
+        target_col = int(manifest["target_col"])
+        n_steps_out = int(manifest["n_steps_out"])
+        horizon_mode = manifest["horizon_mode"]
+        loss_history: tuple[float, ...] = ()
+        loss_path = directory / "loss_history.csv"
+        if loss_path.is_file():
+            lines = loss_path.read_text(encoding="utf-8").strip().splitlines()[1:]
+            loss_history = tuple(float(line.split(",")[1]) for line in lines)
+        about = dict(
+            config_snapshot=manifest.get("config", {}),
+            data_hash=manifest.get("data_hash", ""),
+            feature_names=tuple(manifest.get("feature_names", ())),
+            n_steps_in=int(manifest.get("n_steps_in", 0)),
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed model directory {directory}: {exc!r}") from None
+    if not 0 <= target_col < scaler.mins.size:
+        raise SchemaError(f"target column {target_col} is outside the scaler's features")
+    if horizon_mode not in ("per_step", "horizon_mean"):
+        raise SchemaError(f"unknown horizon mode {horizon_mode!r} in {manifest_path}")
+    models = _models(
+        params, head, hybrid_boosters, gbt_boosters,
+        scaler=scaler, target_col=target_col, n_steps_out=n_steps_out, horizon_mode=horizon_mode,
     )
-    lstm_baseline = LstmForecaster(lstm=params, head=head, scaler=scaler, target_col=target_col)
-    gbt_baseline = GbtLagForecaster(
-        boosters=gbt_boosters,
-        scaler=scaler,
-        target_col=target_col,
-        n_steps_out=n_out,
-        horizon_mode=mode,
-    )
-    return TrainedBundle(
-        hybrid=hybrid,
-        lstm_baseline=lstm_baseline,
-        gbt_baseline=gbt_baseline,
-        config_snapshot=manifest.get("config", {}),
-        data_hash=manifest.get("data_hash", ""),
-        feature_names=tuple(manifest.get("feature_names", ())),
-        n_steps_in=int(manifest.get("n_steps_in", 0)),
-    )
+    return TrainedBundle(*models, loss_history=loss_history, **about)

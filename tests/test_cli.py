@@ -65,6 +65,54 @@ def read_rows(path: Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
+def json_edit(change):
+    """A file edit that applies ``change`` to the file's parsed JSON in place."""
+    def edit(raw: bytes) -> bytes:
+        payload = json.loads(raw)
+        change(payload)
+        return json.dumps(payload).encode("utf-8")
+    return edit
+
+
+def first_number(key, value):
+    """A JSON change that sets the first number under ``payload[key]``."""
+    def change(payload):
+        box, index = payload, key
+        while isinstance(box[index], list):
+            box, index = box[index], 0
+        box[index] = value
+    return change
+
+
+def cyclic_root(payload):
+    root = payload["trees"][0]
+    root["feature"][0], root["left"][0], root["right"][0] = 0, 0, 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (command, file under the run directory, edit of its bytes); each must end
+# in a typed error, exit code 3 and no output.
+BAD_INPUTS = [
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(cyclic_root), id="cyclic-tree"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.pop("target_col")), id="manifest-no-target_col"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["files"].pop("head")), id="manifest-no-files.head"),
+    pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(target_col=9)), id="manifest-target_col-out-of-range"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(horizon_mode="median")), id="manifest-unknown-horizon_mode"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.pop("b_o")), id="lstm-no-b_o"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.update(W_f=p["W_f"][0])), id="lstm-W_f-1d"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(first_number("W_i", NAN)), id="lstm-nan"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p.update(W=p["W"][0])), id="head-W-1d"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p["b"].append(0.0)), id="head-b-longer-than-W"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("b", NAN)), id="head-nan"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("b", 1e308)), id="head-inf-predictions"),
+    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(lambda p: p["maxs"].pop()), id="scaler-unequal-lengths"),
+    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("mins", INF)), id="scaler-inf"),
+    pytest.param("train", "btc.csv", lambda raw: raw.replace(b",Btc,", b",B\xfftc,", 1), id="csv-not-utf8"),
+]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -272,23 +320,20 @@ class TestEvaluate:
         assert code == 0
         assert (tmp_path / "elsewhere" / "report" / "report_BTC.csv").is_file()
 
-    def test_tampered_tree_file_exits_3(self, workspace, trained, tmp_path):
-        # a root that is its own child on both sides used to make evaluate
-        # route every row forever
-        _, cfg = workspace
+    @pytest.mark.parametrize("command, relative, edit", BAD_INPUTS)
+    def test_bad_input_exits_3(self, trained, tmp_path, command, relative, edit):
+        # a subprocess with a timeout, since a cyclic tree used to make
+        # evaluate route every row forever
+        cfg = write_workspace(tmp_path)
         model = tmp_path / "model"
         shutil.copytree(trained, model)
-        booster_path = model / "BTC" / "gbt_booster_00.json"
-        payload = json.loads(booster_path.read_text(encoding="utf-8"))
-        root = payload["trees"][0]
-        root["feature"][0], root["left"][0], root["right"][0] = 0, 0, 0
-        booster_path.write_text(json.dumps(payload), encoding="utf-8")
-        done = run_module(
-            "coincast", "evaluate", "--config", str(cfg), "--model", str(model),
-            "--set", f'output_dir="{tmp_path / "out"}"',
-        )
-        assert done.returncode == 3
+        target = tmp_path / relative
+        target.write_bytes(edit(target.read_bytes()))
+        extra = ("--model", str(model)) if command == "evaluate" else ()
+        done = run_module("coincast", command, "--config", str(cfg), *extra)
+        assert done.returncode == 3, done.stderr
         assert "error:" in done.stderr
+        assert "Traceback" not in done.stderr
         assert not (tmp_path / "out").exists()
 
     def test_evaluate_without_model_fails_cleanly(self, tmp_path):

@@ -1,3 +1,4 @@
+import io
 from datetime import date
 
 import numpy as np
@@ -43,6 +44,12 @@ class TestParseCsv:
     def test_accepts_bytes_and_datetime_stamps(self):
         series = parse_csv(GOOD_CSV.encode("utf-8"))
         assert len(series) == 3
+
+    def test_non_utf8_bytes_are_a_validation_error(self):
+        raw = GOOD_CSV.encode("utf-8").replace(b"Bitcoin", b"Bitc\xffin", 1)
+        for source in (raw, io.BytesIO(raw)):
+            with pytest.raises(ValidationError, match="UTF-8"):
+                parse_csv(source)
 
     def test_accepts_crlf_line_endings(self):
         series = parse_csv(GOOD_CSV.replace("\n", "\r\n"))

@@ -11,16 +11,14 @@ from coincast.market_data import MinMaxScaler, series_to_features
 from coincast.pipeline import (
     EvalReport,
     EvalRow,
+    Forecaster,
     TrainedBundle,
     evaluate,
-    fit_temporal_extractor,
     load_bundle,
     predict_hybrid,
     prepare_datasets,
     save_bundle,
-    train_baseline_gbt,
-    train_baseline_lstm,
-    train_hybrid,
+    train_models,
 )
 
 FEATURES = ("open", "high", "low", "close", "volume")
@@ -36,14 +34,19 @@ def splits():
 
 
 @pytest.fixture(scope="module")
-def trained(splits):
+def fitted(splits):
     train_ds, _ = splits
-    cfg = TrainConfig(**FAST_LSTM)
-    stage1 = fit_temporal_extractor(train_ds, cfg)
-    hybrid = train_hybrid(train_ds, cfg, FAST_TREES, n_rounds=5, stage1=stage1)
-    lstm_only = train_baseline_lstm(train_ds, cfg, stage1=stage1)
-    gbt_lags = train_baseline_gbt(train_ds, FAST_TREES, n_rounds=5)
-    return hybrid, lstm_only, gbt_lags
+    return train_models(train_ds, TrainConfig(**FAST_LSTM), FAST_TREES, n_rounds=5)
+
+
+@pytest.fixture(scope="module")
+def trained(fitted):
+    return fitted[0]
+
+
+def hybrid_of(train_ds, cfg, n_rounds, **kwargs):
+    (hybrid, _, _), _ = train_models(train_ds, cfg, FAST_TREES, n_rounds, **kwargs)
+    return hybrid
 
 
 class TestPrepareDatasets:
@@ -107,7 +110,7 @@ class TestModels:
     def test_hybrid_with_zero_rounds_predicts_inverse_scaled_base(self, splits):
         train_ds, test_ds = splits
         cfg = TrainConfig(**FAST_LSTM)
-        hybrid = train_hybrid(train_ds, cfg, FAST_TREES, n_rounds=0)
+        hybrid = hybrid_of(train_ds, cfg, n_rounds=0)
         preds = hybrid.predict_prices(test_ds)
         # every booster collapses to its base score = mean scaled target
         base = float(train_ds.Y[:, 0].mean())
@@ -152,9 +155,9 @@ class TestModels:
 
         ds = make_windows(rows, target_col=1, n_steps_in=5, n_steps_out=1)
         cfg = TrainConfig(hidden_size=3, epochs=2, learning_rate=0.01, seed=1)
-        hybrid = train_hybrid(ds, cfg, FAST_TREES, n_rounds=3)
-        preds = hybrid.predict_prices(ds)
-        assert preds.shape == (ds.n_samples, 1)
+        for model in train_models(ds, cfg, FAST_TREES, n_rounds=3)[0]:
+            preds = model.predict_prices(ds)
+            assert preds.shape == (ds.n_samples, 1)
 
     def test_gbt_lag_model_checks_width(self, splits, trained):
         train_ds, _ = splits
@@ -171,8 +174,8 @@ class TestMultiStep:
         train_ds, test_ds = prepare_datasets(series, FEATURES, "close", 8, 3, 0.8)
         assert train_ds.Y.shape[1] == 3
         cfg = TrainConfig(hidden_size=4, epochs=2, learning_rate=0.01, seed=2)
-        hybrid = train_hybrid(train_ds, cfg, FAST_TREES, n_rounds=3)
-        assert len(hybrid.boosters) == 3
+        hybrid = hybrid_of(train_ds, cfg, n_rounds=3)
+        assert len(hybrid.readout) == 3
         result = predict_hybrid(hybrid, test_ds)
         assert result.predictions.shape == (test_ds.n_samples, 3)
         assert len(result.step_mape) == 3
@@ -181,8 +184,8 @@ class TestMultiStep:
         series = rows_to_series(random_walk_rows(T=100, seed=28))
         train_ds, test_ds = prepare_datasets(series, FEATURES, "close", 8, 3, 0.8)
         cfg = TrainConfig(hidden_size=4, epochs=2, learning_rate=0.01, seed=2)
-        hybrid = train_hybrid(train_ds, cfg, FAST_TREES, n_rounds=3, horizon_mode="horizon_mean")
-        assert len(hybrid.boosters) == 1
+        hybrid = hybrid_of(train_ds, cfg, n_rounds=3, horizon_mode="horizon_mean")
+        assert len(hybrid.readout) == 1
         preds = hybrid.predict_prices(test_ds)
         assert preds.shape == (test_ds.n_samples, 3)
         npt.assert_array_equal(preds[:, 0], preds[:, 1])
@@ -192,7 +195,7 @@ class TestMultiStep:
         train_ds, _ = splits
         cfg = TrainConfig(**FAST_LSTM)
         with pytest.raises(DomainError):
-            train_hybrid(train_ds, cfg, FAST_TREES, n_rounds=2, horizon_mode="median")
+            train_models(train_ds, cfg, FAST_TREES, n_rounds=2, horizon_mode="median")
 
 
 class TestEvaluate:
@@ -239,7 +242,7 @@ class TestEvaluate:
         series = rows_to_series(rows)
         train_ds, _ = prepare_datasets(series, FEATURES, "close", 5, 1, 0.8)
         cfg = TrainConfig(hidden_size=3, epochs=2, learning_rate=0.01, seed=3)
-        hybrid = train_hybrid(train_ds, cfg, FAST_TREES, n_rounds=2)
+        hybrid = hybrid_of(train_ds, cfg, n_rounds=2)
         with pytest.raises(DomainError):
             evaluate([hybrid], train_ds)
         # the lenient path reports NaN instead
@@ -251,15 +254,28 @@ class TestEvaluate:
         with pytest.raises(SizingError):
             evaluate([], test_ds)
 
+    def test_non_finite_predictions_rejected_by_both_scorers(self, splits, trained):
+        _, test_ds = splits
+        lstm_only = trained[1]
+        head = lstm_mod.LinearHead(W=lstm_only.readout.W.copy(), b=np.array([np.nan]))
+        broken = Forecaster(
+            "lstm-only", lstm_only.lstm, head, lstm_only.scaler, lstm_only.target_col, 1
+        )
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate([trained[0], broken], test_ds)
+        with pytest.raises(DomainError, match="non-finite"):
+            predict_hybrid(broken, test_ds)
+
 
 class TestBundleRoundTrip:
-    def test_save_load_bitwise_predictions(self, tmp_path, splits, trained):
+    def test_save_load_bitwise_predictions(self, tmp_path, splits, fitted):
         train_ds, test_ds = splits
-        hybrid, lstm_only, gbt_lags = trained
+        (hybrid, lstm_only, gbt_lags), history = fitted
         bundle = TrainedBundle(
             hybrid=hybrid,
             lstm_baseline=lstm_only,
             gbt_baseline=gbt_lags,
+            loss_history=history,
             config_snapshot={"anything": 1},
             data_hash="abc123",
             feature_names=FEATURES,
@@ -280,7 +296,8 @@ class TestBundleRoundTrip:
         assert loaded.data_hash == "abc123"
         assert loaded.feature_names == FEATURES
         assert loaded.n_steps_in == 10
-        assert loaded.hybrid.loss_history == hybrid.loss_history
+        assert len(history) == FAST_LSTM["epochs"]
+        assert loaded.loss_history == history
 
     def test_manifest_lists_every_artifact(self, tmp_path, trained):
         import json
@@ -315,12 +332,22 @@ class TestBundleRoundTrip:
 
 
 class TestSharedStageOne:
-    def test_stage1_reuse_matches_fresh_fit(self, splits):
+    def test_one_lstm_fit_shared_by_hybrid_and_lstm_only(self, splits, monkeypatch):
         train_ds, test_ds = splits
         cfg = TrainConfig(**FAST_LSTM)
-        stage1 = fit_temporal_extractor(train_ds, cfg)
-        shared = train_hybrid(train_ds, cfg, FAST_TREES, n_rounds=4, stage1=stage1)
-        fresh = train_hybrid(train_ds, cfg, FAST_TREES, n_rounds=4)
-        npt.assert_array_equal(
-            shared.predict_prices(test_ds), fresh.predict_prices(test_ds)
-        )
+        calls = []
+        fit = lstm_mod.train
+
+        def counting(dataset, config):
+            calls.append(dataset.n_samples)
+            return fit(dataset, config)
+
+        monkeypatch.setattr(lstm_mod, "train", counting)
+        first, _ = train_models(train_ds, cfg, FAST_TREES, n_rounds=4)
+        assert calls == [train_ds.n_samples]
+        assert first[0].lstm is first[1].lstm
+        assert first[2].lstm is None
+        again, _ = train_models(train_ds, cfg, FAST_TREES, n_rounds=4)
+        assert len(calls) == 2
+        for a, b in zip(first, again):
+            npt.assert_array_equal(a.predict_prices(test_ds), b.predict_prices(test_ds))
