@@ -285,7 +285,11 @@ def cmd_evaluate(cfg: RunConfig, stage: _Stage, model_root: str | None) -> None:
     root = Path(model_root) if model_root else Path(cfg.output_dir) / "model"
     for symbol, path in cfg.data.items():
         bundle = pipeline.load_bundle(root / symbol)
-        snapshot = RunConfig.from_dict(bundle.config_snapshot)
+        try:
+            snapshot = RunConfig.from_dict(bundle.config_snapshot)
+        except ConfigError as exc:
+            # the snapshot is part of the model directory, not of this run's config
+            raise SchemaError(f"model directory {root / symbol} has a bad config snapshot: {exc}") from None
         series = _read_series(symbol, path)
         _, test_ds = pipeline.prepare_datasets(
             series,

@@ -141,14 +141,23 @@ class SequenceCache:
     input_size: int
 
 
+def _affine(concat: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One gate's pre-activation concat @ W.T + b, the bias added in place."""
+    z = concat @ W.T
+    z += b
+    return z
+
+
 def _step(params: LstmParams, h: np.ndarray, C: np.ndarray, x: np.ndarray):
     """One cell step over a batch of rows: (N, k), (N, k), (N, d) -> (h, C, cache)."""
     concat = np.concatenate([h, x], axis=1)
-    f = sigmoid(concat @ params.W_f.T + params.b_f)
-    i = sigmoid(concat @ params.W_i.T + params.b_i)
-    c_tilde = np.tanh(concat @ params.W_C.T + params.b_C)
-    o = sigmoid(concat @ params.W_o.T + params.b_o)
-    C_new = f * C + i * c_tilde
+    f = sigmoid(_affine(concat, params.W_f, params.b_f))
+    i = sigmoid(_affine(concat, params.W_i, params.b_i))
+    z_C = _affine(concat, params.W_C, params.b_C)
+    c_tilde = np.tanh(z_C, out=z_C)
+    o = sigmoid(_affine(concat, params.W_o, params.b_o))
+    C_new = f * C
+    C_new += i * c_tilde
     tanh_C = np.tanh(C_new)
     cache = StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=C, tanh_C=tanh_C)
     return o * tanh_C, C_new, cache
@@ -221,22 +230,41 @@ class LstmGrads:
         return cls(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS})
 
 
+def _sigmoid_chain(upstream, other, g, scratch):
+    """upstream * other * g * (1 - g), left to right; overwrites ``scratch``."""
+    out = upstream * other
+    out *= g
+    np.subtract(1.0, g, out=scratch)
+    out *= scratch
+    return out
+
+
+def _tanh_chain(upstream, other, t, scratch):
+    """upstream * other * (1 - t**2), left to right; overwrites ``scratch``."""
+    out = upstream * other
+    np.square(t, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    out *= scratch
+    return out
+
+
 def _backward(params: LstmParams, steps: list[StepCache], dHn: np.ndarray) -> LstmGrads:
-    """Backpropagation through time over batched step caches from a gradient on H_n."""
+    """Backpropagation through time over batched step caches from a gradient on H_n.
+
+    Products are taken left to right in the order the chain rule writes them,
+    so the in-place arithmetic rounds exactly like the plain expressions.
+    """
     k = params.hidden_size
     grads = LstmGrads.zeros_like(params)
-    dh = dHn.copy()
+    dh = dHn
     dC = np.zeros_like(dHn)
+    scratch = np.empty_like(dHn)
     for step in reversed(steps):
-        do = dh * step.tanh_C
-        dC = dC + dh * step.o * (1.0 - step.tanh_C**2)
-        df = dC * step.C_prev
-        di = dC * step.c_tilde
-        dct = dC * step.i
-        da_f = df * step.f * (1.0 - step.f)
-        da_i = di * step.i * (1.0 - step.i)
-        da_c = dct * (1.0 - step.c_tilde**2)
-        da_o = do * step.o * (1.0 - step.o)
+        dC += _tanh_chain(dh, step.o, step.tanh_C, scratch)
+        da_f = _sigmoid_chain(dC, step.C_prev, step.f, scratch)
+        da_i = _sigmoid_chain(dC, step.c_tilde, step.i, scratch)
+        da_c = _tanh_chain(dC, step.i, step.c_tilde, scratch)
+        da_o = _sigmoid_chain(dh, step.tanh_C, step.o, scratch)
         grads.W_f += da_f.T @ step.concat
         grads.W_i += da_i.T @ step.concat
         grads.W_C += da_c.T @ step.concat
@@ -245,9 +273,12 @@ def _backward(params: LstmParams, steps: list[StepCache], dHn: np.ndarray) -> Ls
         grads.b_i += da_i.sum(axis=0)
         grads.b_C += da_c.sum(axis=0)
         grads.b_o += da_o.sum(axis=0)
-        dconcat = da_f @ params.W_f + da_i @ params.W_i + da_c @ params.W_C + da_o @ params.W_o
+        dconcat = da_f @ params.W_f
+        dconcat += da_i @ params.W_i
+        dconcat += da_c @ params.W_C
+        dconcat += da_o @ params.W_o
         dh = dconcat[:, :k]
-        dC = dC * step.f
+        dC *= step.f
     return grads
 
 

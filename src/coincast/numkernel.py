@@ -13,19 +13,24 @@ from .errors import DomainError, ShapeError
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), stable for large |x|.
 
-    Accepts scalars or arrays; returns a float for scalar input.
+    Computed as exp(min(x, 0)) / (1 + exp(-|x|)): for x >= 0 that is the same
+    IEEE operations on the same values as 1 / (1 + exp(-x)), and for x < 0 the
+    same as exp(x) / (1 + exp(x)), with no exp argument above zero and no
+    masked gather. Accepts scalars or arrays; returns a float for scalar input.
     """
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
+    # a 0-d operand makes numpy ufuncs return scalars, which take no out=
     a = np.atleast_1d(arr)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ex = np.exp(a[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if scalar:
+    den = np.abs(a)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(a, 0.0)
+    np.exp(out, out=out)
+    out /= den
+    if arr.ndim == 0:
         return float(out[0])
-    return out.reshape(arr.shape)
+    return out
 
 
 class Rng:

@@ -100,6 +100,8 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(target_col=9)), id="manifest-target_col-out-of-range"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(horizon_mode="median")), id="manifest-unknown-horizon_mode"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"]["lstm"].update(epoch=3)), id="manifest-config-unknown-key"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(config=[m["config"]])), id="manifest-config-not-object"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.pop("b_o")), id="lstm-no-b_o"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.update(W_f=p["W_f"][0])), id="lstm-W_f-1d"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(first_number("W_i", NAN)), id="lstm-nan"),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,10 @@ from coincast.lstm import (
     LstmGrads,
     LstmParams,
     LstmState,
+    StepCache,
     TrainConfig,
+    _backward,
+    _step,
     cell_forward,
     extract_latents,
     init_params,
@@ -345,3 +349,93 @@ class TestSerialization:
 def test_sigmoid_matches_gate_usage():
     # the gate nonlinearity at zero pre-activation is exactly one half
     assert sigmoid(0.0) == 0.5
+
+
+def plain_step(params: LstmParams, h, C, x):
+    """The cell step as out-of-place expressions: the reference for ``_step``."""
+    concat = np.concatenate([h, x], axis=1)
+    f = sigmoid(concat @ params.W_f.T + params.b_f)
+    i = sigmoid(concat @ params.W_i.T + params.b_i)
+    c_tilde = np.tanh(concat @ params.W_C.T + params.b_C)
+    o = sigmoid(concat @ params.W_o.T + params.b_o)
+    C_new = f * C + i * c_tilde
+    tanh_C = np.tanh(C_new)
+    cache = StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=C, tanh_C=tanh_C)
+    return o * tanh_C, C_new, cache
+
+
+def plain_backward(params: LstmParams, steps, dHn) -> LstmGrads:
+    """BPTT as out-of-place expressions: the reference for ``_backward``."""
+    k = params.hidden_size
+    grads = LstmGrads.zeros_like(params)
+    dh = dHn.copy()
+    dC = np.zeros_like(dHn)
+    for step in reversed(steps):
+        do = dh * step.tanh_C
+        dC = dC + dh * step.o * (1.0 - step.tanh_C**2)
+        df = dC * step.C_prev
+        di = dC * step.c_tilde
+        dct = dC * step.i
+        da_f = df * step.f * (1.0 - step.f)
+        da_i = di * step.i * (1.0 - step.i)
+        da_c = dct * (1.0 - step.c_tilde**2)
+        da_o = do * step.o * (1.0 - step.o)
+        grads.W_f += da_f.T @ step.concat
+        grads.W_i += da_i.T @ step.concat
+        grads.W_C += da_c.T @ step.concat
+        grads.W_o += da_o.T @ step.concat
+        grads.b_f += da_f.sum(axis=0)
+        grads.b_i += da_i.sum(axis=0)
+        grads.b_C += da_c.sum(axis=0)
+        grads.b_o += da_o.sum(axis=0)
+        dconcat = da_f @ params.W_f + da_i @ params.W_i + da_c @ params.W_C + da_o @ params.W_o
+        dh = dconcat[:, :k]
+        dC = dC * step.f
+    return grads
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelExactness:
+    @pytest.mark.parametrize("N, k, d", [(1, 8, 1), (64, 64, 5), (65, 32, 5), (296, 64, 5)])
+    def test_step_and_backward_match_plain_expressions(self, N, k, d):
+        rng = np.random.default_rng(N * 1000 + k * 10 + d)
+        params = init_params(d, k, Rng(N + k))
+        for name in ("b_f", "b_i", "b_C", "b_o"):
+            params = with_field(params, name, rng.normal(size=k))
+        X3 = rng.normal(size=(N, 4, d)) * 3.0
+        h = ref_h = np.zeros((N, k))
+        C = ref_C = np.zeros((N, k))
+        steps, ref_steps = [], []
+        for t in range(X3.shape[1]):
+            h, C, cache = _step(params, h, C, X3[:, t, :])
+            ref_h, ref_C, ref_cache = plain_step(params, ref_h, ref_C, X3[:, t, :])
+            assert same_bits(h, ref_h) and same_bits(C, ref_C)
+            for field in dataclasses.fields(StepCache):
+                assert same_bits(getattr(cache, field.name), getattr(ref_cache, field.name)), field.name
+            steps.append(cache)
+            ref_steps.append(ref_cache)
+        dHn = rng.normal(size=(N, k))
+        dHn_before = dHn.copy()
+        grads = _backward(params, steps, dHn)
+        expected = plain_backward(params, ref_steps, dHn)
+        for name in PARAM_NAMES:
+            assert same_bits(getattr(grads, name), getattr(expected, name)), name
+        assert same_bits(dHn, dHn_before)
+
+
+def test_no_numpy_warnings_on_large_finite_inputs():
+    # inputs far outside [0, 1] drive the first step's gate pre-activations
+    # past +-709, where exp(-x) overflows in the naive logistic form;
+    # extract_latents runs outside train's errstate block
+    ds = tiny_dataset(n_samples=70, d=3)
+    big = dataclasses.replace(ds, X=ds.X * 6000.0 - 3000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params, _, _ = train(big, TrainConfig(hidden_size=6, epochs=3, learning_rate=0.01, seed=11))
+        latents = extract_latents(params, big)
+    z = big.X[:, 0, :] @ params.W_o[:, 6:].T + params.b_o
+    assert z.min() < -800.0 and z.max() > 800.0
+    assert np.all(np.isfinite(latents))

@@ -45,6 +45,53 @@ class TestActivations:
         npt.assert_array_equal(out, np.full((3, 4), 0.5))
 
 
+def masked_sigmoid(x):
+    """The two-branch masked form: 1/(1+exp(-a)) where a >= 0, exp(a)/(1+exp(a)) elsewhere."""
+    a = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidExactness:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (64, 64), (296, 64), (3, 5, 4)])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0, 800.0])
+    def test_bitwise_equal_to_masked_form(self, shape, scale):
+        a = np.random.default_rng(int(scale * 10) + len(shape)).normal(size=shape) * scale
+        flat = a.reshape(-1)
+        flat[: min(4, flat.size)] = [0.0, -0.0, np.inf, -np.inf][: min(4, flat.size)]
+        out = sigmoid(a)
+        assert out.shape == a.shape
+        assert out.tobytes() == masked_sigmoid(a).reshape(shape).tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 2.5, -2.5, 750.0, -750.0, np.inf, -np.inf])
+    def test_scalar_and_0d_return_float(self, value):
+        expected = masked_sigmoid(value)[0]
+        for x in (value, np.float64(value), np.array(value)):
+            got = sigmoid(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == expected.tobytes()
+
+    def test_integer_input(self):
+        ints = np.array([-800, -3, 0, 3, 800])
+        assert sigmoid(ints).tobytes() == masked_sigmoid(ints.astype(np.float64)).tobytes()
+        assert sigmoid(2) == masked_sigmoid(2.0)[0]
+
+    def test_nan_in_nan_out(self):
+        out = sigmoid(np.array([np.nan, 1.0, -np.nan]))
+        assert np.isnan(out[0]) and np.isnan(out[2])
+        assert out[1] == masked_sigmoid(1.0)[0]
+        assert np.isnan(sigmoid(float("nan")))
+
+    def test_input_left_unchanged(self):
+        a = np.array([-5.0, 0.0, 5.0])
+        sigmoid(a)
+        npt.assert_array_equal(a, [-5.0, 0.0, 5.0])
+
+
 class TestRng:
     def test_same_seed_same_stream(self):
         a = seeded_uniform(Rng(42), 5, 7, 0.25)
