@@ -16,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -42,12 +41,18 @@ from .market_data import align_on_dates, load_csv, parse_csv, rebase_to_100, win
 _DATA_ERRORS = (SchemaError, ValidationError, SizingError, DomainError, ShapeError, StateError)
 
 
-def _fmt(value) -> str:
-    """CSV cell for a float: repr for full round-trip fidelity, blank for NaN."""
-    v = float(value)
-    if not math.isfinite(v):
-        return ""
-    return repr(v)
+def _cells(column) -> list:
+    """CSV cells of one column. A float array is written with repr for full
+    round-trip fidelity and a blank cell where a value is not finite; any
+    other column is written as it is."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind != "f":
+        return column.tolist()
+    cells = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[i] = ""
+    return cells
 
 
 class _Stage:
@@ -67,11 +72,12 @@ class _Stage:
     def write_text(self, relative: str, text: str) -> None:
         self.path(relative).write_text(text, encoding="utf-8")
 
-    def write_csv(self, relative: str, header, rows) -> None:
+    def write_csv(self, relative: str, header, columns) -> None:
+        """Write one CSV from equal-length columns, one per header name."""
         with open(self.path(relative), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows(zip(*map(_cells, columns), strict=True))
 
     def write_json(self, relative: str, payload) -> None:
         self.write_text(relative, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -116,13 +122,15 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
     a = cfg.analysis
 
     # Per-symbol figures over each asset's full history.
-    hist_rows = []
+    hist = {"symbol": [], "left": [], "right": [], "count": []}
     stats_payload: dict = {"symbols": {}}
     for symbol in symbols:
         returns = analysis.daily_returns(series_map[symbol].column("close"))
         counts, edges = analysis.returns_histogram(returns, a.histogram_bins)
-        for b in range(counts.size):
-            hist_rows.append([symbol, _fmt(edges[b]), _fmt(edges[b + 1]), str(int(counts[b]))])
+        hist["symbol"] += [symbol] * counts.size
+        hist["left"].append(edges[:-1])
+        hist["right"].append(edges[1:])
+        hist["count"].append(counts)
         moments = analysis.distribution_stats(returns)
         stats_payload["symbols"][symbol] = {
             "n_returns": int(returns.size),
@@ -134,7 +142,7 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
     stage.write_csv(
         "analysis/returns_histogram.csv",
         ["symbol", "bin_left", "bin_right", "count"],
-        hist_rows,
+        [hist["symbol"]] + [np.concatenate(hist[k]) for k in ("left", "right", "count")],
     )
 
     # Cross-asset figures on the common calendar.
@@ -142,19 +150,12 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
     iso = [d.isoformat() for d in dates]
 
     rebased = [rebase_to_100(s) for s in aligned]
-    stage.write_csv(
-        "analysis/rebased_prices.csv",
-        ["date"] + symbols,
-        ([iso[t]] + [_fmt(col[t]) for col in rebased] for t in range(len(dates))),
-    )
+    stage.write_csv("analysis/rebased_prices.csv", ["date"] + symbols, [iso] + rebased)
 
     aligned_returns = [analysis.daily_returns(s.column("close")) for s in aligned]
     vols = [analysis.rolling_volatility(r, a.volatility_window) for r in aligned_returns]
-    vol_dates = iso[a.volatility_window:]
     stage.write_csv(
-        "analysis/rolling_volatility.csv",
-        ["date"] + symbols,
-        ([vol_dates[j]] + [_fmt(v[j]) for v in vols] for j in range(len(vol_dates))),
+        "analysis/rolling_volatility.csv", ["date"] + symbols, [iso[a.volatility_window:]] + vols
     )
 
     basis_series = (
@@ -167,35 +168,24 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
     else:
         corr = np.ones((1, 1))
     stage.write_csv(
-        "analysis/correlation_matrix.csv",
-        ["symbol"] + symbols,
-        ([symbols[i]] + [_fmt(corr[i, j]) for j in range(len(symbols))] for i in range(len(symbols))),
+        "analysis/correlation_matrix.csv", ["symbol"] + symbols, [symbols] + list(corr.T)
     )
 
     pairs = [(i, j) for i in range(len(symbols)) for j in range(len(symbols)) if i < j]
     pair_names = [f"{symbols[i]}_{symbols[j]}" for i, j in pairs]
+    columns = []
     if pairs:
         window = a.correlation_window
-        rolled = [
+        offset = window - 1 + _returns_date_offset(a.correlation_basis)
+        columns = [iso[offset:]] + [
             analysis.rolling_correlation(basis_series[i], basis_series[j], window)
             for i, j in pairs
         ]
-        offset = window - 1 + _returns_date_offset(a.correlation_basis)
-        roll_dates = iso[offset:]
-        rows = (
-            [roll_dates[t]] + [_fmt(r[t]) for r in rolled] for t in range(len(roll_dates))
-        )
-    else:
-        rows = ()
-    stage.write_csv("analysis/rolling_correlation.csv", ["date"] + pair_names, rows)
+    stage.write_csv("analysis/rolling_correlation.csv", ["date"] + pair_names, columns)
 
     caps = [s.column("marketcap") for s in aligned]
     shares = analysis.market_dominance(caps)
-    stage.write_csv(
-        "analysis/market_dominance.csv",
-        ["date"] + symbols,
-        ([iso[t]] + [_fmt(shares[i, t]) for i in range(len(symbols))] for t in range(len(dates))),
-    )
+    stage.write_csv("analysis/market_dominance.csv", ["date"] + symbols, [iso] + list(shares))
 
     # Decomposition and benchmark backtest are single-asset figures; use the
     # first configured symbol, full history.
@@ -207,10 +197,7 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
     stage.write_csv(
         "analysis/decomposition.csv",
         ["date", "observed", "trend", "seasonal", "residual"],
-        (
-            [lead_iso[t], _fmt(closes[t]), _fmt(decomp.trend[t]), _fmt(decomp.seasonal[t]), _fmt(decomp.residual[t])]
-            for t in range(closes.size)
-        ),
+        [lead_iso, closes, decomp.trend, decomp.seasonal, decomp.residual],
     )
     stats_payload["decomposition"] = {"symbol": lead, "period": a.decomposition_period}
 
@@ -235,10 +222,7 @@ def _write_backtest_curves(stage: _Stage, relative: str, iso_dates, result) -> N
     stage.write_csv(
         relative,
         ["date", "strategy", "buy_and_hold"],
-        (
-            [iso_dates[t], _fmt(result.strategy[t]), _fmt(result.buy_and_hold[t])]
-            for t in range(result.strategy.size)
-        ),
+        [iso_dates, result.strategy, result.buy_and_hold],
     )
 
 
@@ -319,13 +303,12 @@ def cmd_backtest(cfg: RunConfig, stage: _Stage) -> None:
             closes, a.sma_fast, a.sma_slow, a.initial_capital, a.cost_rate
         )
         _write_backtest_curves(stage, f"backtest/{symbol}_curves.csv", iso, result)
+        entries = [entry for entry, _ in result.trades]
+        exits = [exit_ for _, exit_ in result.trades]
         stage.write_csv(
             f"backtest/{symbol}_trades.csv",
             ["entry_index", "entry_date", "exit_index", "exit_date"],
-            (
-                [str(entry), iso[entry], str(exit_), iso[exit_]]
-                for entry, exit_ in result.trades
-            ),
+            [entries, [iso[t] for t in entries], exits, [iso[t] for t in exits]],
         )
 
 

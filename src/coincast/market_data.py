@@ -4,7 +4,8 @@ Input files are CSVs with one row per (asset, day) carrying the columns
 SNo, Name, Symbol, Date, High, Low, Open, Close, Volume, Marketcap
 (header match is case-insensitive; extra columns are ignored). Rows are
 validated on the way in: parse failures, duplicate dates, negative values
-and OHLC ordering violations all raise with the 1-based line number.
+and OHLC ordering violations all raise naming the first offending line
+(1-based).
 """
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ import io
 import math
 from dataclasses import dataclass, replace
 from datetime import date, datetime
+from itertools import compress
+from operator import itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,36 +39,29 @@ PRICE_FIELDS = ("open", "high", "low", "close", "volume", "marketcap")
 DEFAULT_FEATURES = ("open", "high", "low", "close", "volume")
 
 
-@dataclass(frozen=True)
-class OhlcvRecord:
-    day: date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-    marketcap: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """A single asset's daily history, strictly ascending by date."""
+    """A single asset's daily history, strictly ascending by date.
+
+    ``values`` is a (T, 6) float64 matrix whose columns follow PRICE_FIELDS.
+    """
 
     symbol: str
     name: str
-    records: tuple[OhlcvRecord, ...]
+    days: tuple[date, ...]
+    values: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.days)
 
     def dates(self) -> list[date]:
-        return [r.day for r in self.records]
+        return list(self.days)
 
     def column(self, field: str) -> np.ndarray:
-        """Values of one numeric field as a float64 vector."""
+        """A fresh float64 vector of one numeric field."""
         if field not in PRICE_FIELDS:
             raise SchemaError(f"unknown price field {field!r}; expected one of {PRICE_FIELDS}")
-        return np.array([getattr(r, field) for r in self.records], dtype=np.float64)
+        return self.values[:, PRICE_FIELDS.index(field)].copy()
 
 
 def _as_text(source) -> str:
@@ -101,12 +98,70 @@ def _parse_number(raw: str, column: str, line_no: int) -> float:
     return value
 
 
+def _columns_if_valid(numbered, width: int, cols: dict):
+    """Parse and validate the data rows a whole column at a time.
+
+    Returns the dates and the (n, 6) value matrix sorted by date, or None
+    when any row fails a check; :func:`_raise_first_fault` then names it.
+    """
+    rows = [row for _, row in numbered]
+    if min(map(len, rows)) < width:
+        return None
+    try:
+        days = [_parse_day(row[cols["date"]], line_no) for line_no, row in numbered]
+        values = np.column_stack([
+            np.fromiter(map(float, map(itemgetter(cols[field]), rows)), np.float64, len(rows))
+            for field in PRICE_FIELDS
+        ])
+    except (ValueError, ValidationError):
+        return None
+    ordinals = np.fromiter(map(date.toordinal, days), np.int64, len(days))
+    order = np.argsort(ordinals, kind="stable")
+    o, h, lo, c = values[:, :4].T
+    valid = (
+        np.isfinite(values).all()
+        and (values >= 0).all()
+        and (lo <= np.minimum(o, c)).all()
+        and (h >= np.maximum(o, c)).all()
+        and (np.diff(ordinals[order]) > 0).all()
+    )
+    return (tuple(days[i] for i in order), values[order]) if valid else None
+
+
+def _raise_first_fault(numbered, width: int, cols: dict) -> NoReturn:
+    """Raise the error of the first offending line, checking each line in turn:
+    field count, date, duplicate, each field's parse and finiteness, negatives,
+    OHLC order."""
+    first_line: dict[date, int] = {}
+    for line_no, row in numbered:
+        if len(row) < width:
+            raise ValidationError(f"line {line_no}: expected {width} fields, got {len(row)}")
+        day = _parse_day(row[cols["date"]], line_no)
+        if day in first_line:
+            raise ValidationError(
+                f"duplicate date {day.isoformat()} (lines {first_line[day]} and {line_no})"
+            )
+        first_line[day] = line_no
+        v = {field: _parse_number(row[cols[field]], field, line_no) for field in PRICE_FIELDS}
+        for field in PRICE_FIELDS:
+            if v[field] < 0:
+                kind = "" if field in ("volume", "marketcap") else " price"
+                raise ValidationError(f"line {line_no}: negative {field}{kind} {v[field]}")
+        if v["low"] > min(v["open"], v["close"]) or v["high"] < max(v["open"], v["close"]):
+            raise ValidationError(
+                "line {}: OHLC ordering violated (open={}, high={}, low={}, close={})".format(
+                    line_no, v["open"], v["high"], v["low"], v["close"]
+                )
+            )
+    raise AssertionError("the column checks rejected a file that every row check accepts")
+
+
 def parse_csv(source) -> PriceSeries:
     """Parse one asset's history from CSV text, bytes, or a file object.
 
     Rows may arrive in any order; the result is sorted ascending by date.
-    Raises SchemaError for header problems and ValidationError (with line
-    numbers) for bad rows.
+    Raises SchemaError for header problems and ValidationError for bad rows,
+    naming the first offending line.
     """
     text = _as_text(source)
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -123,49 +178,20 @@ def parse_csv(source) -> PriceSeries:
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
 
-    symbol = ""
-    asset_name = ""
-    records: list[OhlcvRecord] = []
-    first_line: dict[date, int] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < len(header):
-            raise ValidationError(
-                f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        day = _parse_day(row[cols["date"]], line_no)
-        if day in first_line:
-            raise ValidationError(
-                f"duplicate date {day.isoformat()} (lines {first_line[day]} and {line_no})"
-            )
-        first_line[day] = line_no
-        values = {
-            field: _parse_number(row[cols[field]], field, line_no)
-            for field in PRICE_FIELDS
-        }
-        for field in ("open", "high", "low", "close"):
-            if values[field] < 0:
-                raise ValidationError(f"line {line_no}: negative {field} price {values[field]}")
-        if values["volume"] < 0:
-            raise ValidationError(f"line {line_no}: negative volume {values['volume']}")
-        if values["marketcap"] < 0:
-            raise ValidationError(f"line {line_no}: negative marketcap {values['marketcap']}")
-        lo, hi = values["low"], values["high"]
-        if lo > min(values["open"], values["close"]) or hi < max(values["open"], values["close"]):
-            raise ValidationError(
-                "line {}: OHLC ordering violated (open={}, high={}, low={}, close={})".format(
-                    line_no, values["open"], hi, lo, values["close"]
-                )
-            )
-        if not symbol:
-            symbol = row[cols["symbol"]].strip()
-            asset_name = row[cols["name"]].strip()
-        records.append(OhlcvRecord(day=day, **values))
-    if not records:
+    numbered = [
+        (line_no, row) for line_no, row in enumerate(reader, start=2) if any(map(str.strip, row))
+    ]
+    if not numbered:
         raise ValidationError("file contains a header but no data rows")
-    records.sort(key=lambda r: r.day)
-    return PriceSeries(symbol=symbol, name=asset_name, records=tuple(records))
+    parsed = _columns_if_valid(numbered, len(header), cols)
+    if parsed is None:
+        _raise_first_fault(numbered, len(header), cols)
+    days, values = parsed
+    # symbol and name come from the first row that names a symbol, else the last row
+    first = next((row for _, row in numbered if row[cols["symbol"]].strip()), numbered[-1][1])
+    return PriceSeries(
+        symbol=first[cols["symbol"]].strip(), name=first[cols["name"]].strip(), days=days, values=values
+    )
 
 
 def load_csv(path) -> PriceSeries:
@@ -210,8 +236,8 @@ def align_on_dates(series_list) -> tuple[list[date], list[PriceSeries]]:
     ordered = sorted(common)
     aligned = []
     for s in series_list:
-        keep = tuple(r for r in s.records if r.day in common)
-        aligned.append(replace(s, records=keep))
+        keep = np.fromiter((d in common for d in s.days), bool, len(s))
+        aligned.append(replace(s, days=tuple(compress(s.days, keep)), values=s.values[keep]))
     return ordered, aligned
 
 
@@ -368,19 +394,24 @@ def make_windows(
     return WindowedDataset(X=X, Y=Y, feature_names=names, target_col=target_col, scaler=scaler)
 
 
-def chrono_split(dataset: WindowedDataset, train_fraction: float):
-    """Split windows chronologically; train size is floor(N * train_fraction).
+def train_window_count(n_windows: int, train_fraction: float) -> int:
+    """Training windows of a chronological split: floor(n_windows * train_fraction).
 
     Both parts must be non-empty, otherwise SizingError.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DomainError(f"train fraction must be in (0, 1), got {train_fraction}")
-    N = dataset.n_samples
-    n_train = int(N * train_fraction)
-    if n_train < 1 or N - n_train < 1:
+    n_train = int(n_windows * train_fraction)
+    if n_train < 1 or n_windows - n_train < 1:
         raise SizingError(
-            f"train fraction {train_fraction} leaves an empty split for {N} sample(s)"
+            f"train fraction {train_fraction} leaves an empty split for {n_windows} window(s)"
         )
+    return n_train
+
+
+def chrono_split(dataset: WindowedDataset, train_fraction: float):
+    """Split windows chronologically at :func:`train_window_count`."""
+    n_train = train_window_count(dataset.n_samples, train_fraction)
     train = replace(dataset, X=dataset.X[:n_train], Y=dataset.Y[:n_train])
     test = replace(dataset, X=dataset.X[n_train:], Y=dataset.Y[n_train:])
     return train, test

@@ -30,6 +30,7 @@ from .market_data import (
     make_windows,
     series_to_features,
     train_row_count,
+    train_window_count,
 )
 
 MODEL_FORMAT = "coincast-model"
@@ -62,14 +63,7 @@ def prepare_datasets(
         raise SizingError(
             f"need at least {n_steps_in + n_steps_out} rows for one window, got {T}"
         )
-    N = T - n_steps_in - n_steps_out + 1
-    if not 0.0 < train_fraction < 1.0:
-        raise DomainError(f"train fraction must be in (0, 1), got {train_fraction}")
-    n_train = int(N * train_fraction)
-    if n_train < 1 or N - n_train < 1:
-        raise SizingError(
-            f"train fraction {train_fraction} leaves an empty split for {N} window(s)"
-        )
+    n_train = train_window_count(T - n_steps_in - n_steps_out + 1, train_fraction)
     if scaler is None:
         scaler = MinMaxScaler().fit(
             mat[: train_row_count(n_train, n_steps_in, n_steps_out)], names
@@ -182,73 +176,6 @@ def _models(params, head, hybrid_boosters, gbt_boosters, **shared) -> tuple[Fore
 
 
 @dataclass(frozen=True)
-class ForecastResult:
-    """Predictions and targets in original units plus per-step accuracy.
-
-    From :func:`predict_hybrid`, step metrics that are undefined for the
-    given targets (zero actuals for MAPE, zero range for MinMax RMSE) are
-    NaN rather than raising, so degenerate fixtures can still be inspected.
-    """
-
-    predictions: np.ndarray  # (N, n_steps_out)
-    targets: np.ndarray      # (N, n_steps_out)
-    step_mape: tuple[float, ...]
-    step_minmax_rmse: tuple[float, ...]
-
-    @property
-    def mean_mape(self) -> float:
-        return float(np.mean(self.step_mape))
-
-    @property
-    def mean_minmax_rmse(self) -> float:
-        return float(np.mean(self.step_minmax_rmse))
-
-
-def _score(
-    model: Forecaster, dataset: WindowedDataset, predictions, mape_epsilon, strict: bool
-) -> ForecastResult:
-    """Check and score predictions in price units; an undefined step metric
-    raises when ``strict``, else it is NaN."""
-    expected = (dataset.n_samples, dataset.n_steps_out)
-    if predictions.shape != expected:
-        raise ShapeError(f"predictions have shape {predictions.shape}, expected {expected}")
-    if not np.all(np.isfinite(predictions)):
-        raise DomainError(f"model {model.name!r} produced non-finite predictions")
-    targets = _invert_target(model.scaler, dataset.target_col, dataset.Y)
-
-    def per_step(metric, **kwargs) -> tuple[float, ...]:
-        values = []
-        for s in range(dataset.n_steps_out):
-            try:
-                values.append(metric(targets[:, s], predictions[:, s], **kwargs))
-            except (DomainError, SizingError):
-                if strict:
-                    raise
-                values.append(float("nan"))
-        return tuple(values)
-
-    return ForecastResult(
-        predictions=predictions,
-        targets=targets,
-        step_mape=per_step(metrics_mod.mape, epsilon=mape_epsilon),
-        step_minmax_rmse=per_step(metrics_mod.minmax_rmse),
-    )
-
-
-def predict_hybrid(
-    model: Forecaster, dataset: WindowedDataset, mape_epsilon: float | None = None
-) -> ForecastResult:
-    """Run any trained forecaster over a windowed dataset.
-
-    Lenient: step metrics undefined for the targets come back as NaN. Pure:
-    repeated calls return identical results.
-    """
-    if dataset.n_samples < 1:
-        raise SizingError("cannot forecast over an empty dataset")
-    return _score(model, dataset, model.predict_prices(dataset), mape_epsilon, strict=False)
-
-
-@dataclass(frozen=True)
 class EvalRow:
     model: str
     test_mape: float
@@ -279,12 +206,29 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _score(model: Forecaster, dataset: WindowedDataset, predictions, mape_epsilon) -> EvalRow:
+    """Check predictions in price units and score them, averaged over horizon steps.
+
+    A step metric undefined for the targets (zero actuals for MAPE, zero range
+    for MinMax RMSE) raises.
+    """
+    expected = (dataset.n_samples, dataset.n_steps_out)
+    if predictions.shape != expected:
+        raise ShapeError(f"predictions have shape {predictions.shape}, expected {expected}")
+    if not np.all(np.isfinite(predictions)):
+        raise DomainError(f"model {model.name!r} produced non-finite predictions")
+    targets = _invert_target(model.scaler, dataset.target_col, dataset.Y)
+    steps = range(dataset.n_steps_out)
+    mape = [metrics_mod.mape(targets[:, s], predictions[:, s], epsilon=mape_epsilon) for s in steps]
+    rmse = [metrics_mod.minmax_rmse(targets[:, s], predictions[:, s]) for s in steps]
+    return EvalRow(model.name, float(np.mean(mape)), float(np.mean(rmse)))
+
+
 def evaluate(models, dataset: WindowedDataset, mape_epsilon: float | None = None) -> EvalReport:
     """Score every model on the same windows; metrics averaged over horizon steps.
 
     Models that share one LSTM (the hybrid and the ``lstm-only`` baseline)
-    share one feature pass over the windows. Unlike :func:`predict_hybrid`
-    this is strict: undefined metrics raise.
+    share one feature pass over the windows. Undefined metrics raise.
     """
     models = list(models)
     if not models:
@@ -297,9 +241,7 @@ def evaluate(models, dataset: WindowedDataset, mape_epsilon: float | None = None
         key = id(model.lstm)
         if key not in features:
             features[key] = model.features(dataset)
-        predictions = model.predict_from_features(features[key])
-        result = _score(model, dataset, predictions, mape_epsilon, strict=True)
-        rows.append(EvalRow(model.name, result.mean_mape, result.mean_minmax_rmse))
+        rows.append(_score(model, dataset, model.predict_from_features(features[key]), mape_epsilon))
     return EvalReport(rows=tuple(rows))
 
 

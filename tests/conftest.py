@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from coincast.market_data import OhlcvRecord, PriceSeries
+from coincast.market_data import PRICE_FIELDS, PriceSeries
 
 HEADER = ["SNo", "Name", "Symbol", "Date", "High", "Low", "Open", "Close", "Volume", "Marketcap"]
 
@@ -39,19 +39,8 @@ def random_walk_rows(T=240, seed=11, base=120.0, start=date(2017, 1, 1)):
 
 
 def rows_to_series(rows, symbol="BTC", name="Bitcoin") -> PriceSeries:
-    records = tuple(
-        OhlcvRecord(
-            day=r["date"],
-            open=r["open"],
-            high=r["high"],
-            low=r["low"],
-            close=r["close"],
-            volume=r["volume"],
-            marketcap=r["marketcap"],
-        )
-        for r in rows
-    )
-    return PriceSeries(symbol=symbol, name=name, records=records)
+    values = np.array([[r[field] for field in PRICE_FIELDS] for r in rows], dtype=np.float64)
+    return PriceSeries(symbol=symbol, name=name, days=tuple(r["date"] for r in rows), values=values)
 
 
 def rows_to_csv_text(rows, symbol="BTC", name="Bitcoin") -> str:

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_walk_rows, rows_to_csv_text
 import coincast
-from coincast.cli import entry, main
+from coincast.cli import _Stage, entry, main
 
 FAST_SECTIONS = {
     "n_steps_in": 8,
@@ -229,6 +230,25 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == 0
         after = {p.name: p.read_bytes() for p in outdir.iterdir()}
         assert before == after
+
+
+class TestWriteCsv:
+    def test_float_columns_round_trip_and_blank_non_finite(self, tmp_path):
+        stage = _Stage(tmp_path / "out")
+        stage.write_csv(
+            "t.csv",
+            ["name", "x", "n"],
+            [["a", "b", "c", "d"], np.array([1.0 / 3.0, np.nan, -np.inf, -0.0]), np.arange(4)],
+        )
+        stage.commit()
+        text = (tmp_path / "out" / "t.csv").read_text()
+        assert text == "name,x,n\na,0.3333333333333333,0\nb,,1\nc,,2\nd,-0.0,3\n"
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        stage = _Stage(tmp_path / "out")
+        with pytest.raises(ValueError):
+            stage.write_csv("t.csv", ["a", "b"], [["x", "y"], np.array([1.0])])
+        stage.abort()
 
 
 class TestTrain:

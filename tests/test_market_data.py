@@ -14,6 +14,7 @@ from coincast.errors import (
     ValidationError,
 )
 from coincast.market_data import (
+    PRICE_FIELDS,
     MinMaxScaler,
     align_on_dates,
     chrono_split,
@@ -22,6 +23,7 @@ from coincast.market_data import (
     rebase_to_100,
     series_to_features,
     train_row_count,
+    train_window_count,
     windows_to_csv,
 )
 from conftest import random_walk_rows, rows_to_csv_text, rows_to_series
@@ -31,6 +33,10 @@ GOOD_CSV = """SNo,Name,Symbol,Date,High,Low,Open,Close,Volume,Marketcap
 2,Bitcoin,BTC,2017-01-01,1010.0,980.0,995.0,1000.0,400000,15800000000
 3,Bitcoin,BTC,2017-01-03,1100.0,1015.0,1020.0,1090.0,650000,17100000000
 """
+
+
+def _csv(*rows) -> str:
+    return GOOD_CSV.splitlines()[0] + "\n" + "".join(row + "\n" for row in rows)
 
 
 class TestParseCsv:
@@ -113,6 +119,116 @@ class TestParseCsv:
         assert series.symbol == "ETH"
         npt.assert_array_equal(series.column("close"), [r["close"] for r in rows])
 
+    def test_shuffled_rows_give_the_same_series(self):
+        text = rows_to_csv_text(random_walk_rows(T=60, seed=6))
+        header, *lines = text.splitlines(keepends=True)
+        np.random.default_rng(3).shuffle(lines)
+        ordered, shuffled = parse_csv(text), parse_csv(header + "".join(lines))
+        assert shuffled.dates() == ordered.dates()
+        for field in PRICE_FIELDS:
+            npt.assert_array_equal(shuffled.column(field), ordered.column(field))
+
+    def test_symbol_and_name_from_first_row_with_a_symbol(self):
+        text = _csv(
+            "1,Nameless,,2017-01-02,2,1,1.5,1.5,1,1",
+            "2,Second,SEC,2017-01-01,2,1,1.5,1.5,1,1",
+            "3,Third,THR,2017-01-03,2,1,1.5,1.5,1,1",
+        )
+        series = parse_csv(text)
+        assert (series.symbol, series.name) == ("SEC", "Second")
+        # with no symbol anywhere, the name is the last row's
+        blank = parse_csv(text.replace(",SEC,", ",,").replace(",THR,", ",,"))
+        assert (blank.symbol, blank.name) == ("", "Third")
+
+    # The first offending line is reported; within a line the checks run in
+    # the order: field count, date, duplicate, each field's parse then its
+    # finiteness (PRICE_FIELDS order), negatives, OHLC order.
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            pytest.param(
+                ["1,B,BTC,2017-01-02,1041.0,990.0,1000.0,2000.0,500000,1",
+                 "2,B,BTC,2017-01-01,1010.0,980.0,995.0,1000.0,n/a,1"],
+                "line 2: OHLC ordering violated (open=1000.0, high=1041.0, low=990.0, close=2000.0)",
+                id="earlier-ohlc-beats-later-bad-volume",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-02,2,1,1.5,1.5,1,-1",
+                 "2,B,BTC,2017-01-01,2,1,1.5"],
+                "line 2: negative marketcap -1.0",
+                id="earlier-negative-beats-later-short-row",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-02,2,1,1.5,1.5,1,1",
+                 "2,B,BTC,2017-01-03,2,1,1.5,x,1,1",
+                 "3,B,BTC,2017-01-02,2,1,1.5,1.5,1,1"],
+                "line 3: cannot parse close value 'x' as a number",
+                id="bad-number-beats-later-duplicate",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-02,x,1,inf,1.5,1,1"],
+                "line 2: non-finite open value 'inf'",
+                id="non-finite-open-beats-unparsable-high",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-02,inf,1,x,1.5,1,1"],
+                "line 2: cannot parse open value 'x' as a number",
+                id="unparsable-open-beats-non-finite-high",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-02,2,1,nan,-5,1,1"],
+                "line 2: non-finite open value 'nan'",
+                id="non-finite-open-beats-negative-close",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-01,2,1,1.5,1.5,1,1",
+                 "2,B,BTC,2017-01-01,2,1,1.5,1.5,n/a,1"],
+                "duplicate date 2017-01-01 (lines 2 and 3)",
+                id="duplicate-beats-unparsable-number",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-01,2,1,1.5",
+                 "2,B,BTC,Jan 2,2,1,1.5,1.5,1,1"],
+                "line 2: expected 10 fields, got 7",
+                id="short-row-before-bad-date",
+            ),
+            pytest.param(
+                ["1,B,BTC,Jan 2,2,1"],
+                "line 2: expected 10 fields, got 6",
+                id="field-count-beats-date-on-one-line",
+            ),
+            pytest.param(
+                ["1,B,BTC,Jan 2,2,1,x,1.5,1,1"],
+                "line 2: cannot parse date 'Jan 2'",
+                id="date-beats-number-on-one-line",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-02,2,-1,1.5,1.5,-1,1"],
+                "line 2: negative low price -1.0",
+                id="negative-price-beats-negative-volume",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-02,2,1,1.5,1.5,-1,-1"],
+                "line 2: negative volume -1.0",
+                id="negative-volume-beats-negative-marketcap",
+            ),
+            pytest.param(
+                ["1,B,BTC,2017-01-02,2,0,-1,1.5,1,1"],
+                "line 2: negative open price -1.0",
+                id="negative-beats-ohlc-order",
+            ),
+            pytest.param(
+                ["", "1,B,BTC,2017-01-02,2,1,1.5,1.5,1,1", " , ,", "2,B,BTC,2017-01-02,2,1,1.5,1.5,1,1"],
+                "duplicate date 2017-01-02 (lines 3 and 5)",
+                id="blank-lines-count-toward-line-numbers",
+            ),
+        ],
+    )
+    def test_first_offending_line_and_check_order(self, rows, message):
+        with pytest.raises(ValidationError) as info:
+            parse_csv(_csv(*rows))
+        assert str(info.value) == message
+
 
 class TestRebase:
     def test_first_value_exactly_100(self):
@@ -142,6 +258,10 @@ class TestAlign:
         dates, (aa, bb) = align_on_dates([a, b])
         assert len(dates) == 5
         assert aa.dates() == bb.dates() == dates
+        closes = {r["date"]: r["close"] for r in random_walk_rows(T=10)}
+        npt.assert_array_equal(aa.column("close"), [closes[d] for d in dates])
+        closes_b = {r["date"]: r["close"] for r in random_walk_rows(T=8)[3:]}
+        npt.assert_array_equal(bb.column("close"), [closes_b[d] for d in dates])
 
     def test_empty_intersection(self):
         from datetime import date as d
@@ -248,6 +368,13 @@ class TestWindows:
         ds = make_windows(np.arange(20.0).reshape(10, 2), 0, 2, 1)
         with pytest.raises(DomainError):
             chrono_split(ds, 1.0)
+
+    def test_train_window_count(self):
+        assert train_window_count(10, 0.8) == 8
+        with pytest.raises(DomainError, match=r"must be in \(0, 1\), got 0.0"):
+            train_window_count(10, 0.0)
+        with pytest.raises(SizingError, match=r"leaves an empty split for 3 window\(s\)"):
+            train_window_count(3, 0.1)
 
     def test_train_row_count(self):
         # 8 train windows of (3 in, 2 out) touch rows 0..11

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_walk_rows, rows_to_series
 from coincast import lstm as lstm_mod
+from coincast import metrics as metrics_mod
 from coincast.errors import DomainError, ShapeError, SizingError
 from coincast.gbtree import TreeParams
 from coincast.lstm import TrainConfig
@@ -15,7 +16,6 @@ from coincast.pipeline import (
     TrainedBundle,
     evaluate,
     load_bundle,
-    predict_hybrid,
     prepare_datasets,
     save_bundle,
     train_models,
@@ -95,8 +95,13 @@ class TestPrepareDatasets:
 
     def test_degenerate_fraction_rejected(self):
         series = rows_to_series(random_walk_rows(T=60, seed=25))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"train fraction must be in \(0, 1\), got 1.0"):
             prepare_datasets(series, FEATURES, "close", 10, 1, 1.0)
+
+    def test_empty_split_rejected(self):
+        series = rows_to_series(random_walk_rows(T=14, seed=25))  # 4 windows
+        with pytest.raises(SizingError, match=r"train fraction 0.2 leaves an empty split for 4 window\(s\)"):
+            prepare_datasets(series, FEATURES, "close", 10, 1, 0.2)
 
 
 class TestModels:
@@ -119,33 +124,11 @@ class TestModels:
         )
         npt.assert_array_equal(preds[:, 0], expected)
 
-    def test_predict_hybrid_result(self, splits, trained):
+    def test_predict_prices_pure(self, splits, trained):
         _, test_ds = splits
-        hybrid = trained[0]
-        result = predict_hybrid(hybrid, test_ds)
-        assert result.predictions.shape == result.targets.shape
-        assert len(result.step_mape) == 1
-        assert result.mean_mape >= 0.0
-        assert result.mean_minmax_rmse >= 0.0
-
-    def test_predict_hybrid_pure(self, splits, trained):
-        _, test_ds = splits
-        first = predict_hybrid(trained[0], test_ds)
-        second = predict_hybrid(trained[0], test_ds)
-        npt.assert_array_equal(first.predictions, second.predictions)
-        assert first.step_mape == second.step_mape
-
-    def test_predict_hybrid_rejects_empty(self, splits, trained):
-        train_ds, _ = splits
-        empty = type(train_ds)(
-            X=train_ds.X[:0],
-            Y=train_ds.Y[:0],
-            feature_names=train_ds.feature_names,
-            target_col=train_ds.target_col,
-            scaler=train_ds.scaler,
-        )
-        with pytest.raises(SizingError):
-            predict_hybrid(trained[0], empty)
+        for model in trained:
+            npt.assert_array_equal(model.predict_prices(test_ds), model.predict_prices(test_ds))
+        assert evaluate(trained, test_ds) == evaluate(trained, test_ds)
 
     def test_works_without_scaler(self):
         # datasets built straight from raw rows forecast in raw units
@@ -176,9 +159,9 @@ class TestMultiStep:
         cfg = TrainConfig(hidden_size=4, epochs=2, learning_rate=0.01, seed=2)
         hybrid = hybrid_of(train_ds, cfg, n_rounds=3)
         assert len(hybrid.readout) == 3
-        result = predict_hybrid(hybrid, test_ds)
-        assert result.predictions.shape == (test_ds.n_samples, 3)
-        assert len(result.step_mape) == 3
+        assert hybrid.predict_prices(test_ds).shape == (test_ds.n_samples, 3)
+        (row,) = evaluate([hybrid], test_ds).rows
+        assert row.test_mape >= 0.0 and row.test_minmax_rmse >= 0.0
 
     def test_horizon_mean_mode(self):
         series = rows_to_series(random_walk_rows(T=100, seed=28))
@@ -207,11 +190,34 @@ class TestEvaluate:
             assert row.test_mape >= 0.0
             assert row.test_minmax_rmse >= 0.0
 
+    def test_single_model_report_matches_its_predictions(self, splits, trained):
+        _, test_ds = splits
+        hybrid = trained[0]
+        predictions = hybrid.predict_prices(test_ds)
+        targets = hybrid.scaler.invert_column(test_ds.target_col, test_ds.Y)
+        assert predictions.shape == targets.shape
+        (row,) = evaluate([hybrid], test_ds).rows
+        assert row.model == "hybrid"
+        assert row.test_mape == metrics_mod.mape(targets[:, 0], predictions[:, 0])
+        assert row.test_minmax_rmse == metrics_mod.minmax_rmse(targets[:, 0], predictions[:, 0])
+
+    def test_rejects_empty_dataset(self, splits, trained):
+        train_ds, _ = splits
+        empty = type(train_ds)(
+            X=train_ds.X[:0],
+            Y=train_ds.Y[:0],
+            feature_names=train_ds.feature_names,
+            target_col=train_ds.target_col,
+            scaler=train_ds.scaler,
+        )
+        with pytest.raises(SizingError, match="empty dataset"):
+            evaluate([trained[0]], empty)
+
     def test_one_latent_pass_for_models_sharing_an_lstm(self, splits, trained, monkeypatch):
         _, test_ds = splits
         hybrid, lstm_only, _ = trained
         assert hybrid.lstm is lstm_only.lstm
-        expected = [predict_hybrid(m, test_ds).step_mape[0] for m in trained]
+        expected = [evaluate([m], test_ds).rows[0].test_mape for m in trained]
         calls = []
         extract = lstm_mod.extract_latents
 
@@ -245,16 +251,13 @@ class TestEvaluate:
         hybrid = hybrid_of(train_ds, cfg, n_rounds=2)
         with pytest.raises(DomainError):
             evaluate([hybrid], train_ds)
-        # the lenient path reports NaN instead
-        result = predict_hybrid(hybrid, train_ds)
-        assert np.isnan(result.step_minmax_rmse[0])
 
     def test_empty_model_list(self, splits):
         _, test_ds = splits
         with pytest.raises(SizingError):
             evaluate([], test_ds)
 
-    def test_non_finite_predictions_rejected_by_both_scorers(self, splits, trained):
+    def test_non_finite_predictions_rejected(self, splits, trained):
         _, test_ds = splits
         lstm_only = trained[1]
         head = lstm_mod.LinearHead(W=lstm_only.readout.W.copy(), b=np.array([np.nan]))
@@ -263,8 +266,6 @@ class TestEvaluate:
         )
         with pytest.raises(DomainError, match="non-finite"):
             evaluate([trained[0], broken], test_ds)
-        with pytest.raises(DomainError, match="non-finite"):
-            predict_hybrid(broken, test_ds)
 
 
 class TestBundleRoundTrip:
