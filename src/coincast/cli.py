@@ -36,7 +36,7 @@ from .errors import (
     TrainingError,
     ValidationError,
 )
-from .market_data import align_on_dates, load_csv, parse_csv, rebase_to_100, windows_to_csv
+from .market_data import align_on_dates, parse_csv, rebase_to_100, windows_to_csv
 
 _DATA_ERRORS = (SchemaError, ValidationError, SizingError, DomainError, ShapeError, StateError)
 
@@ -96,11 +96,15 @@ class _Stage:
         shutil.rmtree(self.tmp, ignore_errors=True)
 
 
-def _read_series(symbol: str, path: str):
+def _read_bytes(symbol: str, path: str) -> bytes:
     try:
-        return load_csv(path)
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read data file for {symbol}: {exc}") from None
+
+
+def _read_series(symbol: str, path: str):
+    return parse_csv(_read_bytes(symbol, path))
 
 
 def _load_all(cfg: RunConfig) -> dict:
@@ -230,13 +234,8 @@ def _write_backtest_curves(stage: _Stage, relative: str, iso_dates, result) -> N
 
 
 def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
-    lstm_cfg = cfg.lstm_train_config()
-    tree_params = cfg.tree_params()
     for symbol, path in cfg.data.items():
-        try:
-            raw = Path(path).read_bytes()
-        except OSError as exc:
-            raise ValidationError(f"cannot read data file for {symbol}: {exc}") from None
+        raw = _read_bytes(symbol, path)
         series = parse_csv(raw)
         train_ds, test_ds = pipeline.prepare_datasets(
             series,
@@ -247,7 +246,7 @@ def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
             cfg.train_fraction,
         )
         models, loss_history = pipeline.train_models(
-            train_ds, lstm_cfg, tree_params, cfg.gbt.n_rounds, cfg.pipeline.horizon_mode
+            train_ds, cfg.lstm, cfg.gbt, cfg.gbt.n_rounds, cfg.pipeline.horizon_mode
         )
         bundle = pipeline.TrainedBundle(
             *models,

@@ -5,120 +5,103 @@ Precedence, lowest to highest: config file, TOOL_SEED environment variable
 value is addressable by its dotted JSON name (e.g. ``gbt.lambda``,
 ``pipeline.dump_windows``). Unknown keys anywhere are ConfigErrors, as is
 any value outside its documented range - all raised before data is read.
+
+Each section is one dataclass: ``lstm`` is the trainer's own TrainConfig and
+``gbt`` a TreeParams that also carries ``n_rounds``. A JSON value's type is
+checked here, from the field's annotation; its range is checked by the
+dataclass itself, so a library caller meets the same rules.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, SizingError
 from .gbtree import TreeParams
 from .lstm import TrainConfig
 from .market_data import DEFAULT_FEATURES, PRICE_FIELDS
 
 ENV_SEED = "TOOL_SEED"
 
+# Fields whose JSON name differs from the Python one (``lambda`` is a keyword).
+_JSON_NAMES = {"lam": "lambda"}
 
-def _reject_unknown(section: str, payload: dict, allowed) -> None:
-    for key in payload:
-        if key not in allowed:
-            where = f"{section}.{key}" if section else key
-            raise ConfigError(f"unknown config key {where!r}")
+# The JSON values each annotated field type admits, and how to name them.
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
-def _build(cls, section: str, payload, rename: dict | None = None):
+def _check_type(where: str, hint, value) -> None:
+    """A field typed ``int``, ``float`` or ``bool`` (optionally ``| None``)
+    must hold a JSON value of that kind; a float must also be finite."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return
+        hint = args[0]
+    if hint not in _KINDS:
+        return
+    what, admits = _KINDS[hint]
+    if not admits(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+
+
+def _build(cls, section: str, payload):
+    """Build dataclass ``cls`` from one JSON object: reject unknown keys, check
+    each value's type, then let ``cls`` check the ranges. Nested sections are
+    built the same way; a null or absent section takes its defaults."""
     if payload is None:
         return cls()
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    rename = rename or {}
-    allowed = [rename.get(f.name, f.name) for f in fields(cls)]
-    _reject_unknown(section, payload, allowed)
-    back = {v: k for k, v in rename.items()}
-    kwargs = {back.get(k, k): v for k, v in payload.items()}
-    return cls(**kwargs)
+    hints = typing.get_type_hints(cls)
+    names = {_JSON_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
+    kwargs = {}
+    for key, value in payload.items():
+        where = f"{section}.{key}" if section else key
+        if key not in names:
+            raise ConfigError(f"unknown config key {where!r}")
+        hint = hints[names[key]]
+        if is_dataclass(hint):
+            value = _build(hint, key, value)
+        else:
+            _check_type(where, hint, value)
+        kwargs[names[key]] = value
+    try:
+        return cls(**kwargs)
+    except (DomainError, SizingError) as exc:
+        raise ConfigError(f"{section}.{exc}" if section else str(exc)) from None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _at_least(obj, **minimums) -> None:
+    for name, minimum in minimums.items():
+        value = getattr(obj, name)
+        if value < minimum:
+            raise DomainError(f"{name} must be at least {minimum}, got {value}")
 
 
-def _is_num(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _check_int(name: str, value, minimum=None, allow_none=False):
-    if value is None and allow_none:
-        return
-    if not _is_int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-
-
-def _check_num(name: str, value, allow_none=False):
-    if value is None and allow_none:
-        return
-    if not _is_num(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
-def _check_choice(name: str, value, choices):
+def _check_choice(name: str, value, choices) -> None:
     if value not in choices:
-        raise ConfigError(f"{name} must be one of {sorted(choices)}, got {value!r}")
+        raise DomainError(f"{name} must be one of {sorted(choices)}, got {value!r}")
 
 
-@dataclass
-class LstmSection:
-    hidden_size: int = 64
-    epochs: int = 100
-    learning_rate: float = 0.005
-    seed: int = 42
-    optimizer: str = "adam"
-    clip_norm: float | None = 5.0
-    batch_size: int | None = None
+@dataclass(frozen=True)
+class GbtSection(TreeParams):
+    """Booster hyperparameters plus the number of boosting rounds."""
 
-    def validate(self) -> None:
-        _check_int("lstm.hidden_size", self.hidden_size, minimum=1)
-        _check_int("lstm.epochs", self.epochs, minimum=1)
-        _check_num("lstm.learning_rate", self.learning_rate)
-        if not self.learning_rate > 0:
-            raise ConfigError(f"lstm.learning_rate must be positive, got {self.learning_rate}")
-        _check_int("lstm.seed", self.seed, minimum=0)
-        if self.seed >= 2**64:
-            raise ConfigError("lstm.seed must fit in an unsigned 64-bit integer")
-        _check_choice("lstm.optimizer", self.optimizer, ("adam", "sgd"))
-        _check_num("lstm.clip_norm", self.clip_norm, allow_none=True)
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ConfigError(f"lstm.clip_norm must be positive or null, got {self.clip_norm}")
-        _check_int("lstm.batch_size", self.batch_size, minimum=1, allow_none=True)
-
-
-@dataclass
-class GbtSection:
     n_rounds: int = 200
-    lam: float = 1.0
-    gamma: float = 0.0
-    max_depth: int = 4
-    min_samples_leaf: int = 2
-    learning_rate: float = 0.3
 
-    def validate(self) -> None:
-        _check_int("gbt.n_rounds", self.n_rounds, minimum=0)
-        _check_num("gbt.lambda", self.lam)
-        if self.lam < 0:
-            raise ConfigError(f"gbt.lambda must be non-negative, got {self.lam}")
-        _check_num("gbt.gamma", self.gamma)
-        if self.gamma < 0:
-            raise ConfigError(f"gbt.gamma must be non-negative, got {self.gamma}")
-        _check_int("gbt.max_depth", self.max_depth, minimum=0)
-        _check_int("gbt.min_samples_leaf", self.min_samples_leaf, minimum=1)
-        _check_num("gbt.learning_rate", self.learning_rate)
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigError(
-                f"gbt.learning_rate must be in (0, 1], got {self.learning_rate}"
-            )
+    def __post_init__(self):
+        super().__post_init__()
+        _at_least(self, n_rounds=0)
 
 
 @dataclass
@@ -133,26 +116,25 @@ class AnalysisSection:
     histogram_bins: int = 50
     correlation_basis: str = "returns"
 
-    def validate(self) -> None:
-        _check_int("analysis.volatility_window", self.volatility_window, minimum=2)
-        _check_int("analysis.correlation_window", self.correlation_window, minimum=3)
-        _check_int("analysis.decomposition_period", self.decomposition_period, minimum=2)
-        _check_int("analysis.sma_fast", self.sma_fast, minimum=1)
-        _check_int("analysis.sma_slow", self.sma_slow, minimum=2)
+    def __post_init__(self):
+        _at_least(
+            self,
+            volatility_window=2,
+            correlation_window=3,
+            decomposition_period=2,
+            sma_fast=1,
+            sma_slow=2,
+            histogram_bins=1,
+        )
         if self.sma_slow <= self.sma_fast:
-            raise ConfigError(
-                f"analysis.sma_slow ({self.sma_slow}) must exceed analysis.sma_fast ({self.sma_fast})"
+            raise DomainError(
+                f"sma_slow ({self.sma_slow}) must exceed analysis.sma_fast ({self.sma_fast})"
             )
-        _check_num("analysis.initial_capital", self.initial_capital)
         if not self.initial_capital > 0:
-            raise ConfigError(
-                f"analysis.initial_capital must be positive, got {self.initial_capital}"
-            )
-        _check_num("analysis.cost_rate", self.cost_rate)
+            raise DomainError(f"initial_capital must be positive, got {self.initial_capital}")
         if not 0.0 <= self.cost_rate < 1.0:
-            raise ConfigError(f"analysis.cost_rate must be in [0, 1), got {self.cost_rate}")
-        _check_int("analysis.histogram_bins", self.histogram_bins, minimum=1)
-        _check_choice("analysis.correlation_basis", self.correlation_basis, ("returns", "prices"))
+            raise DomainError(f"cost_rate must be in [0, 1), got {self.cost_rate}")
+        _check_choice("correlation_basis", self.correlation_basis, ("returns", "prices"))
 
 
 @dataclass
@@ -161,32 +143,10 @@ class PipelineSection:
     dump_windows: bool = False
     mape_epsilon: float | None = None
 
-    def validate(self) -> None:
-        _check_choice("pipeline.horizon_mode", self.horizon_mode, ("per_step", "horizon_mean"))
-        if not isinstance(self.dump_windows, bool):
-            raise ConfigError(
-                f"pipeline.dump_windows must be true or false, got {self.dump_windows!r}"
-            )
-        _check_num("pipeline.mape_epsilon", self.mape_epsilon, allow_none=True)
+    def __post_init__(self):
+        _check_choice("horizon_mode", self.horizon_mode, ("per_step", "horizon_mean"))
         if self.mape_epsilon is not None and not self.mape_epsilon > 0:
-            raise ConfigError(
-                f"pipeline.mape_epsilon must be positive or null, got {self.mape_epsilon}"
-            )
-
-
-_TOP_KEYS = (
-    "data",
-    "features",
-    "target",
-    "n_steps_in",
-    "n_steps_out",
-    "train_fraction",
-    "output_dir",
-    "lstm",
-    "gbt",
-    "analysis",
-    "pipeline",
-)
+            raise DomainError(f"mape_epsilon must be positive or null, got {self.mape_epsilon}")
 
 
 @dataclass
@@ -198,7 +158,7 @@ class RunConfig:
     n_steps_out: int = 1
     train_fraction: float = 0.8
     output_dir: str = "out"
-    lstm: LstmSection = field(default_factory=LstmSection)
+    lstm: TrainConfig = field(default_factory=TrainConfig)
     gbt: GbtSection = field(default_factory=GbtSection)
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
     pipeline: PipelineSection = field(default_factory=PipelineSection)
@@ -207,27 +167,9 @@ class RunConfig:
     def from_dict(cls, tree: dict) -> "RunConfig":
         if not isinstance(tree, dict):
             raise ConfigError("top-level config must be a JSON object")
-        _reject_unknown("", tree, _TOP_KEYS)
-        features = tree.get("features", list(DEFAULT_FEATURES))
-        if not isinstance(features, list):
-            raise ConfigError("features must be a non-empty list")
-        cfg = cls(
-            data=dict(tree.get("data", {})) if isinstance(tree.get("data", {}), dict) else tree["data"],
-            features=tuple(features),
-            target=tree.get("target", "close"),
-            n_steps_in=tree.get("n_steps_in", 30),
-            n_steps_out=tree.get("n_steps_out", 1),
-            train_fraction=tree.get("train_fraction", 0.8),
-            output_dir=tree.get("output_dir", "out"),
-            lstm=_build(LstmSection, "lstm", tree.get("lstm")),
-            gbt=_build(GbtSection, "gbt", tree.get("gbt"), rename={"lam": "lambda"}),
-            analysis=_build(AnalysisSection, "analysis", tree.get("analysis")),
-            pipeline=_build(PipelineSection, "pipeline", tree.get("pipeline")),
-        )
-        cfg.validate()
-        return cfg
+        return _build(cls, "", tree)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not isinstance(self.data, dict) or not self.data:
             raise ConfigError("data must be a non-empty object mapping symbols to CSV paths")
         for symbol, path in self.data.items():
@@ -235,8 +177,9 @@ class RunConfig:
                 raise ConfigError(f"data contains an invalid symbol key: {symbol!r}")
             if not isinstance(path, str) or not path:
                 raise ConfigError(f"data.{symbol} must be a non-empty path string")
-        if not self.features:
+        if not isinstance(self.features, (list, tuple)) or not self.features:
             raise ConfigError("features must be a non-empty list")
+        self.features = tuple(self.features)
         seen = set()
         for name in self.features:
             if name not in PRICE_FIELDS:
@@ -248,47 +191,19 @@ class RunConfig:
             seen.add(name)
         if self.target not in self.features:
             raise ConfigError(f"target {self.target!r} must be one of the features")
-        _check_int("n_steps_in", self.n_steps_in, minimum=1)
-        _check_int("n_steps_out", self.n_steps_out, minimum=1)
-        _check_num("train_fraction", self.train_fraction)
+        _at_least(self, n_steps_in=1, n_steps_out=1)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
-        self.lstm.validate()
-        self.gbt.validate()
-        self.analysis.validate()
-        self.pipeline.validate()
 
     def to_dict(self) -> dict:
         """JSON-form snapshot (uses the external key spellings, e.g. gbt.lambda)."""
         tree = asdict(self)
         tree["features"] = list(self.features)
-        gbt = tree["gbt"]
-        gbt["lambda"] = gbt.pop("lam")
+        for name, json_name in _JSON_NAMES.items():
+            tree["gbt"][json_name] = tree["gbt"].pop(name)
         return tree
-
-    def lstm_train_config(self) -> TrainConfig:
-        s = self.lstm
-        return TrainConfig(
-            hidden_size=s.hidden_size,
-            epochs=s.epochs,
-            learning_rate=s.learning_rate,
-            seed=s.seed,
-            optimizer=s.optimizer,
-            clip_norm=s.clip_norm,
-            batch_size=s.batch_size,
-        )
-
-    def tree_params(self) -> TreeParams:
-        g = self.gbt
-        return TreeParams(
-            lam=g.lam,
-            gamma=g.gamma,
-            max_depth=g.max_depth,
-            min_samples_leaf=g.min_samples_leaf,
-            learning_rate=g.learning_rate,
-        )
 
 
 def apply_override(tree: dict, assignment: str) -> None:

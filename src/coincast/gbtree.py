@@ -42,15 +42,11 @@ class TreeParams:
         if self.gamma < 0:
             raise DomainError(f"gamma must be non-negative, got {self.gamma}")
         if self.max_depth < 0:
-            raise DomainError(f"max depth must be non-negative, got {self.max_depth}")
+            raise DomainError(f"max_depth must be at least 0, got {self.max_depth}")
         if self.min_samples_leaf < 1:
-            raise DomainError(
-                f"min samples per leaf must be at least 1, got {self.min_samples_leaf}"
-            )
+            raise DomainError(f"min_samples_leaf must be at least 1, got {self.min_samples_leaf}")
         if not 0.0 < self.learning_rate <= 1.0:
-            raise DomainError(
-                f"learning rate must be in (0, 1], got {self.learning_rate}"
-            )
+            raise DomainError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
 
 
 def grad_hess(pred, target):

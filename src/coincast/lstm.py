@@ -345,17 +345,21 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.hidden_size < 1:
-            raise SizingError(f"hidden size must be at least 1, got {self.hidden_size}")
+            raise SizingError(f"hidden_size must be at least 1, got {self.hidden_size}")
         if self.epochs < 1:
             raise SizingError(f"epochs must be at least 1, got {self.epochs}")
-        if self.learning_rate < 0:
-            raise DomainError(f"learning rate must be non-negative, got {self.learning_rate}")
+        if not self.learning_rate > 0:
+            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be at least 0, got {self.seed}")
+        if self.seed >= 2**64:
+            raise DomainError("seed must fit in an unsigned 64-bit integer")
         if self.optimizer not in ("adam", "sgd"):
-            raise DomainError(f"unknown optimizer {self.optimizer!r}")
+            raise DomainError(f"optimizer must be one of ['adam', 'sgd'], got {self.optimizer!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
-            raise DomainError(f"clip norm must be positive, got {self.clip_norm}")
+            raise DomainError(f"clip_norm must be positive or null, got {self.clip_norm}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise SizingError(f"batch size must be at least 1, got {self.batch_size}")
+            raise SizingError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 class _Sgd:

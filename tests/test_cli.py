@@ -395,17 +395,27 @@ class TestFailureModes:
         assert main(["train", "--config", str(cfg), "--set", "lstm.epoch=3"]) == 2
 
     def test_missing_data_file(self, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "data": {"BTC": str(tmp_path / "gone.csv")},
-                    "output_dir": str(tmp_path / "out"),
-                }
-            )
-        )
-        assert main(["analyze", "--config", str(cfg)]) == 3
-        assert "BTC" in capsys.readouterr().err
+        (tmp_path / "a_directory").mkdir()
+        for command in ("train", "analyze", "backtest"):
+            for data in ("gone.csv", "a_directory"):
+                cfg = tmp_path / "config.json"
+                cfg.write_text(
+                    json.dumps(
+                        {
+                            "data": {"BTC": str(tmp_path / data)},
+                            "output_dir": str(tmp_path / "out"),
+                        }
+                    )
+                )
+                assert main([command, "--config", str(cfg)]) == 3, (command, data)
+                assert capsys.readouterr().err.startswith("error: cannot read data file for BTC:")
+                assert not (tmp_path / "out").exists()
+                assert not list(tmp_path.glob(".stage-*"))
+
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
+        assert main(["train", "--config", str(cfg), "--set", "gbt.lambda=NaN"]) == 2
+        assert "gbt.lambda must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert not list(tmp_path.glob(".stage-*"))
 

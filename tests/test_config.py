@@ -4,8 +4,107 @@ import pytest
 
 from coincast.config import RunConfig, apply_override, load_config
 from coincast.errors import ConfigError
+from coincast.gbtree import TreeParams
+from coincast.lstm import TrainConfig
 
 MINIMAL = {"data": {"BTC": "btc.csv"}}
+
+SUBSET = "['open', 'high', 'low', 'close', 'volume', 'marketcap']"
+
+# One fault per tree, with the exact message it must produce.
+INVALID_TREES = [
+    ({}, "data must be a non-empty object mapping symbols to CSV paths"),
+    ({"data": {}}, "data must be a non-empty object mapping symbols to CSV paths"),
+    ({"data": {"BTC": ""}}, "data.BTC must be a non-empty path string"),
+    ({"data": "btc.csv"}, "data must be a non-empty object mapping symbols to CSV paths"),
+    ({**MINIMAL, "features": []}, "features must be a non-empty list"),
+    ({**MINIMAL, "features": ["close", "close"]}, "duplicate feature 'close'"),
+    ({**MINIMAL, "features": ["close", "vwap"]}, f"unknown feature 'vwap'; expected a subset of {SUBSET}"),
+    ({**MINIMAL, "target": "volume", "features": ["close"]}, "target 'volume' must be one of the features"),
+    ({**MINIMAL, "n_steps_in": 0}, "n_steps_in must be at least 1, got 0"),
+    ({**MINIMAL, "n_steps_in": 2.5}, "n_steps_in must be an integer, got 2.5"),
+    ({**MINIMAL, "n_steps_out": 0}, "n_steps_out must be at least 1, got 0"),
+    ({**MINIMAL, "train_fraction": 1.0}, "train_fraction must be in (0, 1), got 1.0"),
+    ({**MINIMAL, "train_fraction": "most"}, "train_fraction must be a number, got 'most'"),
+    ({**MINIMAL, "output_dir": ""}, "output_dir must be a non-empty string"),
+    ({**MINIMAL, "lstm": {"hidden_size": 0}}, "lstm.hidden_size must be at least 1, got 0"),
+    ({**MINIMAL, "lstm": {"epochs": 0}}, "lstm.epochs must be at least 1, got 0"),
+    ({**MINIMAL, "lstm": {"learning_rate": 0}}, "lstm.learning_rate must be positive, got 0"),
+    ({**MINIMAL, "lstm": {"seed": -1}}, "lstm.seed must be at least 0, got -1"),
+    ({**MINIMAL, "lstm": {"seed": 2**64}}, "lstm.seed must fit in an unsigned 64-bit integer"),
+    ({**MINIMAL, "lstm": {"seed": True}}, "lstm.seed must be an integer, got True"),
+    ({**MINIMAL, "lstm": {"optimizer": "rmsprop"}}, "lstm.optimizer must be one of ['adam', 'sgd'], got 'rmsprop'"),
+    ({**MINIMAL, "lstm": {"clip_norm": 0}}, "lstm.clip_norm must be positive or null, got 0"),
+    ({**MINIMAL, "lstm": {"batch_size": 0}}, "lstm.batch_size must be at least 1, got 0"),
+    ({**MINIMAL, "gbt": {"n_rounds": -1}}, "gbt.n_rounds must be at least 0, got -1"),
+    ({**MINIMAL, "gbt": {"lambda": -0.5}}, "gbt.lambda must be non-negative, got -0.5"),
+    ({**MINIMAL, "gbt": {"gamma": -0.5}}, "gbt.gamma must be non-negative, got -0.5"),
+    ({**MINIMAL, "gbt": {"max_depth": -1}}, "gbt.max_depth must be at least 0, got -1"),
+    ({**MINIMAL, "gbt": {"min_samples_leaf": 0}}, "gbt.min_samples_leaf must be at least 1, got 0"),
+    ({**MINIMAL, "gbt": {"learning_rate": 0}}, "gbt.learning_rate must be in (0, 1], got 0"),
+    ({**MINIMAL, "gbt": {"learning_rate": 1.5}}, "gbt.learning_rate must be in (0, 1], got 1.5"),
+    ({**MINIMAL, "analysis": {"volatility_window": 1}}, "analysis.volatility_window must be at least 2, got 1"),
+    (
+        {**MINIMAL, "analysis": {"sma_fast": 50, "sma_slow": 50}},
+        "analysis.sma_slow (50) must exceed analysis.sma_fast (50)",
+    ),
+    ({**MINIMAL, "analysis": {"initial_capital": 0}}, "analysis.initial_capital must be positive, got 0"),
+    ({**MINIMAL, "analysis": {"cost_rate": 1.0}}, "analysis.cost_rate must be in [0, 1), got 1.0"),
+    ({**MINIMAL, "analysis": {"cost_rate": -0.1}}, "analysis.cost_rate must be in [0, 1), got -0.1"),
+    (
+        {**MINIMAL, "analysis": {"correlation_basis": "logs"}},
+        "analysis.correlation_basis must be one of ['prices', 'returns'], got 'logs'",
+    ),
+    (
+        {**MINIMAL, "pipeline": {"horizon_mode": "median"}},
+        "pipeline.horizon_mode must be one of ['horizon_mean', 'per_step'], got 'median'",
+    ),
+    ({**MINIMAL, "pipeline": {"dump_windows": "yes"}}, "pipeline.dump_windows must be true or false, got 'yes'"),
+    ({**MINIMAL, "pipeline": {"mape_epsilon": 0}}, "pipeline.mape_epsilon must be positive or null, got 0"),
+    ({**MINIMAL, "lstm": 7}, "config section 'lstm' must be an object"),
+    ({**MINIMAL, "features": 5}, "features must be a non-empty list"),
+    # wrong JSON types, section by section
+    ({**MINIMAL, "lstm": {"hidden_size": "8"}}, "lstm.hidden_size must be an integer, got '8'"),
+    ({**MINIMAL, "lstm": {"learning_rate": "fast"}}, "lstm.learning_rate must be a number, got 'fast'"),
+    ({**MINIMAL, "lstm": {"epochs": None}}, "lstm.epochs must be an integer, got None"),
+    ({**MINIMAL, "lstm": {"batch_size": 16.0}}, "lstm.batch_size must be an integer, got 16.0"),
+    ({**MINIMAL, "lstm": {"clip_norm": "off"}}, "lstm.clip_norm must be a number, got 'off'"),
+    ({**MINIMAL, "lstm": {"optimizer": None}}, "lstm.optimizer must be one of ['adam', 'sgd'], got None"),
+    ({**MINIMAL, "gbt": {"max_depth": 2.0}}, "gbt.max_depth must be an integer, got 2.0"),
+    ({**MINIMAL, "gbt": {"n_rounds": True}}, "gbt.n_rounds must be an integer, got True"),
+    ({**MINIMAL, "gbt": {"gamma": None}}, "gbt.gamma must be a number, got None"),
+    ({**MINIMAL, "gbt": {"lambda": "1"}}, "gbt.lambda must be a number, got '1'"),
+    ({**MINIMAL, "gbt": [1]}, "config section 'gbt' must be an object"),
+    ({**MINIMAL, "gbt": {"lam": 2.5}}, "unknown config key 'gbt.lam'"),
+    ({**MINIMAL, "analysis": {"histogram_bins": "50"}}, "analysis.histogram_bins must be an integer, got '50'"),
+    ({**MINIMAL, "analysis": {"cost_rate": "none"}}, "analysis.cost_rate must be a number, got 'none'"),
+    ({**MINIMAL, "analysis": {"sma_fast": 20.0}}, "analysis.sma_fast must be an integer, got 20.0"),
+    ({**MINIMAL, "analysis": {"correlation_window": False}}, "analysis.correlation_window must be an integer, got False"),
+    ({**MINIMAL, "analysis": {"initial_capital": None}}, "analysis.initial_capital must be a number, got None"),
+    ({**MINIMAL, "analysis": "x"}, "config section 'analysis' must be an object"),
+    ({**MINIMAL, "pipeline": {"dump_windows": 1}}, "pipeline.dump_windows must be true or false, got 1"),
+    ({**MINIMAL, "pipeline": {"dump_windows": None}}, "pipeline.dump_windows must be true or false, got None"),
+    ({**MINIMAL, "pipeline": {"mape_epsilon": "tiny"}}, "pipeline.mape_epsilon must be a number, got 'tiny'"),
+    ({**MINIMAL, "pipeline": [True]}, "config section 'pipeline' must be an object"),
+    ({**MINIMAL, "pipeline": {"x": 1}}, "unknown config key 'pipeline.x'"),
+    ({**MINIMAL, "n_steps_out": "3"}, "n_steps_out must be an integer, got '3'"),
+    ({**MINIMAL, "n_steps_in": True}, "n_steps_in must be an integer, got True"),
+    ({**MINIMAL, "n_steps_out": None}, "n_steps_out must be an integer, got None"),
+    ({**MINIMAL, "train_fraction": None}, "train_fraction must be a number, got None"),
+    ({**MINIMAL, "features": None}, "features must be a non-empty list"),
+    ({**MINIMAL, "target": None}, "target None must be one of the features"),
+    ({**MINIMAL, "output_dir": 5}, "output_dir must be a non-empty string"),
+    ({"data": None}, "data must be a non-empty object mapping symbols to CSV paths"),
+    ({"data": {"BTC": 5}}, "data.BTC must be a non-empty path string"),
+    ({"data": {"": "x.csv"}}, "data contains an invalid symbol key: ''"),
+    ([1, 2], "top-level config must be a JSON object"),
+    # numbers must be finite
+    ({**MINIMAL, "gbt": {"lambda": float("nan")}}, "gbt.lambda must be finite, got nan"),
+    ({**MINIMAL, "gbt": {"gamma": float("nan")}}, "gbt.gamma must be finite, got nan"),
+    ({**MINIMAL, "gbt": {"lambda": float("inf")}}, "gbt.lambda must be finite, got inf"),
+    ({**MINIMAL, "analysis": {"initial_capital": float("inf")}}, "analysis.initial_capital must be finite, got inf"),
+    ({**MINIMAL, "lstm": {"clip_norm": float("inf")}}, "lstm.clip_norm must be finite, got inf"),
+]
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -59,54 +158,12 @@ class TestFromDict:
         assert again.gbt.lam == 2.5
 
     @pytest.mark.parametrize(
-        "tree",
-        [
-            {},
-            {"data": {}},
-            {"data": {"BTC": ""}},
-            {"data": "btc.csv"},
-            {**MINIMAL, "features": []},
-            {**MINIMAL, "features": ["close", "close"]},
-            {**MINIMAL, "features": ["close", "vwap"]},
-            {**MINIMAL, "target": "volume", "features": ["close"]},
-            {**MINIMAL, "n_steps_in": 0},
-            {**MINIMAL, "n_steps_in": 2.5},
-            {**MINIMAL, "n_steps_out": 0},
-            {**MINIMAL, "train_fraction": 1.0},
-            {**MINIMAL, "train_fraction": "most"},
-            {**MINIMAL, "output_dir": ""},
-            {**MINIMAL, "lstm": {"hidden_size": 0}},
-            {**MINIMAL, "lstm": {"epochs": 0}},
-            {**MINIMAL, "lstm": {"learning_rate": 0}},
-            {**MINIMAL, "lstm": {"seed": -1}},
-            {**MINIMAL, "lstm": {"seed": 2**64}},
-            {**MINIMAL, "lstm": {"seed": True}},
-            {**MINIMAL, "lstm": {"optimizer": "rmsprop"}},
-            {**MINIMAL, "lstm": {"clip_norm": 0}},
-            {**MINIMAL, "lstm": {"batch_size": 0}},
-            {**MINIMAL, "gbt": {"n_rounds": -1}},
-            {**MINIMAL, "gbt": {"lambda": -0.5}},
-            {**MINIMAL, "gbt": {"gamma": -0.5}},
-            {**MINIMAL, "gbt": {"max_depth": -1}},
-            {**MINIMAL, "gbt": {"min_samples_leaf": 0}},
-            {**MINIMAL, "gbt": {"learning_rate": 0}},
-            {**MINIMAL, "gbt": {"learning_rate": 1.5}},
-            {**MINIMAL, "analysis": {"volatility_window": 1}},
-            {**MINIMAL, "analysis": {"sma_fast": 50, "sma_slow": 50}},
-            {**MINIMAL, "analysis": {"initial_capital": 0}},
-            {**MINIMAL, "analysis": {"cost_rate": 1.0}},
-            {**MINIMAL, "analysis": {"cost_rate": -0.1}},
-            {**MINIMAL, "analysis": {"correlation_basis": "logs"}},
-            {**MINIMAL, "pipeline": {"horizon_mode": "median"}},
-            {**MINIMAL, "pipeline": {"dump_windows": "yes"}},
-            {**MINIMAL, "pipeline": {"mape_epsilon": 0}},
-            {**MINIMAL, "lstm": 7},
-            {**MINIMAL, "features": 5},
-        ],
+        "tree, message", INVALID_TREES, ids=[f"tree{i}" for i in range(len(INVALID_TREES))]
     )
-    def test_invalid_trees_rejected(self, tree):
-        with pytest.raises(ConfigError):
+    def test_invalid_trees_rejected(self, tree, message):
+        with pytest.raises(ConfigError) as excinfo:
             RunConfig.from_dict(tree)
+        assert str(excinfo.value) == message
 
     def test_boolean_not_accepted_as_int(self):
         with pytest.raises(ConfigError):
@@ -120,11 +177,10 @@ class TestFromDict:
                 "gbt": {"n_rounds": 7, "lambda": 0.5, "max_depth": 2},
             }
         )
-        tc = cfg.lstm_train_config()
-        assert tc.hidden_size == 8 and tc.epochs == 3 and tc.seed == 9
-        tp = cfg.tree_params()
-        assert tp.lam == 0.5 and tp.max_depth == 2
-        assert cfg.gbt.n_rounds == 7
+        assert cfg.lstm == TrainConfig(hidden_size=8, epochs=3, learning_rate=0.02, seed=9)
+        assert isinstance(cfg.gbt, TreeParams)
+        assert cfg.gbt.lam == 0.5 and cfg.gbt.max_depth == 2 and cfg.gbt.n_rounds == 7
+        assert cfg.gbt.gamma == 0.0 and cfg.gbt.min_samples_leaf == 2 and cfg.gbt.learning_rate == 0.3
 
 
 class TestApplyOverride:

@@ -222,12 +222,6 @@ class TestTrain:
         _, _, history = train(ds, cfg)
         assert len(history) == 3
 
-    def test_zero_learning_rate_freezes_loss(self):
-        ds = tiny_dataset()
-        cfg = TrainConfig(hidden_size=4, epochs=4, learning_rate=0.0, seed=2)
-        _, _, history = train(ds, cfg)
-        assert history == [history[0]] * 4
-
     def test_loss_decreases_on_learnable_signal(self):
         ds = tiny_dataset(n_samples=30, seed=6)
         cfg = TrainConfig(hidden_size=8, epochs=25, learning_rate=0.01, seed=3)
@@ -273,6 +267,8 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=-0.1)
+        with pytest.raises(DomainError, match="learning_rate must be positive"):
+            TrainConfig(learning_rate=0.0)
         with pytest.raises(DomainError):
             TrainConfig(optimizer="rmsprop")
         with pytest.raises(DomainError):

@@ -1,0 +1,31 @@
+"""The README's code examples run as written."""
+import contextlib
+import io
+import re
+from pathlib import Path
+
+from conftest import random_walk_rows, rows_to_csv_text
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def python_block(heading: str) -> str:
+    """The first ```python block after the ``## heading`` line."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_use_example_runs(tmp_path, monkeypatch):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "btc.csv").write_text(
+        rows_to_csv_text(random_walk_rows(T=60, seed=3), symbol="BTC", name="Bitcoin"),
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(python_block("Library use"), str(README), "exec"), {})
+    lines = out.getvalue().split()
+    assert lines[0] == "model,test_mape,test_minmax_rmse"
+    assert [line.split(",")[0] for line in lines[1:]] == ["hybrid", "lstm-only", "gbt-lags"]
