@@ -253,10 +253,7 @@ def load_config(path, overrides=(), env=None) -> RunConfig:
             seed = int(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-        section = tree.setdefault("lstm", {})
-        if not isinstance(section, dict):
-            raise ConfigError("config section 'lstm' must be an object")
-        section["seed"] = seed
+        apply_override(tree, f"lstm.seed={seed}")
     for assignment in overrides:
         apply_override(tree, assignment)
     return RunConfig.from_dict(tree)

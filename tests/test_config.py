@@ -246,6 +246,22 @@ class TestLoadConfig:
         cfg = load_config(path, env={"TOOL_SEED": "99"})
         assert cfg.lstm.seed == 99
 
+    @pytest.mark.parametrize("lstm", ["null", "missing", "object"])
+    def test_env_seed_applies_to_any_lstm_section(self, tmp_path, lstm):
+        payload = dict(MINIMAL)
+        if lstm == "null":
+            payload["lstm"] = None
+        elif lstm == "object":
+            payload["lstm"] = {"seed": 7, "epochs": 3}
+        cfg = load_config(write_config(tmp_path, payload), env={"TOOL_SEED": "5"})
+        assert cfg.lstm.seed == 5
+        assert cfg.lstm.epochs == (3 if lstm == "object" else TrainConfig().epochs)
+
+    def test_env_seed_on_a_non_object_lstm_section(self, tmp_path):
+        path = write_config(tmp_path, {**MINIMAL, "lstm": 7})
+        with pytest.raises(ConfigError, match="'lstm' is not a config section"):
+            load_config(path, env={"TOOL_SEED": "5"})
+
     def test_flag_beats_env_seed(self, tmp_path):
         path = write_config(tmp_path, {**MINIMAL, "lstm": {"seed": 7}})
         cfg = load_config(path, overrides=["lstm.seed=123"], env={"TOOL_SEED": "99"})

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coincast.errors import DomainError, SchemaError, ShapeError
+from coincast.errors import DomainError, SchemaError, ShapeError, SizingError
 from coincast.gbtree import (
     Booster,
     RegTree,
@@ -291,6 +291,11 @@ class TestBuildTree:
         with pytest.raises(DomainError):
             build_tree(X, g, h, TreeParams())
 
+    def test_rejects_a_node_without_positive_hessian_sum(self):
+        X = np.arange(4.0).reshape(4, 1)
+        with pytest.raises(DomainError, match="hessian sum plus lambda"):
+            build_tree(X, [1.0, 1.0, -1.0, -1.0], np.zeros(4), TreeParams(lam=0.0, min_samples_leaf=1))
+
 
 # (rows, features, decimals or None, lam, gamma, min_samples_leaf, max_depth)
 SORTING_CASES = [
@@ -318,6 +323,63 @@ class TestPresortedSearch:
         y = rng.normal(size=n)
         params = TreeParams(lam=lam, gamma=gamma, max_depth=depth, min_samples_leaf=min_leaf)
         assert train_booster(X, y, params, 8).to_dict() == sorting_booster(X, y, params, 8).to_dict()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_trees_with_non_constant_hessians_equal_the_reference(self, seed):
+        # positive hessians of mixed scale, a tenth of them near 0.1, so the
+        # prefix sums of h are rounded as often as those of g
+        rng = np.random.default_rng(700 + seed)
+        n, p = int(rng.integers(2, 90)), int(rng.integers(1, 7))
+        X = np.round(rng.normal(size=(n, p)), int(rng.integers(0, 3)))
+        g = rng.normal(size=n)
+        h = rng.uniform(0.05, 3.0, size=n)
+        h[rng.random(n) < 0.1] *= 0.1
+        params = TreeParams(
+            lam=float(rng.choice([0.0, 0.3, 1.0])),
+            gamma=float(rng.choice([0.0, 0.01])),
+            max_depth=int(rng.integers(0, 6)),
+            min_samples_leaf=int(rng.integers(1, 4)),
+        )
+        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradients_across_six_decades_with_negative_zero(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        n = 64
+        X = np.round(rng.normal(size=(n, 3)), 1)
+        g = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        g[rng.choice(n, size=6, replace=False)] = -0.0
+        h = 10.0 ** rng.uniform(-3, 3, size=n)
+        params = TreeParams(lam=0.0, max_depth=4, min_samples_leaf=1)
+        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+
+    def test_a_node_of_ten_thousand_rows(self):
+        # more rows than one 8,192-element buffer of a numpy reduction
+        rng = np.random.default_rng(900)
+        X = np.round(rng.normal(size=(10_000, 2)), 2)
+        g = rng.normal(size=10_000)
+        h = rng.uniform(0.1, 2.0, size=10_000)
+        params = TreeParams(lam=1.0, max_depth=2, min_samples_leaf=1)
+        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+
+
+_BAD_INPUTS = {
+    "matrix is 1-D": (np.ones(4), np.ones(4), ShapeError),
+    "length mismatch": (np.ones((4, 2)), np.ones(3), ShapeError),
+    "zero rows": (np.ones((0, 2)), np.ones(0), SizingError),
+    "NaN": (np.array([[1.0], [np.nan], [3.0]]), np.ones(3), DomainError),
+}
+
+
+@pytest.mark.parametrize("entry", ["build_tree", "train_booster"])
+@pytest.mark.parametrize("fault", sorted(_BAD_INPUTS))
+def test_both_entry_points_check_their_inputs_alike(entry, fault):
+    X, vector, error = _BAD_INPUTS[fault]
+    with pytest.raises(error):
+        if entry == "build_tree":
+            build_tree(X, vector, np.full(vector.size, 2.0), TreeParams())
+        else:
+            train_booster(X, vector, TreeParams(), 2)
 
 
 class TestLoadValidation:
