@@ -13,13 +13,12 @@ Exit codes: 0 success, 2 configuration or usage error, 3 data/input error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import json
 import os
 import shutil
 import sys
 import tempfile
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,23 +35,21 @@ from .errors import (
     TrainingError,
     ValidationError,
 )
-from .market_data import align_on_dates, parse_csv, rebase_to_100, windows_to_csv
+from .market_data import (
+    align_on_dates,
+    json_text,
+    parse_csv,
+    rebase_to_100,
+    windows_to_csv,
+    write_csv,
+)
 
-_DATA_ERRORS = (SchemaError, ValidationError, SizingError, DomainError, ShapeError, StateError)
-
-
-def _cells(column) -> list:
-    """CSV cells of one column. A float array is written with repr for full
-    round-trip fidelity and a blank cell where a value is not finite; any
-    other column is written as it is."""
-    if not isinstance(column, np.ndarray):
-        return column
-    if column.dtype.kind != "f":
-        return column.tolist()
-    cells = list(map(repr, column.tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist():
-        cells[i] = ""
-    return cells
+# Exit code of each kind of error, first match wins.
+_EXIT_CODES = (
+    (ConfigError, 2),
+    (TrainingError, 4),
+    ((SchemaError, ValidationError, SizingError, DomainError, ShapeError, StateError, OSError), 3),
+)
 
 
 class _Stage:
@@ -73,14 +70,10 @@ class _Stage:
         self.path(relative).write_text(text, encoding="utf-8")
 
     def write_csv(self, relative: str, header, columns) -> None:
-        """Write one CSV from equal-length columns, one per header name."""
-        with open(self.path(relative), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(zip(*map(_cells, columns), strict=True))
+        write_csv(self.path(relative), header, columns)
 
     def write_json(self, relative: str, payload) -> None:
-        self.write_text(relative, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self.write_text(relative, json_text(payload))
 
     def commit(self) -> None:
         for root, _, files in os.walk(self.tmp):
@@ -259,9 +252,8 @@ def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
         model_dir = stage.path(f"model/{symbol}/manifest.json").parent
         pipeline.save_bundle(model_dir, bundle)
         if cfg.pipeline.dump_windows:
-            for name, ds in (("windows_train.csv", train_ds), ("windows_test.csv", test_ds)):
-                with open(model_dir / name, "w", encoding="utf-8", newline="") as fh:
-                    windows_to_csv(ds, fh)
+            windows_to_csv(train_ds, model_dir / "windows_train.csv")
+            windows_to_csv(test_ds, model_dir / "windows_test.csv")
 
 
 def cmd_evaluate(cfg: RunConfig, stage: _Stage, model_root: str | None) -> None:
@@ -283,13 +275,17 @@ def cmd_evaluate(cfg: RunConfig, stage: _Stage, model_root: str | None) -> None:
             snapshot.train_fraction,
             scaler=bundle.hybrid.scaler,
         )
-        report = pipeline.evaluate(
+        rows = pipeline.evaluate(
             [bundle.hybrid, bundle.lstm_baseline, bundle.gbt_baseline],
             test_ds,
             mape_epsilon=cfg.pipeline.mape_epsilon,
         )
-        stage.write_text(f"report/report_{symbol}.csv", report.to_csv_text())
-        stage.write_text(f"report/report_{symbol}.json", report.to_json_text())
+        stage.write_csv(
+            f"report/report_{symbol}.csv",
+            [f.name for f in fields(pipeline.EvalRow)],
+            [np.array(column) for column in zip(*map(astuple, rows))],
+        )
+        stage.write_json(f"report/report_{symbol}.json", {"rows": list(map(asdict, rows))})
 
 
 def cmd_backtest(cfg: RunConfig, stage: _Stage) -> None:
@@ -349,13 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    stage = None
     try:
         cfg = load_config(args.config, args.overrides, os.environ)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stage = _Stage(Path(cfg.output_dir))
-    try:
+        stage = _Stage(Path(cfg.output_dir))
         if args.command == "analyze":
             cmd_analyze(cfg, stage)
         elif args.command == "train":
@@ -365,25 +358,15 @@ def main(argv=None) -> int:
         else:
             cmd_backtest(cfg, stage)
         stage.commit()
-    except ConfigError as exc:
-        stage.abort()
+    except Exception as exc:
+        code = next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        stage.abort()
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TrainingError as exc:
-        stage.abort()
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        stage.abort()
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except Exception:
-        stage.abort()
-        raise
+        return code
+    finally:
+        if stage is not None:
+            stage.abort()
     return 0
 
 

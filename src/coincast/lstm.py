@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError
 from .market_data import WindowedDataset
-from .numkernel import Rng, seeded_uniform, sigmoid
+from .numkernel import Rng, sigmoid
 
 _WEIGHTS = ("W_f", "W_i", "W_C", "W_o")
 _BIASES = ("b_f", "b_i", "b_C", "b_o")
@@ -113,7 +113,7 @@ def init_params(input_size: int, hidden_size: int, rng: Rng) -> LstmParams:
         )
     k, width = hidden_size, hidden_size + input_size
     scale = 1.0 / math.sqrt(width)
-    weights = {name: seeded_uniform(rng, k, width, scale) for name in _WEIGHTS}
+    weights = {name: rng.uniform(k, width, scale) for name in _WEIGHTS}
     return LstmParams(
         **weights,
         b_f=np.ones(k),
@@ -214,22 +214,6 @@ def sequence_forward(params: LstmParams, X):
     return H[0], seq_cache
 
 
-@dataclass
-class LstmGrads:
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_C: np.ndarray
-    W_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_C: np.ndarray
-    b_o: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: LstmParams) -> "LstmGrads":
-        return cls(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS})
-
-
 def _sigmoid_chain(upstream, other, g, scratch):
     """upstream * other * g * (1 - g), left to right; overwrites ``scratch``."""
     out = upstream * other
@@ -248,14 +232,15 @@ def _tanh_chain(upstream, other, t, scratch):
     return out
 
 
-def _backward(params: LstmParams, steps: list[StepCache], dHn: np.ndarray) -> LstmGrads:
-    """Backpropagation through time over batched step caches from a gradient on H_n.
+def _backward(params: LstmParams, steps: list[StepCache], dHn: np.ndarray) -> LstmParams:
+    """Backpropagation through time over batched step caches from a gradient on H_n;
+    the gradients come back as an LstmParams.
 
     Products are taken left to right in the order the chain rule writes them,
     so the in-place arithmetic rounds exactly like the plain expressions.
     """
     k = params.hidden_size
-    grads = LstmGrads.zeros_like(params)
+    grads = LstmParams(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS})
     dh = dHn
     dC = np.zeros_like(dHn)
     scratch = np.empty_like(dHn)
@@ -282,11 +267,11 @@ def _backward(params: LstmParams, steps: list[StepCache], dHn: np.ndarray) -> Ls
     return grads
 
 
-def sequence_backward(params: LstmParams, cache: SequenceCache, grad_h_n) -> LstmGrads:
+def sequence_backward(params: LstmParams, cache: SequenceCache, grad_h_n) -> LstmParams:
     """Full backpropagation through time from a gradient on h_n alone.
 
-    Returns parameter gradients of the same shapes as the params. A zero
-    incoming gradient yields exactly zero everywhere.
+    Returns the parameter gradients as an LstmParams. A zero incoming
+    gradient yields exactly zero everywhere.
     """
     k = params.hidden_size
     if cache.hidden_size != k or cache.input_size != params.input_size:
@@ -422,7 +407,7 @@ def train(dataset: WindowedDataset, config: TrainConfig):
 
     rng = Rng(config.seed)
     params = init_params(d, k, rng)
-    head = LinearHead(W=seeded_uniform(rng, n_out, k, 1.0 / math.sqrt(k)), b=np.zeros(n_out))
+    head = LinearHead(W=rng.uniform(n_out, k, 1.0 / math.sqrt(k)), b=np.zeros(n_out))
 
     tensors = {name: getattr(params, name) for name in PARAM_FIELDS}
     tensors["head_W"] = head.W

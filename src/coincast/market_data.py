@@ -1,4 +1,5 @@
-"""OHLCV ingestion, validation, scaling, and supervised window construction.
+"""OHLCV ingestion, validation, scaling, and supervised window construction,
+plus the one CSV and one JSON format of every file the program writes.
 
 Input files are CSVs with one row per (asset, day) carrying the columns
 SNo, Name, Symbol, Date, High, Low, Open, Close, Volume, Marketcap
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, replace
 from datetime import date, datetime
@@ -422,18 +424,40 @@ def train_row_count(n_train_windows: int, n_steps_in: int, n_steps_out: int) -> 
     return n_train_windows + n_steps_in + n_steps_out - 1
 
 
-def windows_to_csv(dataset: WindowedDataset, fh) -> None:
+def _cells(column) -> list:
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind != "f":
+        return column.tolist()
+    cells = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def write_csv(path, header, columns) -> None:
+    """Write one CSV from equal-length columns, one per header name.
+
+    A float array is written with repr for full round-trip fidelity and a
+    blank cell where a value is not finite; any other column as it is.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*map(_cells, columns), strict=True))
+
+
+def json_text(payload) -> str:
+    """The text of every JSON file the program writes: sorted keys, 2-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def windows_to_csv(dataset: WindowedDataset, path) -> None:
     """Dump windows sample-major: one row per sample, features then targets."""
-    writer = csv.writer(fh, lineterminator="\n")
-    header = ["sample"]
-    for t in range(dataset.n_steps_in):
-        for name in dataset.feature_names:
-            header.append(f"x{t}_{name}")
-    for s in range(dataset.n_steps_out):
-        header.append(f"y{s}")
-    writer.writerow(header)
-    for i in range(dataset.n_samples):
-        row = [str(i)]
-        row.extend(repr(float(v)) for v in dataset.X[i].ravel())
-        row.extend(repr(float(v)) for v in dataset.Y[i])
-        writer.writerow(row)
+    header = [
+        "sample",
+        *(f"x{t}_{name}" for t in range(dataset.n_steps_in) for name in dataset.feature_names),
+        *(f"y{s}" for s in range(dataset.n_steps_out)),
+    ]
+    X = dataset.X.reshape(dataset.n_samples, -1)
+    write_csv(path, header, [range(dataset.n_samples), *X.T, *dataset.Y.T])

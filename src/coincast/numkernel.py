@@ -55,7 +55,3 @@ class Rng:
             raise DomainError(f"scale must be positive, got {scale}")
         return self._gen.uniform(-scale, scale, size=(rows, cols))
 
-
-def seeded_uniform(rng: Rng, rows: int, cols: int, scale: float) -> np.ndarray:
-    """Draw a rows x cols matrix of uniforms on [-scale, +scale) from ``rng``."""
-    return rng.uniform(rows, cols, scale)

@@ -27,10 +27,12 @@ from .market_data import (
     PriceSeries,
     WindowedDataset,
     chrono_split,
+    json_text,
     make_windows,
     series_to_features,
     train_row_count,
     train_window_count,
+    write_csv,
 )
 
 MODEL_FORMAT = "coincast-model"
@@ -182,30 +184,6 @@ class EvalRow:
     test_minmax_rmse: float
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    rows: tuple[EvalRow, ...]
-
-    def to_csv_text(self) -> str:
-        lines = ["model,test_mape,test_minmax_rmse"]
-        for row in self.rows:
-            lines.append(f"{row.model},{row.test_mape!r},{row.test_minmax_rmse!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_text(self) -> str:
-        payload = {
-            "rows": [
-                {
-                    "model": r.model,
-                    "test_mape": r.test_mape,
-                    "test_minmax_rmse": r.test_minmax_rmse,
-                }
-                for r in self.rows
-            ]
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _score(model: Forecaster, dataset: WindowedDataset, predictions, mape_epsilon) -> EvalRow:
     """Check predictions in price units and score them, averaged over horizon steps.
 
@@ -224,8 +202,11 @@ def _score(model: Forecaster, dataset: WindowedDataset, predictions, mape_epsilo
     return EvalRow(model.name, float(np.mean(mape)), float(np.mean(rmse)))
 
 
-def evaluate(models, dataset: WindowedDataset, mape_epsilon: float | None = None) -> EvalReport:
-    """Score every model on the same windows; metrics averaged over horizon steps.
+def evaluate(
+    models, dataset: WindowedDataset, mape_epsilon: float | None = None
+) -> tuple[EvalRow, ...]:
+    """Score every model on the same windows, one row per model in order;
+    metrics averaged over horizon steps.
 
     Models that share one LSTM (the hybrid and the ``lstm-only`` baseline)
     share one feature pass over the windows. Undefined metrics raise.
@@ -242,7 +223,7 @@ def evaluate(models, dataset: WindowedDataset, mape_epsilon: float | None = None
         if key not in features:
             features[key] = model.features(dataset)
         rows.append(_score(model, dataset, model.predict_from_features(features[key]), mape_epsilon))
-    return EvalReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 # --- model directory serialization -----------------------------------------
@@ -260,10 +241,6 @@ class TrainedBundle:
     data_hash: str = ""
     feature_names: tuple[str, ...] = ()
     n_steps_in: int = 0
-
-
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load_json(path: Path):
@@ -303,16 +280,18 @@ def save_bundle(directory, bundle: TrainedBundle) -> None:
         "horizon_mode": hybrid.horizon_mode,
         "files": files,
     }
-    _dump_json(directory / "manifest.json", manifest)
-    _dump_json(directory / files["scaler"], hybrid.scaler.to_dict())
-    _dump_json(directory / files["lstm"], hybrid.lstm.to_dict())
-    _dump_json(directory / files["head"], bundle.lstm_baseline.readout.to_dict())
+    payloads = {
+        "manifest.json": manifest,
+        files["scaler"]: hybrid.scaler.to_dict(),
+        files["lstm"]: hybrid.lstm.to_dict(),
+        files["head"]: bundle.lstm_baseline.readout.to_dict(),
+    }
     for kind, model in (("hybrid_boosters", hybrid), ("gbt_boosters", bundle.gbt_baseline)):
-        for fname, booster in zip(files[kind], model.readout):
-            _dump_json(directory / fname, booster.to_dict())
-    loss_lines = ["epoch,loss"]
-    loss_lines.extend(f"{i},{v!r}" for i, v in enumerate(bundle.loss_history))
-    (directory / "loss_history.csv").write_text("\n".join(loss_lines) + "\n", encoding="utf-8")
+        payloads.update((f, booster.to_dict()) for f, booster in zip(files[kind], model.readout))
+    for name, payload in payloads.items():
+        (directory / name).write_text(json_text(payload), encoding="utf-8")
+    history = np.asarray(bundle.loss_history, dtype=np.float64)
+    write_csv(directory / "loss_history.csv", ["epoch", "loss"], [range(history.size), history])
 
 
 def load_bundle(directory) -> TrainedBundle:
@@ -353,6 +332,13 @@ def load_bundle(directory) -> TrainedBundle:
         raise SchemaError(f"target column {target_col} is outside the scaler's features")
     if horizon_mode not in ("per_step", "horizon_mean"):
         raise SchemaError(f"unknown horizon mode {horizon_mode!r} in {manifest_path}")
+    expected = 1 if horizon_mode == "horizon_mean" else n_steps_out
+    for kind, boosters in (("hybrid", hybrid_boosters), ("gbt-lags", gbt_boosters)):
+        if len(boosters) != expected:
+            raise SchemaError(
+                f"{manifest_path} lists {len(boosters)} {kind} booster(s);"
+                f" a {horizon_mode} model of {n_steps_out} step(s) needs {expected}"
+            )
     models = _models(
         params, head, hybrid_boosters, gbt_boosters,
         scaler=scaler, target_col=target_col, n_steps_out=n_steps_out, horizon_mode=horizon_mode,

@@ -85,6 +85,14 @@ def first_number(key, value):
     return change
 
 
+def horizon_mean_with(n_boosters):
+    """A manifest change to a horizon-mean model listing ``n_boosters`` hybrid boosters."""
+    def change(manifest):
+        manifest["horizon_mode"] = "horizon_mean"
+        manifest["files"]["hybrid_boosters"] = manifest["files"]["hybrid_boosters"][:1] * n_boosters
+    return change
+
+
 def cyclic_root(payload):
     root = payload["trees"][0]
     root["feature"][0], root["left"][0], root["right"][0] = 0, 0, 0
@@ -101,6 +109,8 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(target_col=9)), id="manifest-target_col-out-of-range"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(horizon_mode="median")), id="manifest-unknown-horizon_mode"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(horizon_mean_with(0)), id="manifest-horizon_mean-no-booster"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(horizon_mean_with(2)), id="manifest-horizon_mean-two-boosters"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"]["lstm"].update(epoch=3)), id="manifest-config-unknown-key"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(config=[m["config"]])), id="manifest-config-not-object"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.pop("b_o")), id="lstm-no-b_o"),
@@ -329,6 +339,14 @@ class TestEvaluate:
             assert json_row["model"] == csv_row[0]
             assert json_row["test_mape"] == float(csv_row[1])
 
+    def test_csv_lines_are_the_json_rows(self, evaluated):
+        for symbol in ("BTC", "ETH"):
+            lines = (evaluated / f"report_{symbol}.csv").read_text(encoding="utf-8").split("\n")
+            payload = json.loads((evaluated / f"report_{symbol}.json").read_text(encoding="utf-8"))
+            assert lines == ["model,test_mape,test_minmax_rmse"] + [
+                f"{r['model']},{r['test_mape']!r},{r['test_minmax_rmse']!r}" for r in payload["rows"]
+            ] + [""]
+
     def test_explicit_model_root(self, workspace, trained, tmp_path):
         root, cfg = workspace
         code = main(
@@ -411,6 +429,15 @@ class TestFailureModes:
                 assert capsys.readouterr().err.startswith("error: cannot read data file for BTC:")
                 assert not (tmp_path / "out").exists()
                 assert not list(tmp_path.glob(".stage-*"))
+
+    def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=60, extra={"output_dir": str(tmp_path / "afile" / "out")})
+        (tmp_path / "afile").write_text("not a directory\n")
+        for command in ("analyze", "train", "evaluate", "backtest"):
+            assert main([command, "--config", str(cfg)]) == 3, command
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not list(tmp_path.rglob(".stage-*"))
+        assert (tmp_path / "afile").read_text() == "not a directory\n"
 
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys):
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)

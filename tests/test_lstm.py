@@ -10,7 +10,6 @@ import pytest
 from coincast.errors import DomainError, ShapeError, SizingError, TrainingError
 from coincast.lstm import (
     LinearHead,
-    LstmGrads,
     LstmParams,
     LstmState,
     StepCache,
@@ -178,9 +177,12 @@ class TestBackward:
 
     def test_grads_zeros_like(self):
         params = init_params(2, 3, Rng(19))
-        grads = LstmGrads.zeros_like(params)
-        assert grads.W_f.shape == params.W_f.shape
-        assert not np.any(grads.b_o)
+        _, cache = sequence_forward(params, np.ones((2, 2)))
+        grads = sequence_backward(params, cache, np.zeros(3))
+        assert isinstance(grads, LstmParams)
+        for name in PARAM_NAMES:
+            assert getattr(grads, name).shape == getattr(params, name).shape
+            assert not np.any(getattr(grads, name))
 
     def test_gradient_length_checked(self):
         params = init_params(2, 3, Rng(19))
@@ -360,10 +362,10 @@ def plain_step(params: LstmParams, h, C, x):
     return o * tanh_C, C_new, cache
 
 
-def plain_backward(params: LstmParams, steps, dHn) -> LstmGrads:
+def plain_backward(params: LstmParams, steps, dHn) -> LstmParams:
     """BPTT as out-of-place expressions: the reference for ``_backward``."""
     k = params.hidden_size
-    grads = LstmGrads.zeros_like(params)
+    grads = LstmParams(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES})
     dh = dHn.copy()
     dC = np.zeros_like(dHn)
     for step in reversed(steps):

@@ -381,16 +381,17 @@ class TestWindows:
         assert train_row_count(8, 3, 2) == 12
 
     def test_windows_csv_dump(self, tmp_path):
-        import io
-
-        ds = make_windows(np.arange(12.0).reshape(6, 2) / 3.0, 1, 2, 1, feature_names=("a", "b"))
-        buf = io.StringIO()
-        windows_to_csv(ds, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "sample,x0_a,x0_b,x1_a,x1_b,y0"
-        assert len(lines) == 1 + ds.n_samples
-        # repr round-trips: first feature of first window is 0/3
-        assert float(lines[1].split(",")[1]) == ds.X[0, 0, 0]
+        values = np.arange(12.0).reshape(6, 2) / 3.0
+        values[0, 0] = np.nan
+        ds = make_windows(values, 1, 2, 1, feature_names=("a", "b"))
+        windows_to_csv(ds, tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text(encoding="utf-8") == (
+            "sample,x0_a,x0_b,x1_a,x1_b,y0\n"
+            "0,,0.3333333333333333,0.6666666666666666,1.0,1.6666666666666667\n"
+            "1,0.6666666666666666,1.0,1.3333333333333333,1.6666666666666667,2.3333333333333335\n"
+            "2,1.3333333333333333,1.6666666666666667,2.0,2.3333333333333335,3.0\n"
+            "3,2.0,2.3333333333333335,2.6666666666666665,3.0,3.6666666666666665\n"
+        )
 
 
 class TestSeriesToFeatures:

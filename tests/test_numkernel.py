@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from coincast.errors import DomainError, ShapeError
-from coincast.numkernel import Rng, seeded_uniform, sigmoid
+from coincast.numkernel import Rng, sigmoid
 
 
 class TestActivations:
@@ -94,17 +94,17 @@ class TestSigmoidExactness:
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = seeded_uniform(Rng(42), 5, 7, 0.25)
-        b = seeded_uniform(Rng(42), 5, 7, 0.25)
+        a = Rng(42).uniform(5, 7, 0.25)
+        b = Rng(42).uniform(5, 7, 0.25)
         npt.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = seeded_uniform(Rng(42), 5, 7, 0.25)
-        b = seeded_uniform(Rng(43), 5, 7, 0.25)
+        a = Rng(42).uniform(5, 7, 0.25)
+        b = Rng(43).uniform(5, 7, 0.25)
         assert not np.array_equal(a, b)
 
     def test_draws_respect_scale(self):
-        draws = seeded_uniform(Rng(7), 100, 10, 0.03)
+        draws = Rng(7).uniform(100, 10, 0.03)
         assert draws.shape == (100, 10)
         assert np.all(np.abs(draws) <= 0.03)
 
@@ -122,8 +122,8 @@ class TestRng:
 
     def test_scale_must_be_positive(self):
         with pytest.raises(DomainError):
-            seeded_uniform(Rng(1), 2, 2, 0.0)
+            Rng(1).uniform(2, 2, 0.0)
 
     def test_negative_shape_rejected(self):
         with pytest.raises(ShapeError):
-            seeded_uniform(Rng(1), -1, 2, 1.0)
+            Rng(1).uniform(-1, 2, 1.0)

@@ -10,8 +10,6 @@ from coincast.gbtree import TreeParams
 from coincast.lstm import TrainConfig
 from coincast.market_data import MinMaxScaler, series_to_features
 from coincast.pipeline import (
-    EvalReport,
-    EvalRow,
     Forecaster,
     TrainedBundle,
     evaluate,
@@ -160,7 +158,7 @@ class TestMultiStep:
         hybrid = hybrid_of(train_ds, cfg, n_rounds=3)
         assert len(hybrid.readout) == 3
         assert hybrid.predict_prices(test_ds).shape == (test_ds.n_samples, 3)
-        (row,) = evaluate([hybrid], test_ds).rows
+        (row,) = evaluate([hybrid], test_ds)
         assert row.test_mape >= 0.0 and row.test_minmax_rmse >= 0.0
 
     def test_horizon_mean_mode(self):
@@ -184,9 +182,9 @@ class TestMultiStep:
 class TestEvaluate:
     def test_three_model_report(self, splits, trained):
         _, test_ds = splits
-        report = evaluate(trained, test_ds)
-        assert [row.model for row in report.rows] == ["hybrid", "lstm-only", "gbt-lags"]
-        for row in report.rows:
+        rows = evaluate(trained, test_ds)
+        assert [row.model for row in rows] == ["hybrid", "lstm-only", "gbt-lags"]
+        for row in rows:
             assert row.test_mape >= 0.0
             assert row.test_minmax_rmse >= 0.0
 
@@ -196,7 +194,7 @@ class TestEvaluate:
         predictions = hybrid.predict_prices(test_ds)
         targets = hybrid.scaler.invert_column(test_ds.target_col, test_ds.Y)
         assert predictions.shape == targets.shape
-        (row,) = evaluate([hybrid], test_ds).rows
+        (row,) = evaluate([hybrid], test_ds)
         assert row.model == "hybrid"
         assert row.test_mape == metrics_mod.mape(targets[:, 0], predictions[:, 0])
         assert row.test_minmax_rmse == metrics_mod.minmax_rmse(targets[:, 0], predictions[:, 0])
@@ -217,7 +215,7 @@ class TestEvaluate:
         _, test_ds = splits
         hybrid, lstm_only, _ = trained
         assert hybrid.lstm is lstm_only.lstm
-        expected = [evaluate([m], test_ds).rows[0].test_mape for m in trained]
+        expected = [evaluate([m], test_ds)[0].test_mape for m in trained]
         calls = []
         extract = lstm_mod.extract_latents
 
@@ -226,16 +224,9 @@ class TestEvaluate:
             return extract(params, dataset)
 
         monkeypatch.setattr(lstm_mod, "extract_latents", counting)
-        report = evaluate(trained, test_ds)
+        rows = evaluate(trained, test_ds)
         assert calls == [test_ds.n_samples]
-        assert [row.test_mape for row in report.rows] == expected
-
-    def test_csv_and_json_text(self):
-        report = EvalReport(rows=(EvalRow(model="hybrid", test_mape=1.5, test_minmax_rmse=0.25),))
-        text = report.to_csv_text()
-        assert text.splitlines()[0] == "model,test_mape,test_minmax_rmse"
-        assert "hybrid,1.5,0.25" in text
-        assert '"test_mape": 1.5' in report.to_json_text()
+        assert [row.test_mape for row in rows] == expected
 
     def test_strict_on_constant_targets(self, trained):
         # constant close -> zero range -> MinMax RMSE undefined -> raise
@@ -321,6 +312,19 @@ class TestBundleRoundTrip:
         for fname in listed:
             assert (target / fname).is_file(), fname
         assert len(manifest["files"]["hybrid_boosters"]) == hybrid.n_steps_out
+
+    @pytest.mark.parametrize(
+        "history, text",
+        [
+            ((0.5, 1.0 / 3.0, 2.5e-07), "epoch,loss\n0,0.5\n1,0.3333333333333333\n2,2.5e-07\n"),
+            ((), "epoch,loss\n"),
+        ],
+        ids=["short", "empty"],
+    )
+    def test_loss_history_text(self, tmp_path, trained, history, text):
+        save_bundle(tmp_path, TrainedBundle(*trained, loss_history=history))
+        assert (tmp_path / "loss_history.csv").read_text(encoding="utf-8") == text
+        assert load_bundle(tmp_path).loss_history == history
 
     def test_load_missing_manifest(self, tmp_path):
         with pytest.raises(SizingError):
