@@ -31,7 +31,6 @@ from .errors import (
     SchemaError,
     ShapeError,
     SizingError,
-    StateError,
     TrainingError,
     ValidationError,
 )
@@ -48,7 +47,7 @@ from .market_data import (
 _EXIT_CODES = (
     (ConfigError, 2),
     (TrainingError, 4),
-    ((SchemaError, ValidationError, SizingError, DomainError, ShapeError, StateError, OSError), 3),
+    ((SchemaError, ValidationError, SizingError, DomainError, ShapeError, OSError), 3),
 )
 
 
@@ -243,11 +242,10 @@ def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
         )
         bundle = pipeline.TrainedBundle(
             *models,
+            train_ds.scaler,
+            cfg,
             loss_history=loss_history,
-            config_snapshot=cfg.to_dict(),
             data_hash=hashlib.sha256(raw).hexdigest(),
-            feature_names=tuple(cfg.features),
-            n_steps_in=cfg.n_steps_in,
         )
         model_dir = stage.path(f"model/{symbol}/manifest.json").parent
         pipeline.save_bundle(model_dir, bundle)
@@ -260,20 +258,16 @@ def cmd_evaluate(cfg: RunConfig, stage: _Stage, model_root: str | None) -> None:
     root = Path(model_root) if model_root else Path(cfg.output_dir) / "model"
     for symbol, path in cfg.data.items():
         bundle = pipeline.load_bundle(root / symbol)
-        try:
-            snapshot = RunConfig.from_dict(bundle.config_snapshot)
-        except ConfigError as exc:
-            # the snapshot is part of the model directory, not of this run's config
-            raise SchemaError(f"model directory {root / symbol} has a bad config snapshot: {exc}") from None
+        trained = bundle.config
         series = _read_series(symbol, path)
         _, test_ds = pipeline.prepare_datasets(
             series,
-            snapshot.features,
-            snapshot.target,
-            snapshot.n_steps_in,
-            snapshot.n_steps_out,
-            snapshot.train_fraction,
-            scaler=bundle.hybrid.scaler,
+            trained.features,
+            trained.target,
+            trained.n_steps_in,
+            trained.n_steps_out,
+            trained.train_fraction,
+            scaler=bundle.scaler,
         )
         rows = pipeline.evaluate(
             [bundle.hybrid, bundle.lstm_baseline, bundle.gbt_baseline],

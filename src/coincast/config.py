@@ -173,7 +173,8 @@ class RunConfig:
         if not isinstance(self.data, dict) or not self.data:
             raise ConfigError("data must be a non-empty object mapping symbols to CSV paths")
         for symbol, path in self.data.items():
-            if not isinstance(symbol, str) or not symbol:
+            # a symbol names its output directories, so it must be one path component
+            if not isinstance(symbol, str) or symbol in ("", ".", "..") or {"/", "\\"} & set(symbol):
                 raise ConfigError(f"data contains an invalid symbol key: {symbol!r}")
             if not isinstance(path, str) or not path:
                 raise ConfigError(f"data.{symbol} must be a non-empty path string")

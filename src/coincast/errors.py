@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2, input/data errors
-(SchemaError, ValidationError, SizingError, DomainError, ShapeError,
-StateError) -> 3, TrainingError -> 4.
+(SchemaError, ValidationError, SizingError, DomainError, ShapeError) -> 3,
+TrainingError -> 4.
 """
 
 
@@ -32,10 +32,6 @@ class DomainError(ToolkitError):
 
 class ShapeError(ToolkitError):
     """Array dimensions are inconsistent with each other."""
-
-
-class StateError(ToolkitError):
-    """Operation invoked on an object in the wrong state (e.g. unfitted scaler)."""
 
 
 class TrainingError(ToolkitError):

@@ -151,6 +151,10 @@ class RegTree:
         grower numbers them, so routing a row always ends at a leaf.
         """
         try:
+            for key in ("feature", "left", "right"):
+                bad = [v for v in payload[key] if type(v) is not int]  # floats and bools too
+                if bad:
+                    raise SchemaError(f"tree {key} ids must be integers, got {bad[0]!r}")
             tree = cls(
                 feature=np.asarray(payload["feature"], dtype=np.int64),
                 threshold=np.asarray(payload["threshold"], dtype=np.float64),

@@ -22,14 +22,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    SchemaError,
-    ShapeError,
-    SizingError,
-    StateError,
-    ValidationError,
-)
+from .errors import DomainError, SchemaError, ShapeError, SizingError, ValidationError
 
 REQUIRED_COLUMNS = (
     "sno", "name", "symbol", "date", "high", "low", "open", "close", "volume", "marketcap",
@@ -71,7 +64,7 @@ def _as_text(source) -> str:
     if isinstance(data, str):
         return data
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"file is not UTF-8 text: {exc}") from None
 
@@ -243,6 +236,7 @@ def align_on_dates(series_list) -> tuple[list[date], list[PriceSeries]]:
     return ordered, aligned
 
 
+@dataclass(frozen=True, eq=False)
 class MinMaxScaler:
     """Per-feature affine map onto [0, 1], fit on training rows only.
 
@@ -250,12 +244,12 @@ class MinMaxScaler:
     to its original value, so degenerate fixtures remain usable.
     """
 
-    def __init__(self):
-        self.feature_names: tuple[str, ...] | None = None
-        self.mins: np.ndarray | None = None
-        self.maxs: np.ndarray | None = None
+    mins: np.ndarray
+    maxs: np.ndarray
+    feature_names: tuple[str, ...] | None = None
 
-    def fit(self, rows, feature_names=None) -> "MinMaxScaler":
+    @classmethod
+    def fit(cls, rows, feature_names=None) -> "MinMaxScaler":
         m = np.asarray(rows, dtype=np.float64)
         if m.ndim != 2:
             raise ShapeError(f"expected a 2-D row matrix, got {m.ndim} dimension(s)")
@@ -263,20 +257,11 @@ class MinMaxScaler:
             raise SizingError(f"need at least 2 rows to fit a scaler, got {m.shape[0]}")
         if not np.all(np.isfinite(m)):
             raise DomainError("cannot fit scaler: non-finite values present")
-        self.mins = m.min(axis=0)
-        self.maxs = m.max(axis=0)
         if feature_names is not None:
-            names = tuple(feature_names)
-            if len(names) != m.shape[1]:
-                raise ShapeError(
-                    f"{len(names)} feature names for {m.shape[1]} columns"
-                )
-            self.feature_names = names
-        return self
-
-    def _check_fitted(self):
-        if self.mins is None or self.maxs is None:
-            raise StateError("scaler used before fit")
+            feature_names = tuple(feature_names)
+            if len(feature_names) != m.shape[1]:
+                raise ShapeError(f"{len(feature_names)} feature names for {m.shape[1]} columns")
+        return cls(m.min(axis=0), m.max(axis=0), feature_names)
 
     def _check_width(self, m: np.ndarray):
         if m.shape[-1] != self.mins.shape[0]:
@@ -286,7 +271,6 @@ class MinMaxScaler:
 
     def apply(self, rows) -> np.ndarray:
         """Map rows into [0, 1] feature-wise (values outside the fit range extrapolate)."""
-        self._check_fitted()
         m = np.asarray(rows, dtype=np.float64)
         self._check_width(m)
         span = self.maxs - self.mins
@@ -296,12 +280,10 @@ class MinMaxScaler:
 
     def invert_column(self, col: int, values) -> np.ndarray:
         """Undo scaling for a single feature column (any array shape)."""
-        self._check_fitted()
         v = np.asarray(values, dtype=np.float64)
         return self.mins[col] + v * (self.maxs[col] - self.mins[col])
 
     def to_dict(self) -> dict:
-        self._check_fitted()
         return {
             "feature_names": list(self.feature_names) if self.feature_names else None,
             "mins": [float(x) for x in self.mins],
@@ -311,21 +293,20 @@ class MinMaxScaler:
     @classmethod
     def from_dict(cls, payload: dict) -> "MinMaxScaler":
         """Inverse of :meth:`to_dict`; raises SchemaError for a malformed scaler."""
-        scaler = cls()
         try:
-            scaler.mins = np.asarray(payload["mins"], dtype=np.float64)
-            scaler.maxs = np.asarray(payload["maxs"], dtype=np.float64)
+            mins = np.asarray(payload["mins"], dtype=np.float64)
+            maxs = np.asarray(payload["maxs"], dtype=np.float64)
             names = payload.get("feature_names")
-            scaler.feature_names = tuple(names) if names else None
+            names = tuple(names) if names else None
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed scaler: {exc!r}") from None
-        if scaler.mins.ndim != 1 or scaler.mins.shape != scaler.maxs.shape:
+        if mins.ndim != 1 or mins.shape != maxs.shape:
             raise SchemaError(
-                f"scaler mins {scaler.mins.shape} and maxs {scaler.maxs.shape} are not vectors of one length"
+                f"scaler mins {mins.shape} and maxs {maxs.shape} are not vectors of one length"
             )
-        if not (np.all(np.isfinite(scaler.mins)) and np.all(np.isfinite(scaler.maxs))):
+        if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
             raise SchemaError("scaler has non-finite values")
-        return scaler
+        return cls(mins, maxs, names)
 
 
 @dataclass

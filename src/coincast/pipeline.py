@@ -13,14 +13,15 @@ inverting the fitted min-max scaler.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import lstm as lstm_mod
 from . import metrics as metrics_mod
-from .errors import DomainError, SchemaError, ShapeError, SizingError
+from .config import RunConfig
+from .errors import ConfigError, DomainError, SchemaError, ShapeError, SizingError
 from .gbtree import Booster, TreeParams, train_booster
 from .market_data import (
     MinMaxScaler,
@@ -67,9 +68,7 @@ def prepare_datasets(
         )
     n_train = train_window_count(T - n_steps_in - n_steps_out + 1, train_fraction)
     if scaler is None:
-        scaler = MinMaxScaler().fit(
-            mat[: train_row_count(n_train, n_steps_in, n_steps_out)], names
-        )
+        scaler = MinMaxScaler.fit(mat[: train_row_count(n_train, n_steps_in, n_steps_out)], names)
     scaled = scaler.apply(mat)
     dataset = make_windows(
         scaled, target_col, n_steps_in, n_steps_out, feature_names=names, scaler=scaler
@@ -91,15 +90,12 @@ class Forecaster:
     they are the flattened windows (n_steps_in * d lag features). The readout
     is either the boosters (one per horizon step, or one on the horizon mean
     repeated over every step) or the linear head of the LSTM pre-training.
+    The scaler, target column and horizon are the dataset's.
     """
 
     name: str
     lstm: lstm_mod.LstmParams | None
     readout: list[Booster] | lstm_mod.LinearHead
-    scaler: MinMaxScaler | None
-    target_col: int
-    n_steps_out: int
-    horizon_mode: str = "per_step"
 
     def features(self, dataset: WindowedDataset) -> np.ndarray:
         """The (N, p) matrix the readout sees for every window."""
@@ -107,21 +103,22 @@ class Forecaster:
             return dataset.X.reshape(dataset.n_samples, -1)
         return lstm_mod.extract_latents(self.lstm, dataset)
 
-    def predict_from_features(self, F: np.ndarray) -> np.ndarray:
+    def predict_from_features(self, F: np.ndarray, dataset: WindowedDataset) -> np.ndarray:
         """:meth:`predict_prices` on features already computed by :meth:`features`."""
+        n_steps_out = dataset.n_steps_out
         if isinstance(self.readout, lstm_mod.LinearHead):
             scaled = self.readout.predict(F)
-        elif self.horizon_mode == "horizon_mean":
-            scaled = np.tile(self.readout[0].predict(F)[:, np.newaxis], (1, self.n_steps_out))
-        elif len(self.readout) != self.n_steps_out:
-            raise ShapeError(f"{len(self.readout)} booster(s) for a {self.n_steps_out}-step horizon")
+        elif len(self.readout) not in (1, n_steps_out):
+            raise ShapeError(f"{len(self.readout)} booster(s) for a {n_steps_out}-step horizon")
         else:
             scaled = np.column_stack([b.predict(F) for b in self.readout])
-        return _invert_target(self.scaler, self.target_col, scaled)
+            if len(self.readout) == 1:  # the horizon mean, at every step
+                scaled = np.tile(scaled, (1, n_steps_out))
+        return _invert_target(dataset.scaler, dataset.target_col, scaled)
 
     def predict_prices(self, dataset: WindowedDataset) -> np.ndarray:
         """Forecast the horizon for every window, in original price units."""
-        return self.predict_from_features(self.features(dataset))
+        return self.predict_from_features(self.features(dataset), dataset)
 
 
 def fit_horizon_boosters(
@@ -153,13 +150,7 @@ def train_models(
     ``(hybrid, lstm-only, gbt-lags)`` and the LSTM's per-epoch loss history.
     """
     params, head, history = lstm_mod.train(train_ds, lstm_config)
-    shared = dict(
-        scaler=train_ds.scaler,
-        target_col=train_ds.target_col,
-        n_steps_out=train_ds.n_steps_out,
-        horizon_mode=horizon_mode,
-    )
-    models = _models(params, head, [], [], **shared)
+    models = _models(params, head, [], [])
     hybrid, _, gbt_lags = models
     for model in (hybrid, gbt_lags):
         model.readout = fit_horizon_boosters(
@@ -168,12 +159,12 @@ def train_models(
     return models, tuple(history)
 
 
-def _models(params, head, hybrid_boosters, gbt_boosters, **shared) -> tuple[Forecaster, ...]:
+def _models(params, head, hybrid_boosters, gbt_boosters) -> tuple[Forecaster, ...]:
     """The ``hybrid``, ``lstm-only`` and ``gbt-lags`` forecasters of one run."""
     return (
-        Forecaster("hybrid", params, hybrid_boosters, **shared),
-        Forecaster("lstm-only", params, head, **shared),
-        Forecaster("gbt-lags", None, gbt_boosters, **shared),
+        Forecaster("hybrid", params, hybrid_boosters),
+        Forecaster("lstm-only", params, head),
+        Forecaster("gbt-lags", None, gbt_boosters),
     )
 
 
@@ -195,7 +186,7 @@ def _score(model: Forecaster, dataset: WindowedDataset, predictions, mape_epsilo
         raise ShapeError(f"predictions have shape {predictions.shape}, expected {expected}")
     if not np.all(np.isfinite(predictions)):
         raise DomainError(f"model {model.name!r} produced non-finite predictions")
-    targets = _invert_target(model.scaler, dataset.target_col, dataset.Y)
+    targets = _invert_target(dataset.scaler, dataset.target_col, dataset.Y)
     steps = range(dataset.n_steps_out)
     mape = [metrics_mod.mape(targets[:, s], predictions[:, s], epsilon=mape_epsilon) for s in steps]
     rmse = [metrics_mod.minmax_rmse(targets[:, s], predictions[:, s]) for s in steps]
@@ -222,7 +213,8 @@ def evaluate(
         key = id(model.lstm)
         if key not in features:
             features[key] = model.features(dataset)
-        rows.append(_score(model, dataset, model.predict_from_features(features[key]), mape_epsilon))
+        predictions = model.predict_from_features(features[key], dataset)
+        rows.append(_score(model, dataset, predictions, mape_epsilon))
     return tuple(rows)
 
 
@@ -236,11 +228,21 @@ class TrainedBundle:
     hybrid: Forecaster
     lstm_baseline: Forecaster
     gbt_baseline: Forecaster
+    scaler: MinMaxScaler
+    config: RunConfig
     loss_history: tuple[float, ...] = ()
-    config_snapshot: dict = field(default_factory=dict)
     data_hash: str = ""
-    feature_names: tuple[str, ...] = ()
-    n_steps_in: int = 0
+
+
+def _manifest_copies(cfg: RunConfig) -> dict:
+    """The facts of ``cfg`` the manifest repeats; :func:`load_bundle` rejects a copy that differs."""
+    return {
+        "feature_names": list(cfg.features),
+        "target_col": cfg.features.index(cfg.target),
+        "n_steps_in": cfg.n_steps_in,
+        "n_steps_out": cfg.n_steps_out,
+        "horizon_mode": cfg.pipeline.horizon_mode,
+    }
 
 
 def _load_json(path: Path):
@@ -271,18 +273,14 @@ def save_bundle(directory, bundle: TrainedBundle) -> None:
     manifest = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": bundle.config_snapshot,
+        "config": bundle.config.to_dict(),
         "data_hash": bundle.data_hash,
-        "feature_names": list(bundle.feature_names),
-        "target_col": hybrid.target_col,
-        "n_steps_in": bundle.n_steps_in,
-        "n_steps_out": hybrid.n_steps_out,
-        "horizon_mode": hybrid.horizon_mode,
+        **_manifest_copies(bundle.config),
         "files": files,
     }
     payloads = {
         "manifest.json": manifest,
-        files["scaler"]: hybrid.scaler.to_dict(),
+        files["scaler"]: bundle.scaler.to_dict(),
         files["lstm"]: hybrid.lstm.to_dict(),
         files["head"]: bundle.lstm_baseline.readout.to_dict(),
     }
@@ -304,6 +302,15 @@ def load_bundle(directory) -> TrainedBundle:
     if not isinstance(manifest, dict) or manifest.get("format") != MODEL_FORMAT:
         raise DomainError(f"{manifest_path} is not a recognized model manifest")
     try:
+        config = RunConfig.from_dict(manifest.get("config"))
+    except ConfigError as exc:
+        raise SchemaError(f"model directory {directory} has a bad config snapshot: {exc}") from None
+    for key, value in _manifest_copies(config).items():
+        if manifest.get(key) != value:
+            raise SchemaError(
+                f"{manifest_path} has {key} {manifest.get(key)!r}, but its config implies {value!r}"
+            )
+    try:
         files = manifest["files"]
         scaler = MinMaxScaler.from_dict(_load_json(directory / files["scaler"]))
         params = lstm_mod.LstmParams.from_dict(_load_json(directory / files["lstm"]))
@@ -312,26 +319,18 @@ def load_bundle(directory) -> TrainedBundle:
             [Booster.from_dict(_load_json(directory / f)) for f in files[kind]]
             for kind in ("hybrid_boosters", "gbt_boosters")
         )
-        target_col = int(manifest["target_col"])
-        n_steps_out = int(manifest["n_steps_out"])
-        horizon_mode = manifest["horizon_mode"]
         loss_history: tuple[float, ...] = ()
         loss_path = directory / "loss_history.csv"
         if loss_path.is_file():
             lines = loss_path.read_text(encoding="utf-8").strip().splitlines()[1:]
             loss_history = tuple(float(line.split(",")[1]) for line in lines)
-        about = dict(
-            config_snapshot=manifest.get("config", {}),
-            data_hash=manifest.get("data_hash", ""),
-            feature_names=tuple(manifest.get("feature_names", ())),
-            n_steps_in=int(manifest.get("n_steps_in", 0)),
-        )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model directory {directory}: {exc!r}") from None
-    if not 0 <= target_col < scaler.mins.size:
-        raise SchemaError(f"target column {target_col} is outside the scaler's features")
-    if horizon_mode not in ("per_step", "horizon_mean"):
-        raise SchemaError(f"unknown horizon mode {horizon_mode!r} in {manifest_path}")
+    if scaler.mins.size != len(config.features):
+        raise SchemaError(
+            f"the scaler has {scaler.mins.size} feature(s); the config names {len(config.features)}"
+        )
+    horizon_mode, n_steps_out = config.pipeline.horizon_mode, config.n_steps_out
     expected = 1 if horizon_mode == "horizon_mean" else n_steps_out
     for kind, boosters in (("hybrid", hybrid_boosters), ("gbt-lags", gbt_boosters)):
         if len(boosters) != expected:
@@ -339,8 +338,7 @@ def load_bundle(directory) -> TrainedBundle:
                 f"{manifest_path} lists {len(boosters)} {kind} booster(s);"
                 f" a {horizon_mode} model of {n_steps_out} step(s) needs {expected}"
             )
-    models = _models(
-        params, head, hybrid_boosters, gbt_boosters,
-        scaler=scaler, target_col=target_col, n_steps_out=n_steps_out, horizon_mode=horizon_mode,
+    models = _models(params, head, hybrid_boosters, gbt_boosters)
+    return TrainedBundle(
+        *models, scaler, config, loss_history=loss_history, data_hash=manifest.get("data_hash", "")
     )
-    return TrainedBundle(*models, loss_history=loss_history, **about)

@@ -11,7 +11,17 @@ import pytest
 
 from conftest import random_walk_rows, rows_to_csv_text
 import coincast
-from coincast.cli import _Stage, entry, main
+from coincast.cli import _EXIT_CODES, _Stage, entry, main
+from coincast.errors import (
+    ConfigError,
+    DomainError,
+    SchemaError,
+    ShapeError,
+    SizingError,
+    ToolkitError,
+    TrainingError,
+    ValidationError,
+)
 
 FAST_SECTIONS = {
     "n_steps_in": 8,
@@ -98,16 +108,23 @@ def cyclic_root(payload):
     root["feature"][0], root["left"][0], root["right"][0] = 0, 0, 0
 
 
+def fractional_root(payload):
+    root = payload["trees"][0]
+    root["feature"][0], root["left"][0] = 0.9, 1.2
+
+
 NAN, INF = float("nan"), float("inf")
 
 # (command, file under the run directory, edit of its bytes); each must end
 # in a typed error, exit code 3 and no output.
 BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(cyclic_root), id="cyclic-tree"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(fractional_root), id="tree-fractional-ids"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.pop("target_col")), id="manifest-no-target_col"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["files"].pop("head")), id="manifest-no-files.head"),
     pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(target_col=9)), id="manifest-target_col-out-of-range"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(target_col=4)), id="manifest-target_col-disagrees"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(horizon_mode="median")), id="manifest-unknown-horizon_mode"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(horizon_mean_with(0)), id="manifest-horizon_mean-no-booster"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(horizon_mean_with(2)), id="manifest-horizon_mean-two-boosters"),
@@ -475,6 +492,35 @@ class TestFailureModes:
         assert code == 4
         assert "diverged" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("symbol", ["../../evil2", "..", ".", "a\\b", "a/b"])
+    def test_path_like_symbol_is_a_config_error(self, tmp_path, symbol):
+        csv_path = tmp_path / "a.csv"
+        csv_path.write_text(rows_to_csv_text(random_walk_rows(T=60, seed=11), symbol="A", name="A"))
+        cfg = tmp_path / "config.json"
+        tree = {
+            "data": {symbol: str(csv_path), "B": str(tmp_path / "missing.csv")},
+            "output_dir": str(tmp_path / "w" / "o3"),
+            **FAST_SECTIONS,
+        }
+        cfg.write_text(json.dumps(tree))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "config.json"]
+
+    def test_every_error_kind_has_an_exit_code(self):
+        codes = {
+            kind: next(code for kinds, code in _EXIT_CODES if issubclass(kind, kinds))
+            for kind in ToolkitError.__subclasses__()
+        }
+        assert codes == {
+            ConfigError: 2,
+            SchemaError: 3,
+            ValidationError: 3,
+            SizingError: 3,
+            DomainError: 3,
+            ShapeError: 3,
+            TrainingError: 4,
+        }
 
     def test_series_too_short_for_windows(self, tmp_path):
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=10, extra={"n_steps_in": 30})

@@ -104,6 +104,11 @@ INVALID_TREES = [
     ({**MINIMAL, "gbt": {"lambda": float("inf")}}, "gbt.lambda must be finite, got inf"),
     ({**MINIMAL, "analysis": {"initial_capital": float("inf")}}, "analysis.initial_capital must be finite, got inf"),
     ({**MINIMAL, "lstm": {"clip_norm": float("inf")}}, "lstm.clip_norm must be finite, got inf"),
+    # a symbol key must be one path component
+    ({"data": {"../../evil2": "a.csv"}}, "data contains an invalid symbol key: '../../evil2'"),
+    ({"data": {"a\\b": "a.csv"}}, "data contains an invalid symbol key: 'a\\\\b'"),
+    ({"data": {"..": "a.csv"}}, "data contains an invalid symbol key: '..'"),
+    ({"data": {".": "a.csv"}}, "data contains an invalid symbol key: '.'"),
 ]
 
 

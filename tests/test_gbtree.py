@@ -409,6 +409,9 @@ class TestLoadValidation:
             ("weight", 1, float("inf")),
             ("weight", None, None),           # arrays of unequal length
             ("left", None, "x"),              # not an array of ints
+            ("left", 0, 1.2),                 # a fractional id
+            ("feature", 0, 0.0),              # a float id, even a whole one
+            ("right", 0, True),               # a boolean id
         ],
     )
     def test_malformed_tree_raises(self, key, index, value):

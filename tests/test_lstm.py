@@ -53,7 +53,7 @@ def tiny_dataset(n_samples=12, n_in=5, d=2, n_out=1, seed=5):
     rng = np.random.default_rng(seed)
     rows = np.cumsum(rng.normal(size=(n_samples + n_in + n_out - 1, d)), axis=0)
     rows = (rows - rows.min(0)) / (rows.max(0) - rows.min(0))  # keep in [0,1]
-    scaler = MinMaxScaler().fit(rows)
+    scaler = MinMaxScaler.fit(rows)
     return make_windows(
         rows,
         target_col=d - 1,

@@ -5,14 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coincast.errors import (
-    DomainError,
-    SchemaError,
-    ShapeError,
-    SizingError,
-    StateError,
-    ValidationError,
-)
+from coincast.errors import DomainError, SchemaError, ShapeError, SizingError, ValidationError
 from coincast.market_data import (
     PRICE_FIELDS,
     MinMaxScaler,
@@ -50,6 +43,14 @@ class TestParseCsv:
     def test_accepts_bytes_and_datetime_stamps(self):
         series = parse_csv(GOOD_CSV.encode("utf-8"))
         assert len(series) == 3
+
+    def test_utf8_bom_is_skipped(self):
+        raw = GOOD_CSV.encode("utf-8")
+        for source in (b"\xef\xbb\xbf" + raw, io.BytesIO(b"\xef\xbb\xbf" + raw)):
+            series = parse_csv(source)
+            plain = parse_csv(raw)
+            assert (series.symbol, series.name, series.days) == (plain.symbol, plain.name, plain.days)
+            npt.assert_array_equal(series.values, plain.values)
 
     def test_non_utf8_bytes_are_a_validation_error(self):
         raw = GOOD_CSV.encode("utf-8").replace(b"Bitcoin", b"Bitc\xffin", 1)
@@ -275,7 +276,7 @@ class TestAlign:
 class TestMinMaxScaler:
     def test_maps_to_unit_interval(self):
         rows = np.array([[1.0, 10.0], [3.0, 30.0], [2.0, 50.0]])
-        scaler = MinMaxScaler().fit(rows)
+        scaler = MinMaxScaler.fit(rows)
         out = scaler.apply(rows)
         npt.assert_array_equal(out.min(axis=0), [0.0, 0.0])
         npt.assert_array_equal(out.max(axis=0), [1.0, 1.0])
@@ -283,40 +284,41 @@ class TestMinMaxScaler:
     def test_round_trip(self):
         rng = np.random.default_rng(9)
         rows = rng.uniform(-5.0, 5.0, size=(30, 4))
-        scaler = MinMaxScaler().fit(rows)
+        scaler = MinMaxScaler.fit(rows)
         scaled = scaler.apply(rows)
         back = np.column_stack([scaler.invert_column(c, scaled[:, c]) for c in range(4)])
         npt.assert_allclose(back, rows, rtol=1e-12, atol=1e-12)
 
     def test_constant_feature_maps_to_half_and_inverts(self):
         rows = np.array([[2.0, 7.0], [4.0, 7.0], [6.0, 7.0]])
-        scaler = MinMaxScaler().fit(rows)
+        scaler = MinMaxScaler.fit(rows)
         scaled = scaler.apply(rows)
         npt.assert_array_equal(scaled[:, 1], [0.5, 0.5, 0.5])
         npt.assert_array_equal(scaler.invert_column(1, scaled[:, 1]), [7.0, 7.0, 7.0])
 
     def test_column_helpers_match_full_transform(self):
         rows = np.array([[1.0, 10.0], [3.0, 30.0], [2.0, 50.0]])
-        scaler = MinMaxScaler().fit(rows)
+        scaler = MinMaxScaler.fit(rows)
         back = scaler.invert_column(0, scaler.apply(rows)[:, 0])
         npt.assert_allclose(back, rows[:, 0], rtol=1e-12)
 
-    def test_unfitted_usage(self):
-        with pytest.raises(StateError):
-            MinMaxScaler().apply(np.ones((2, 2)))
-
     def test_width_mismatch(self):
-        scaler = MinMaxScaler().fit(np.ones((3, 2)) * [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        scaler = MinMaxScaler.fit(np.ones((3, 2)) * [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         with pytest.raises(ShapeError):
             scaler.apply(np.ones((2, 3)))
 
     def test_needs_two_rows(self):
         with pytest.raises(SizingError):
-            MinMaxScaler().fit(np.ones((1, 2)))
+            MinMaxScaler.fit(np.ones((1, 2)))
+
+    def test_is_frozen(self):
+        scaler = MinMaxScaler.fit(np.array([[1.0, 10.0], [3.0, 30.0]]))
+        with pytest.raises(AttributeError):
+            scaler.mins = np.zeros(2)
 
     def test_serialization_round_trip(self):
         rows = np.array([[1.0, 10.0], [3.0, 30.0]])
-        scaler = MinMaxScaler().fit(rows, ("a", "b"))
+        scaler = MinMaxScaler.fit(rows, ("a", "b"))
         clone = MinMaxScaler.from_dict(scaler.to_dict())
         npt.assert_array_equal(clone.apply(rows), scaler.apply(rows))
         assert clone.feature_names == ("a", "b")

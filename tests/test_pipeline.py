@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,8 @@ import pytest
 from conftest import random_walk_rows, rows_to_series
 from coincast import lstm as lstm_mod
 from coincast import metrics as metrics_mod
-from coincast.errors import DomainError, ShapeError, SizingError
+from coincast.config import RunConfig
+from coincast.errors import DomainError, SchemaError, ShapeError, SizingError
 from coincast.gbtree import TreeParams
 from coincast.lstm import TrainConfig
 from coincast.market_data import MinMaxScaler, series_to_features
@@ -23,6 +26,7 @@ FEATURES = ("open", "high", "low", "close", "volume")
 
 FAST_LSTM = dict(hidden_size=4, epochs=2, learning_rate=0.01, seed=42)
 FAST_TREES = TreeParams(max_depth=2, min_samples_leaf=2)
+RUN_CONFIG = RunConfig(data={"SYN": "syn.csv"}, features=FEATURES, n_steps_in=10)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,10 @@ def fitted(splits):
 @pytest.fixture(scope="module")
 def trained(fitted):
     return fitted[0]
+
+
+def bundle_of(models, train_ds, **kwargs):
+    return TrainedBundle(*models, train_ds.scaler, RUN_CONFIG, **kwargs)
 
 
 def hybrid_of(train_ds, cfg, n_rounds, **kwargs):
@@ -172,6 +180,15 @@ class TestMultiStep:
         npt.assert_array_equal(preds[:, 0], preds[:, 1])
         npt.assert_array_equal(preds[:, 0], preds[:, 2])
 
+    def test_booster_count_must_fit_the_horizon(self):
+        series = rows_to_series(random_walk_rows(T=100, seed=28))
+        train_ds, test_ds = prepare_datasets(series, FEATURES, "close", 8, 3, 0.8)
+        cfg = TrainConfig(hidden_size=4, epochs=2, learning_rate=0.01, seed=2)
+        hybrid = hybrid_of(train_ds, cfg, n_rounds=3)
+        two = Forecaster("hybrid", hybrid.lstm, hybrid.readout[:2])
+        with pytest.raises(ShapeError, match=r"2 booster\(s\) for a 3-step horizon"):
+            two.predict_prices(test_ds)
+
     def test_unknown_horizon_mode(self, splits):
         train_ds, _ = splits
         cfg = TrainConfig(**FAST_LSTM)
@@ -192,7 +209,7 @@ class TestEvaluate:
         _, test_ds = splits
         hybrid = trained[0]
         predictions = hybrid.predict_prices(test_ds)
-        targets = hybrid.scaler.invert_column(test_ds.target_col, test_ds.Y)
+        targets = test_ds.scaler.invert_column(test_ds.target_col, test_ds.Y)
         assert predictions.shape == targets.shape
         (row,) = evaluate([hybrid], test_ds)
         assert row.model == "hybrid"
@@ -252,9 +269,7 @@ class TestEvaluate:
         _, test_ds = splits
         lstm_only = trained[1]
         head = lstm_mod.LinearHead(W=lstm_only.readout.W.copy(), b=np.array([np.nan]))
-        broken = Forecaster(
-            "lstm-only", lstm_only.lstm, head, lstm_only.scaler, lstm_only.target_col, 1
-        )
+        broken = Forecaster("lstm-only", lstm_only.lstm, head)
         with pytest.raises(DomainError, match="non-finite"):
             evaluate([trained[0], broken], test_ds)
 
@@ -263,16 +278,7 @@ class TestBundleRoundTrip:
     def test_save_load_bitwise_predictions(self, tmp_path, splits, fitted):
         train_ds, test_ds = splits
         (hybrid, lstm_only, gbt_lags), history = fitted
-        bundle = TrainedBundle(
-            hybrid=hybrid,
-            lstm_baseline=lstm_only,
-            gbt_baseline=gbt_lags,
-            loss_history=history,
-            config_snapshot={"anything": 1},
-            data_hash="abc123",
-            feature_names=FEATURES,
-            n_steps_in=10,
-        )
+        bundle = bundle_of(fitted[0], train_ds, loss_history=history, data_hash="abc123")
         save_bundle(tmp_path, bundle)
         loaded = load_bundle(tmp_path)
         npt.assert_array_equal(
@@ -284,24 +290,18 @@ class TestBundleRoundTrip:
         npt.assert_array_equal(
             loaded.gbt_baseline.predict_prices(test_ds), gbt_lags.predict_prices(test_ds)
         )
-        assert loaded.config_snapshot == {"anything": 1}
+        assert loaded.config == RUN_CONFIG
+        npt.assert_array_equal(loaded.scaler.mins, train_ds.scaler.mins)
+        npt.assert_array_equal(loaded.scaler.maxs, train_ds.scaler.maxs)
+        assert loaded.scaler.feature_names == FEATURES
         assert loaded.data_hash == "abc123"
-        assert loaded.feature_names == FEATURES
-        assert loaded.n_steps_in == 10
         assert len(history) == FAST_LSTM["epochs"]
         assert loaded.loss_history == history
 
-    def test_manifest_lists_every_artifact(self, tmp_path, trained):
-        import json
-
-        hybrid, lstm_only, gbt_lags = trained
-        bundle = TrainedBundle(
-            hybrid=hybrid, lstm_baseline=lstm_only, gbt_baseline=gbt_lags,
-            feature_names=FEATURES, n_steps_in=10,
-        )
+    def test_manifest_lists_every_artifact(self, tmp_path, splits, trained):
         target = tmp_path / "model"
         target.mkdir()
-        save_bundle(target, bundle)
+        save_bundle(target, bundle_of(trained, splits[0]))
         manifest = json.loads((target / "manifest.json").read_text())
         assert manifest["format"] == "coincast-model"
         listed = (
@@ -311,7 +311,43 @@ class TestBundleRoundTrip:
         )
         for fname in listed:
             assert (target / fname).is_file(), fname
-        assert len(manifest["files"]["hybrid_boosters"]) == hybrid.n_steps_out
+        assert len(manifest["files"]["hybrid_boosters"]) == RUN_CONFIG.n_steps_out
+        assert manifest["config"] == RUN_CONFIG.to_dict()
+        assert (manifest["feature_names"], manifest["target_col"], manifest["n_steps_in"]) == (
+            list(FEATURES), 3, 10
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("feature_names", ["close"]),
+            ("target_col", 4),
+            ("n_steps_in", 11),
+            ("n_steps_out", 2),
+            ("horizon_mode", "horizon_mean"),
+        ],
+    )
+    def test_load_rejects_a_manifest_copy_that_disagrees(self, tmp_path, splits, trained, key, value):
+        save_bundle(tmp_path, bundle_of(trained, splits[0]))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest[key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=f"has {key} .*, but its config implies"):
+            load_bundle(tmp_path)
+
+    def test_load_rejects_a_scaler_of_another_width(self, tmp_path, trained):
+        narrow = MinMaxScaler.fit(np.ones((2, 4)))
+        save_bundle(tmp_path, TrainedBundle(*trained, narrow, RUN_CONFIG))
+        with pytest.raises(SchemaError, match="the scaler has 4 feature"):
+            load_bundle(tmp_path)
+
+    def test_load_rejects_a_bad_config_snapshot(self, tmp_path, splits, trained):
+        save_bundle(tmp_path, bundle_of(trained, splits[0]))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["config"]["lstm"]["epoch"] = 3
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="has a bad config snapshot: unknown config key 'lstm.epoch'"):
+            load_bundle(tmp_path)
 
     @pytest.mark.parametrize(
         "history, text",
@@ -321,8 +357,8 @@ class TestBundleRoundTrip:
         ],
         ids=["short", "empty"],
     )
-    def test_loss_history_text(self, tmp_path, trained, history, text):
-        save_bundle(tmp_path, TrainedBundle(*trained, loss_history=history))
+    def test_loss_history_text(self, tmp_path, splits, trained, history, text):
+        save_bundle(tmp_path, bundle_of(trained, splits[0], loss_history=history))
         assert (tmp_path / "loss_history.csv").read_text(encoding="utf-8") == text
         assert load_bundle(tmp_path).loss_history == history
 
