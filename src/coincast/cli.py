@@ -237,9 +237,7 @@ def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
             cfg.n_steps_out,
             cfg.train_fraction,
         )
-        models, loss_history = pipeline.train_models(
-            train_ds, cfg.lstm, cfg.gbt, cfg.gbt.n_rounds, cfg.pipeline.horizon_mode
-        )
+        models, loss_history = pipeline.train_models(train_ds, cfg.lstm, cfg.gbt, cfg.gbt.n_rounds)
         bundle = pipeline.TrainedBundle(
             *models,
             train_ds.scaler,

@@ -139,12 +139,10 @@ class AnalysisSection:
 
 @dataclass
 class PipelineSection:
-    horizon_mode: str = "per_step"
     dump_windows: bool = False
     mape_epsilon: float | None = None
 
     def __post_init__(self):
-        _check_choice("horizon_mode", self.horizon_mode, ("per_step", "horizon_mean"))
         if self.mape_epsilon is not None and not self.mape_epsilon > 0:
             raise DomainError(f"mape_epsilon must be positive or null, got {self.mape_epsilon}")
 

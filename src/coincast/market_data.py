@@ -246,10 +246,9 @@ class MinMaxScaler:
 
     mins: np.ndarray
     maxs: np.ndarray
-    feature_names: tuple[str, ...] | None = None
 
     @classmethod
-    def fit(cls, rows, feature_names=None) -> "MinMaxScaler":
+    def fit(cls, rows) -> "MinMaxScaler":
         m = np.asarray(rows, dtype=np.float64)
         if m.ndim != 2:
             raise ShapeError(f"expected a 2-D row matrix, got {m.ndim} dimension(s)")
@@ -257,11 +256,7 @@ class MinMaxScaler:
             raise SizingError(f"need at least 2 rows to fit a scaler, got {m.shape[0]}")
         if not np.all(np.isfinite(m)):
             raise DomainError("cannot fit scaler: non-finite values present")
-        if feature_names is not None:
-            feature_names = tuple(feature_names)
-            if len(feature_names) != m.shape[1]:
-                raise ShapeError(f"{len(feature_names)} feature names for {m.shape[1]} columns")
-        return cls(m.min(axis=0), m.max(axis=0), feature_names)
+        return cls(m.min(axis=0), m.max(axis=0))
 
     def _check_width(self, m: np.ndarray):
         if m.shape[-1] != self.mins.shape[0]:
@@ -285,7 +280,6 @@ class MinMaxScaler:
 
     def to_dict(self) -> dict:
         return {
-            "feature_names": list(self.feature_names) if self.feature_names else None,
             "mins": [float(x) for x in self.mins],
             "maxs": [float(x) for x in self.maxs],
         }
@@ -296,8 +290,6 @@ class MinMaxScaler:
         try:
             mins = np.asarray(payload["mins"], dtype=np.float64)
             maxs = np.asarray(payload["maxs"], dtype=np.float64)
-            names = payload.get("feature_names")
-            names = tuple(names) if names else None
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed scaler: {exc!r}") from None
         if mins.ndim != 1 or mins.shape != maxs.shape:
@@ -306,7 +298,7 @@ class MinMaxScaler:
             )
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
             raise SchemaError("scaler has non-finite values")
-        return cls(mins, maxs, names)
+        return cls(mins, maxs)
 
 
 @dataclass

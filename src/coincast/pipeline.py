@@ -37,7 +37,7 @@ from .market_data import (
 )
 
 MODEL_FORMAT = "coincast-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def prepare_datasets(
@@ -68,7 +68,7 @@ def prepare_datasets(
         )
     n_train = train_window_count(T - n_steps_in - n_steps_out + 1, train_fraction)
     if scaler is None:
-        scaler = MinMaxScaler.fit(mat[: train_row_count(n_train, n_steps_in, n_steps_out)], names)
+        scaler = MinMaxScaler.fit(mat[: train_row_count(n_train, n_steps_in, n_steps_out)])
     scaled = scaler.apply(mat)
     dataset = make_windows(
         scaled, target_col, n_steps_in, n_steps_out, feature_names=names, scaler=scaler
@@ -88,8 +88,8 @@ class Forecaster:
 
     With ``lstm`` set the features are the LSTM's latent vectors; without it
     they are the flattened windows (n_steps_in * d lag features). The readout
-    is either the boosters (one per horizon step, or one on the horizon mean
-    repeated over every step) or the linear head of the LSTM pre-training.
+    is either the boosters (one per horizon step) or the linear head of the
+    LSTM pre-training.
     The scaler, target column and horizon are the dataset's.
     """
 
@@ -108,12 +108,10 @@ class Forecaster:
         n_steps_out = dataset.n_steps_out
         if isinstance(self.readout, lstm_mod.LinearHead):
             scaled = self.readout.predict(F)
-        elif len(self.readout) not in (1, n_steps_out):
+        elif len(self.readout) != n_steps_out:
             raise ShapeError(f"{len(self.readout)} booster(s) for a {n_steps_out}-step horizon")
         else:
             scaled = np.column_stack([b.predict(F) for b in self.readout])
-            if len(self.readout) == 1:  # the horizon mean, at every step
-                scaled = np.tile(scaled, (1, n_steps_out))
         return _invert_target(dataset.scaler, dataset.target_col, scaled)
 
     def predict_prices(self, dataset: WindowedDataset) -> np.ndarray:
@@ -122,17 +120,9 @@ class Forecaster:
 
 
 def fit_horizon_boosters(
-    Z: np.ndarray,
-    Y: np.ndarray,
-    tree_params: TreeParams,
-    n_rounds: int,
-    horizon_mode: str = "per_step",
+    Z: np.ndarray, Y: np.ndarray, tree_params: TreeParams, n_rounds: int
 ) -> list[Booster]:
-    """Stage 2: one booster per horizon step (or one on the horizon mean)."""
-    if horizon_mode == "horizon_mean":
-        return [train_booster(Z, Y.mean(axis=1), tree_params, n_rounds)]
-    if horizon_mode != "per_step":
-        raise DomainError(f"unknown horizon mode {horizon_mode!r}")
+    """Stage 2: one booster per horizon step."""
     return [train_booster(Z, Y[:, step], tree_params, n_rounds) for step in range(Y.shape[1])]
 
 
@@ -141,7 +131,6 @@ def train_models(
     lstm_config: lstm_mod.TrainConfig,
     tree_params: TreeParams,
     n_rounds: int,
-    horizon_mode: str = "per_step",
 ) -> tuple[tuple[Forecaster, ...], tuple[float, ...]]:
     """Fit the hybrid and both baselines on the training windows.
 
@@ -154,7 +143,7 @@ def train_models(
     hybrid, _, gbt_lags = models
     for model in (hybrid, gbt_lags):
         model.readout = fit_horizon_boosters(
-            model.features(train_ds), train_ds.Y, tree_params, n_rounds, horizon_mode
+            model.features(train_ds), train_ds.Y, tree_params, n_rounds
         )
     return models, tuple(history)
 
@@ -223,7 +212,11 @@ def evaluate(
 
 @dataclass
 class TrainedBundle:
-    """Everything one symbol's training run produces."""
+    """Everything one symbol's training run produces.
+
+    ``loss_history`` is written to ``loss_history.csv`` for the reader;
+    :func:`load_bundle` does not read it back.
+    """
 
     hybrid: Forecaster
     lstm_baseline: Forecaster
@@ -234,15 +227,9 @@ class TrainedBundle:
     data_hash: str = ""
 
 
-def _manifest_copies(cfg: RunConfig) -> dict:
-    """The facts of ``cfg`` the manifest repeats; :func:`load_bundle` rejects a copy that differs."""
-    return {
-        "feature_names": list(cfg.features),
-        "target_col": cfg.features.index(cfg.target),
-        "n_steps_in": cfg.n_steps_in,
-        "n_steps_out": cfg.n_steps_out,
-        "horizon_mode": cfg.pipeline.horizon_mode,
-    }
+def _booster_files(kind: str, count: int) -> list[str]:
+    """The fixed file name of each of ``count`` boosters of one model, in step order."""
+    return [f"{kind}_booster_{i:02d}.json" for i in range(count)]
 
 
 def _load_json(path: Path):
@@ -256,36 +243,26 @@ def _load_json(path: Path):
 def save_bundle(directory, bundle: TrainedBundle) -> None:
     """Write one symbol's models into ``directory`` (which must exist).
 
-    Layout: manifest.json plus one JSON file per component; the manifest's
-    ``files`` section names every artifact so loaders never guess.
+    The layout is fixed: manifest.json (format, version, config snapshot and
+    data hash), scaler.json, lstm.json, head.json, one hybrid_booster_NN.json
+    and one gbt_booster_NN.json per horizon step, and loss_history.csv.
     """
     directory = Path(directory)
     hybrid = bundle.hybrid
-    files: dict = {
-        "scaler": "scaler.json",
-        "lstm": "lstm.json",
-        "head": "head.json",
-        "hybrid_boosters": [f"hybrid_booster_{i:02d}.json" for i in range(len(hybrid.readout))],
-        "gbt_boosters": [
-            f"gbt_booster_{i:02d}.json" for i in range(len(bundle.gbt_baseline.readout))
-        ],
-    }
-    manifest = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "config": bundle.config.to_dict(),
-        "data_hash": bundle.data_hash,
-        **_manifest_copies(bundle.config),
-        "files": files,
-    }
     payloads = {
-        "manifest.json": manifest,
-        files["scaler"]: bundle.scaler.to_dict(),
-        files["lstm"]: hybrid.lstm.to_dict(),
-        files["head"]: bundle.lstm_baseline.readout.to_dict(),
+        "manifest.json": {
+            "format": MODEL_FORMAT,
+            "version": MODEL_VERSION,
+            "config": bundle.config.to_dict(),
+            "data_hash": bundle.data_hash,
+        },
+        "scaler.json": bundle.scaler.to_dict(),
+        "lstm.json": hybrid.lstm.to_dict(),
+        "head.json": bundle.lstm_baseline.readout.to_dict(),
     }
-    for kind, model in (("hybrid_boosters", hybrid), ("gbt_boosters", bundle.gbt_baseline)):
-        payloads.update((f, booster.to_dict()) for f, booster in zip(files[kind], model.readout))
+    for kind, model in (("hybrid", hybrid), ("gbt", bundle.gbt_baseline)):
+        files = _booster_files(kind, len(model.readout))
+        payloads.update((f, booster.to_dict()) for f, booster in zip(files, model.readout))
     for name, payload in payloads.items():
         (directory / name).write_text(json_text(payload), encoding="utf-8")
     history = np.asarray(bundle.loss_history, dtype=np.float64)
@@ -293,7 +270,8 @@ def save_bundle(directory, bundle: TrainedBundle) -> None:
 
 
 def load_bundle(directory) -> TrainedBundle:
-    """Inverse of :func:`save_bundle`; a malformed model directory raises SchemaError."""
+    """Inverse of :func:`save_bundle`; a malformed model directory, or one of
+    another format version, raises SchemaError."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
@@ -301,44 +279,31 @@ def load_bundle(directory) -> TrainedBundle:
     manifest = _load_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != MODEL_FORMAT:
         raise DomainError(f"{manifest_path} is not a recognized model manifest")
+    if manifest.get("version") != MODEL_VERSION:
+        raise SchemaError(
+            f"{manifest_path} is model format version {manifest.get('version')!r};"
+            f" only version {MODEL_VERSION} is read, so retrain the model"
+        )
     try:
         config = RunConfig.from_dict(manifest.get("config"))
     except ConfigError as exc:
         raise SchemaError(f"model directory {directory} has a bad config snapshot: {exc}") from None
-    for key, value in _manifest_copies(config).items():
-        if manifest.get(key) != value:
-            raise SchemaError(
-                f"{manifest_path} has {key} {manifest.get(key)!r}, but its config implies {value!r}"
-            )
     try:
-        files = manifest["files"]
-        scaler = MinMaxScaler.from_dict(_load_json(directory / files["scaler"]))
-        params = lstm_mod.LstmParams.from_dict(_load_json(directory / files["lstm"]))
-        head = lstm_mod.LinearHead.from_dict(_load_json(directory / files["head"]))
+        scaler = MinMaxScaler.from_dict(_load_json(directory / "scaler.json"))
+        params = lstm_mod.LstmParams.from_dict(_load_json(directory / "lstm.json"))
+        head = lstm_mod.LinearHead.from_dict(_load_json(directory / "head.json"))
         hybrid_boosters, gbt_boosters = (
-            [Booster.from_dict(_load_json(directory / f)) for f in files[kind]]
-            for kind in ("hybrid_boosters", "gbt_boosters")
+            [
+                Booster.from_dict(_load_json(directory / f))
+                for f in _booster_files(kind, config.n_steps_out)
+            ]
+            for kind in ("hybrid", "gbt")
         )
-        loss_history: tuple[float, ...] = ()
-        loss_path = directory / "loss_history.csv"
-        if loss_path.is_file():
-            lines = loss_path.read_text(encoding="utf-8").strip().splitlines()[1:]
-            loss_history = tuple(float(line.split(",")[1]) for line in lines)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model directory {directory}: {exc!r}") from None
     if scaler.mins.size != len(config.features):
         raise SchemaError(
             f"the scaler has {scaler.mins.size} feature(s); the config names {len(config.features)}"
         )
-    horizon_mode, n_steps_out = config.pipeline.horizon_mode, config.n_steps_out
-    expected = 1 if horizon_mode == "horizon_mean" else n_steps_out
-    for kind, boosters in (("hybrid", hybrid_boosters), ("gbt-lags", gbt_boosters)):
-        if len(boosters) != expected:
-            raise SchemaError(
-                f"{manifest_path} lists {len(boosters)} {kind} booster(s);"
-                f" a {horizon_mode} model of {n_steps_out} step(s) needs {expected}"
-            )
     models = _models(params, head, hybrid_boosters, gbt_boosters)
-    return TrainedBundle(
-        *models, scaler, config, loss_history=loss_history, data_hash=manifest.get("data_hash", "")
-    )
+    return TrainedBundle(*models, scaler, config, data_hash=manifest.get("data_hash", ""))

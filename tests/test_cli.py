@@ -95,14 +95,6 @@ def first_number(key, value):
     return change
 
 
-def horizon_mean_with(n_boosters):
-    """A manifest change to a horizon-mean model listing ``n_boosters`` hybrid boosters."""
-    def change(manifest):
-        manifest["horizon_mode"] = "horizon_mean"
-        manifest["files"]["hybrid_boosters"] = manifest["files"]["hybrid_boosters"][:1] * n_boosters
-    return change
-
-
 def cyclic_root(payload):
     root = payload["trees"][0]
     root["feature"][0], root["left"][0], root["right"][0] = 0, 0, 0
@@ -120,19 +112,16 @@ NAN, INF = float("nan"), float("inf")
 BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(cyclic_root), id="cyclic-tree"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(fractional_root), id="tree-fractional-ids"),
-    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.pop("target_col")), id="manifest-no-target_col"),
-    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["files"].pop("head")), id="manifest-no-files.head"),
     pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
-    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(target_col=9)), id="manifest-target_col-out-of-range"),
-    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(target_col=4)), id="manifest-target_col-disagrees"),
-    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(horizon_mode="median")), id="manifest-unknown-horizon_mode"),
-    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(horizon_mean_with(0)), id="manifest-horizon_mean-no-booster"),
-    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(horizon_mean_with(2)), id="manifest-horizon_mean-two-boosters"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=99)), id="manifest-version-99"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=1)), id="manifest-version-1"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"].update(n_steps_out=2)), id="manifest-more-steps-than-boosters"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"]["lstm"].update(epoch=3)), id="manifest-config-unknown-key"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(config=[m["config"]])), id="manifest-config-not-object"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.pop("b_o")), id="lstm-no-b_o"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.update(W_f=p["W_f"][0])), id="lstm-W_f-1d"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(first_number("W_i", NAN)), id="lstm-nan"),
+    pytest.param("evaluate", "model/BTC/head.json", lambda raw: raw[:-9], id="head-truncated"),
     pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p.update(W=p["W"][0])), id="head-W-1d"),
     pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p["b"].append(0.0)), id="head-b-longer-than-W"),
     pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("b", NAN)), id="head-nan"),
@@ -281,16 +270,15 @@ class TestWriteCsv:
 class TestTrain:
     def test_model_directories(self, trained):
         for symbol in ("BTC", "ETH"):
-            manifest_path = trained / symbol / "manifest.json"
-            assert manifest_path.is_file()
-            manifest = json.loads(manifest_path.read_text())
-            listed = (
-                [manifest["files"]["scaler"], manifest["files"]["lstm"], manifest["files"]["head"]]
-                + manifest["files"]["hybrid_boosters"]
-                + manifest["files"]["gbt_boosters"]
-            )
-            for fname in listed:
-                assert (trained / symbol / fname).is_file(), fname
+            assert sorted(path.name for path in (trained / symbol).iterdir()) == [
+                "gbt_booster_00.json",
+                "head.json",
+                "hybrid_booster_00.json",
+                "loss_history.csv",
+                "lstm.json",
+                "manifest.json",
+                "scaler.json",
+            ]
 
     def test_manifest_records_data_hash_and_config(self, trained):
         manifest = json.loads((trained / "BTC" / "manifest.json").read_text())

@@ -55,10 +55,7 @@ INVALID_TREES = [
         {**MINIMAL, "analysis": {"correlation_basis": "logs"}},
         "analysis.correlation_basis must be one of ['prices', 'returns'], got 'logs'",
     ),
-    (
-        {**MINIMAL, "pipeline": {"horizon_mode": "median"}},
-        "pipeline.horizon_mode must be one of ['horizon_mean', 'per_step'], got 'median'",
-    ),
+    ({**MINIMAL, "pipeline": {"horizon_mode": "per_step"}}, "unknown config key 'pipeline.horizon_mode'"),
     ({**MINIMAL, "pipeline": {"dump_windows": "yes"}}, "pipeline.dump_windows must be true or false, got 'yes'"),
     ({**MINIMAL, "pipeline": {"mape_epsilon": 0}}, "pipeline.mape_epsilon must be positive or null, got 0"),
     ({**MINIMAL, "lstm": 7}, "config section 'lstm' must be an object"),
@@ -136,7 +133,6 @@ class TestFromDict:
         assert cfg.analysis.sma_fast == 20
         assert cfg.analysis.sma_slow == 50
         assert cfg.analysis.decomposition_period == 7
-        assert cfg.pipeline.horizon_mode == "per_step"
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="epochs"):
