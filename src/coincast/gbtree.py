@@ -16,10 +16,10 @@ into its children instead of sorting again; a child that cannot split
 (at ``max_depth``, or too few rows for two leaves) keeps only its row list.
 A stable sort filtered to a node's rows is the order a per-node stable sort
 would give, so the trees are bit-identical to sorting every feature at every
-node. Each tree packs its per-row statistics into one complex vector
-``g + 1j * h``, and a node gathers it and takes its prefix sums once for
-both: complex addition is two independent IEEE additions, one per lane, so
-the lanes hold exactly the sequential float prefix sums of g and of h.
+node. A node gathers g and prefix-sums it once for all features. The
+squared-error hessian is the same on every row, so one running sum of it per
+tree is every feature's HL at every node (a sequential sum of k equal terms
+depends only on k); hessians that differ are summed per feature like g.
 Sorted feature values, which only mark the boundaries inside ties, are read
 with one flat ``take`` from the transposed, feature-major copy of the matrix,
 and only for the features that repeat a value. The (p, n) blocks of a node's
@@ -27,7 +27,7 @@ search are written into scratch arrays allocated once per booster.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -187,8 +187,9 @@ class RegTree:
 
 
 class _ColumnBlocks:
-    """A booster's presorted feature columns and the scratch space that the
-    split search of every node of its trees reuses.
+    """A booster's presorted feature columns, and scratch space for the
+    per-feature gradient sums of every node's split search (a constant
+    hessian's sums are one prefix per tree; see :func:`_best_split`).
 
     ``values`` is the (p, N) feature-major copy of the matrix and ``order``
     each of its rows argsorted, ascending and stable. ``tied`` lists the
@@ -201,21 +202,22 @@ class _ColumnBlocks:
         self.order = np.argsort(self.values, axis=1, kind="stable")
         ascending = np.take_along_axis(self.values, self.order, axis=1)
         self.tied = np.flatnonzero((ascending[:, 1:] == ascending[:, :-1]).any(axis=1))
-        self.sums = np.empty(self.order.size, dtype=np.complex128)
-        self.right_sums = np.empty((2, self.order.size))
+        self.sums = np.empty(self.order.size)
+        self.right_sums = np.empty(self.order.size)
 
 
-def _best_split(cols: _ColumnBlocks, gh: np.ndarray, block: np.ndarray, G: float, H: float,
-                params: TreeParams):
+def _best_split(cols: _ColumnBlocks, g: np.ndarray, h: np.ndarray, hcum: np.ndarray | None,
+                block: np.ndarray, G: float, H: float, params: TreeParams):
     """Exact greedy search over all features and midpoint thresholds of a node.
 
     ``block[f]`` holds the node's rows sorted by feature ``f`` (the booster's
-    one stable presort, partitioned down the tree), ``G`` and ``H`` are the
-    node's gradient and hessian sums and ``gh`` packs the per-row statistics
-    as ``g + 1j * h``. One gather of ``gh`` and one prefix sum along each row
-    give GL and HL at every boundary of every feature: a complex sum is two
-    separate IEEE additions, one per lane, so each lane is bit for bit the
-    float prefix sum of its own statistic. Boundaries between distinct
+    one stable presort, partitioned down the tree) and ``G`` and ``H`` are
+    the node's gradient and hessian sums. One gather of ``g`` and one prefix
+    sum along each row give GL at every boundary of every feature. When every
+    row's hessian ``h`` is the same, ``hcum`` is the tree's one running sum
+    of it, which is every feature's HL at once: a sequential sum of k equal
+    terms depends only on k. Otherwise ``hcum`` is None and ``h`` is gathered
+    and prefix-summed per feature like ``g``. Boundaries between distinct
     values that leave at least ``min_samples_leaf`` rows on each side are
     scored; sorted values, read with one flat ``take``, are needed only for
     the features that have ties. The gain 0.5 * (score - parent_score) -
@@ -237,17 +239,17 @@ def _best_split(cols: _ColumnBlocks, gh: np.ndarray, block: np.ndarray, G: float
     lo, hi = params.min_samples_leaf - 1, n - params.min_samples_leaf
     width = hi - lo  # boundary lo + j puts rows 0..lo+j on the left
     sums = cols.sums[: p * n].reshape(p, n)
-    gh.take(block, out=sums, mode="clip")  # indices are in range; "clip" fills ``out`` unbuffered
+    g.take(block, out=sums, mode="clip")  # indices are in range; "clip" fills ``out`` unbuffered
     np.cumsum(sums, axis=1, out=sums)
-    GL, HL = sums.real[:, lo:hi], sums.imag[:, lo:hi]
-    GR = np.subtract(G, GL, out=cols.right_sums[0, : p * width].reshape(p, width))
-    HR = np.subtract(H, HL, out=cols.right_sums[1, : p * width].reshape(p, width))
+    GL = sums[:, lo:hi]
+    GR = np.subtract(G, GL, out=cols.right_sums[: p * width].reshape(p, width))
+    hcum = np.cumsum(h.take(block), axis=1) if hcum is None else hcum  # None: the hessians differ
+    HR = H - hcum[..., lo:hi] + lam
+    HL = hcum[..., lo:hi] + lam
     # score = GL^2/(HL+lam) + GR^2/(HR+lam), in place in the scratch space
     GL *= GL
-    HL += lam
     GL /= HL
     GR *= GR
-    HR += lam
     GR /= HR
     scores = GR
     scores += GL  # IEEE addition commutes: the same bits as GL + GR
@@ -305,9 +307,7 @@ def _grow_tree(cols: _ColumnBlocks, g, h, params: TreeParams) -> RegTree:
     wait on a stack rather than in a recursive closure, whose reference cycle
     kept the booster's arrays alive until the garbage collector ran.
     """
-    gh = np.empty(g.size, dtype=np.complex128)
-    gh.real = g
-    gh.imag = h
+    hcum = np.cumsum(np.full(h.size, h[0])) if np.all(h == h[0]) else None
 
     def may_split(n_rows: int, depth: int) -> bool:
         return depth < params.max_depth and n_rows >= 2 * params.min_samples_leaf
@@ -326,7 +326,7 @@ def _grow_tree(cols: _ColumnBlocks, g, h, params: TreeParams) -> RegTree:
         if links is not None:
             links[parent] = node
         G, H = float(g[idx].sum()), float(h[idx].sum())
-        best = None if block is None else _best_split(cols, gh, block, G, H, params)
+        best = None if block is None else _best_split(cols, g, h, hcum, block, G, H, params)
         left.append(_LEAF)
         right.append(_LEAF)
         if best is None:
@@ -355,6 +355,14 @@ def _grow_tree(cols: _ColumnBlocks, g, h, params: TreeParams) -> RegTree:
         right=np.asarray(right, dtype=np.int64),
         weight=np.asarray(weight, dtype=np.float64),
     )
+
+
+def _number(box: dict, key: str, kind: type):
+    """``box[key]`` if a JSON integer or, for a float ``kind``, a finite number; else SchemaError."""
+    value = box[key]
+    if type(value) is not int and (kind is int or type(value) is not float or not np.isfinite(value)):
+        raise SchemaError(f"booster {key} must be a finite {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -397,11 +405,13 @@ class Booster:
     def from_dict(cls, payload: dict) -> "Booster":
         """Inverse of :meth:`to_dict`; raises SchemaError for a malformed booster."""
         try:
+            for f in fields(TreeParams):  # each present, of its default's type
+                _number(payload["params"], f.name, type(f.default))
             booster = cls(
                 trees=[RegTree.from_dict(t) for t in payload["trees"]],
-                base_score=float(payload["base_score"]),
+                base_score=_number(payload, "base_score", float),
                 params=TreeParams(**payload["params"]),
-                n_features=int(payload["n_features"]),
+                n_features=_number(payload, "n_features", int),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed booster: {exc!r}") from None

@@ -15,6 +15,7 @@ from coincast.gbtree import (
     split_gain,
     train_booster,
 )
+from coincast.market_data import make_windows
 
 
 def sorting_best_split(X, g, h, idx, params):
@@ -353,6 +354,42 @@ class TestPresortedSearch:
         params = TreeParams(lam=0.0, max_depth=4, min_samples_leaf=1)
         assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
 
+    @pytest.mark.parametrize("h0", [0.1, 0.3, 3.3])
+    @pytest.mark.parametrize("seed", [6, 7, 11, 23])
+    def test_constant_hessians_whose_running_sums_round(self, h0, seed):
+        # k * 0.1 is not the k-th running sum of 0.1 for many k, and unit
+        # gradients tie gains often enough that a last-bit error in HL moves
+        # a split: with HL = k * h0 every one of these seeds grows another tree
+        rng = np.random.default_rng(1000 + seed)
+        n = 120
+        X = np.round(rng.normal(size=(n, 4)), 0)
+        g = rng.choice([-1.0, 1.0], size=n)
+        h = np.full(n, h0)
+        params = TreeParams(lam=0.0, max_depth=5, min_samples_leaf=1)
+        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+
+    @pytest.mark.parametrize("row", [0, 37, 79])
+    def test_one_differing_hessian_takes_the_per_feature_path(self, row):
+        rng = np.random.default_rng(1100 + row)
+        n = 80
+        X = np.round(rng.normal(size=(n, 3)), 1)
+        g = rng.normal(size=n)
+        h = np.full(n, 2.0)
+        h[row] = 50.0
+        params = TreeParams(lam=1.0, max_depth=4, min_samples_leaf=1)
+        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+
+    def test_boosters_on_a_lag_matrix_of_realistic_width(self):
+        # 30 lags of 5 walk columns, as the gbt-lags baseline sees them
+        rng = np.random.default_rng(1200)
+        walk = np.cumsum(rng.normal(size=(330, 5)), axis=0)
+        walk[:, 4] = np.round(walk[:, 4])  # a column with ties
+        ds = make_windows(walk, target_col=0, n_steps_in=30, n_steps_out=1)
+        X, y = ds.X.reshape(ds.X.shape[0], -1), ds.Y[:, 0]
+        assert X.shape == (300, 150)
+        params = TreeParams(max_depth=4, min_samples_leaf=2)
+        assert train_booster(X, y, params, 3).to_dict() == sorting_booster(X, y, params, 3).to_dict()
+
     def test_a_node_of_ten_thousand_rows(self):
         # more rows than one 8,192-element buffer of a numpy reduction
         rng = np.random.default_rng(900)
@@ -426,6 +463,43 @@ class TestLoadValidation:
         with pytest.raises(SchemaError):
             Booster.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("n_features", float("inf")),           # int() of it raised OverflowError
+            ("n_features", 7.9),                    # was truncated to 7
+            ("n_features", 3.0),                    # a float, even a whole one
+            ("n_features", "3"),
+            ("n_features", True),
+            ("base_score", True),
+            ("base_score", float("nan")),
+            ("base_score", "0.5"),
+            ("params.learning_rate", True),         # loaded as 1.0
+            ("params.max_depth", 2.5),
+            ("params.min_samples_leaf", False),
+            ("params.lam", float("inf")),
+            ("params.gamma", "0"),
+            ("params.gamma", None),
+            ("params.lam", "missing"),              # default 1.0 was filled in
+            ("params.eta", 0.3),                    # not a TreeParams field
+        ],
+    )
+    def test_mistyped_booster_field_raises(self, path, value):
+        payload = self.payload()
+        *parents, key = path.split(".")
+        box = payload["params"] if parents else payload
+        if value == "missing":
+            del box[key]
+        else:
+            box[key] = value
+        with pytest.raises(SchemaError):
+            Booster.from_dict(payload)
+
+    def test_integers_load_as_real_fields(self):
+        payload = self.payload()
+        payload["base_score"], payload["params"]["lam"] = 0, 2
+        booster = Booster.from_dict(payload)
+        assert (booster.base_score, booster.params.lam) == (0, 2)
 
     @pytest.mark.parametrize("key", ["trees", "n_features", "params"])
     def test_booster_without_a_key_raises(self, key):
