@@ -267,11 +267,7 @@ def cmd_evaluate(cfg: RunConfig, stage: _Stage, model_root: str | None) -> None:
             trained.train_fraction,
             scaler=bundle.scaler,
         )
-        rows = pipeline.evaluate(
-            [bundle.hybrid, bundle.lstm_baseline, bundle.gbt_baseline],
-            test_ds,
-            mape_epsilon=cfg.pipeline.mape_epsilon,
-        )
+        rows = pipeline.evaluate([bundle.hybrid, bundle.lstm_baseline, bundle.gbt_baseline], test_ds)
         stage.write_csv(
             f"report/report_{symbol}.csv",
             [f.name for f in fields(pipeline.EvalRow)],

@@ -38,13 +38,8 @@ _KINDS = {
 
 
 def _check_type(where: str, hint, value) -> None:
-    """A field typed ``int``, ``float`` or ``bool`` (optionally ``| None``)
-    must hold a JSON value of that kind; a float must also be finite."""
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return
-        hint = args[0]
+    """A field typed ``int``, ``float`` or ``bool`` must hold a JSON value of
+    that kind; a float must also be finite."""
     if hint not in _KINDS:
         return
     what, admits = _KINDS[hint]
@@ -140,11 +135,6 @@ class AnalysisSection:
 @dataclass
 class PipelineSection:
     dump_windows: bool = False
-    mape_epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.mape_epsilon is not None and not self.mape_epsilon > 0:
-            raise DomainError(f"mape_epsilon must be positive or null, got {self.mape_epsilon}")
 
 
 @dataclass

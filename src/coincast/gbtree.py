@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError, SchemaError, ShapeError, SizingError
+from .market_data import json_floats
 
 _LEAF = -1
 
@@ -157,12 +158,12 @@ class RegTree:
                     raise SchemaError(f"tree {key} ids must be integers, got {bad[0]!r}")
             tree = cls(
                 feature=np.asarray(payload["feature"], dtype=np.int64),
-                threshold=np.asarray(payload["threshold"], dtype=np.float64),
+                threshold=json_floats(payload["threshold"], "tree threshold"),
                 left=np.asarray(payload["left"], dtype=np.int64),
                 right=np.asarray(payload["right"], dtype=np.int64),
-                weight=np.asarray(payload["weight"], dtype=np.float64),
+                weight=json_floats(payload["weight"], "tree weight"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed tree: {exc!r}") from None
         n = tree.n_nodes
         arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.weight)
@@ -181,8 +182,6 @@ class RegTree:
             )
         if np.any(tree.feature < _LEAF):
             raise SchemaError(f"negative feature index {tree.feature.min()} in tree")
-        if not (np.all(np.isfinite(tree.threshold)) and np.all(np.isfinite(tree.weight))):
-            raise SchemaError("tree has non-finite thresholds or weights")
         return tree
 
 

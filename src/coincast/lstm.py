@@ -12,10 +12,12 @@ One cell step, with x_t the input row and [h, x] denoting concatenation:
 The final hidden state h_n of a sequence is the latent feature vector
 handed to the downstream tree ensemble. Training attaches a temporary
 linear head, minimizes mean squared error on the window targets with full
-backpropagation through time, and discards the head afterwards.
+backpropagation through time, and discards the head afterwards. Each epoch
+is one full-batch Adam step on the gradient clipped to a global norm, so
+``loss_history[e]`` is the loss of the parameters at the start of epoch e.
 
 There is one batched kernel: a step function over (N, k) rows and one BPTT
-function. Training runs it on each batch as is. Latent extraction and the
+function. Training runs it on all windows at once. Latent extraction and the
 single-sequence functions run it on zero-padded tiles of TILE_ROWS rows, so
 a window's latent is bitwise the same whichever windows share its tile.
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError
-from .market_data import WindowedDataset
+from .market_data import WindowedDataset, json_floats
 from .numkernel import Rng, sigmoid
 
 _WEIGHTS = ("W_f", "W_i", "W_C", "W_o")
@@ -89,11 +91,9 @@ class LstmParams:
     def from_dict(cls, payload: dict) -> "LstmParams":
         """Inverse of :meth:`to_dict`; raises SchemaError for missing or non-finite values."""
         try:
-            arrays = {name: np.asarray(payload[name], dtype=np.float64) for name in PARAM_FIELDS}
-        except (KeyError, TypeError, ValueError) as exc:
+            arrays = {name: json_floats(payload[name], f"LSTM {name}") for name in PARAM_FIELDS}
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed LSTM parameters: {exc!r}") from None
-        if not all(np.all(np.isfinite(a)) for a in arrays.values()):
-            raise SchemaError("LSTM parameters have non-finite values")
         params = cls(**arrays)
         params.validate()
         return params
@@ -308,13 +308,11 @@ class LinearHead:
     def from_dict(cls, payload: dict) -> "LinearHead":
         """Inverse of :meth:`to_dict`; raises SchemaError for a malformed head."""
         try:
-            head = cls(W=np.asarray(payload["W"], dtype=np.float64), b=np.asarray(payload["b"], dtype=np.float64))
-        except (KeyError, TypeError, ValueError) as exc:
+            head = cls(*(json_floats(payload[key], f"linear head {key}") for key in ("W", "b")))
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed linear head: {exc!r}") from None
         if head.W.ndim != 2 or head.b.shape != head.W.shape[:1]:
             raise SchemaError(f"head W {head.W.shape} and b {head.b.shape} are not (n_out, k) and (n_out,)")
-        if not (np.all(np.isfinite(head.W)) and np.all(np.isfinite(head.b))):
-            raise SchemaError("linear head has non-finite values")
         return head
 
 
@@ -324,9 +322,7 @@ class TrainConfig:
     epochs: int = 100
     learning_rate: float = 0.005
     seed: int = 42
-    optimizer: str = "adam"
-    clip_norm: float | None = 5.0
-    batch_size: int | None = None  # None = full batch
+    clip_norm: float = 5.0
 
     def __post_init__(self):
         if self.hidden_size < 1:
@@ -339,21 +335,8 @@ class TrainConfig:
             raise DomainError(f"seed must be at least 0, got {self.seed}")
         if self.seed >= 2**64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if self.optimizer not in ("adam", "sgd"):
-            raise DomainError(f"optimizer must be one of ['adam', 'sgd'], got {self.optimizer!r}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise DomainError(f"clip_norm must be positive or null, got {self.clip_norm}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise SizingError(f"batch_size must be at least 1, got {self.batch_size}")
-
-
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, tensors: dict, grads: dict):
-        for name, grad in grads.items():
-            tensors[name] -= self.lr * grad
+        if not self.clip_norm > 0:
+            raise DomainError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 class _Adam:
@@ -375,9 +358,7 @@ class _Adam:
             tensors[name] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _clip_global(grads: dict, clip_norm: float | None):
-    if clip_norm is None:
-        return
+def _clip_global(grads: dict, clip_norm: float):
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
@@ -391,10 +372,10 @@ def _clip_global(grads: dict, clip_norm: float | None):
 def train(dataset: WindowedDataset, config: TrainConfig):
     """Pre-train an LSTM on windowed data through a temporary linear head.
 
-    Returns (params, head, loss_history) where loss_history[e] is the mean
-    squared error over the whole dataset computed from the forward passes of
-    epoch e (before that epoch's updates take effect in the history entry).
-    Deterministic for a fixed seed; batches are consecutive, never shuffled.
+    Each epoch is one Adam step on the full-batch gradient, clipped to
+    global norm ``config.clip_norm``. Returns (params, head, loss_history)
+    where loss_history[e] is the mean squared error over the whole dataset
+    of the parameters at the start of epoch e. Deterministic for a fixed seed.
     """
     N = dataset.n_samples
     if N < 1:
@@ -409,43 +390,24 @@ def train(dataset: WindowedDataset, config: TrainConfig):
     params = init_params(d, k, rng)
     head = LinearHead(W=rng.uniform(n_out, k, 1.0 / math.sqrt(k)), b=np.zeros(n_out))
 
-    tensors = {name: getattr(params, name) for name in PARAM_FIELDS}
-    tensors["head_W"] = head.W
-    tensors["head_b"] = head.b
-    if config.optimizer == "adam":
-        optimizer = _Adam(config.learning_rate, {name: t.shape for name, t in tensors.items()})
-    else:
-        optimizer = _Sgd(config.learning_rate)
-
-    batch = N if config.batch_size is None else min(config.batch_size, N)
+    tensors = {"head_W": head.W, "head_b": head.b, **vars(params)}
+    optimizer = _Adam(config.learning_rate, {name: t.shape for name, t in tensors.items()})
     history: list[float] = []
     # overflow during a diverging run is reported via TrainingError below,
     # not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            sq_err_total = 0.0
-            for start in range(0, N, batch):
-                stop = min(start + batch, N)
-                B = stop - start
-                Hn, steps = _forward(params, X3[start:stop])
-                preds = Hn @ head.W.T + head.b
-                err = preds - Y[start:stop]
-                sq_err_total += float((err * err).sum())
-                dpred = (2.0 / (B * n_out)) * err
-                grad_map = {
-                    "head_W": dpred.T @ Hn,
-                    "head_b": dpred.sum(axis=0),
-                }
-                dHn = dpred @ head.W
-                lstm_grads = _backward(params, steps, dHn)
-                for name in PARAM_FIELDS:
-                    grad_map[name] = getattr(lstm_grads, name)
-                _clip_global(grad_map, config.clip_norm)
-                optimizer.step(tensors, grad_map)
-            loss = sq_err_total / (N * n_out)
+            Hn, steps = _forward(params, X3)
+            err = Hn @ head.W.T + head.b - Y
+            loss = float((err * err).sum()) / (N * n_out)
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged at epoch {epoch}: loss is not finite")
             history.append(loss)
+            dpred = (2.0 / (N * n_out)) * err
+            lstm_grads = _backward(params, steps, dpred @ head.W)
+            grads = {"head_W": dpred.T @ Hn, "head_b": dpred.sum(axis=0), **vars(lstm_grads)}
+            _clip_global(grads, config.clip_norm)
+            optimizer.step(tensors, grads)
     return params, head, history
 
 

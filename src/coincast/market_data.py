@@ -288,16 +288,13 @@ class MinMaxScaler:
     def from_dict(cls, payload: dict) -> "MinMaxScaler":
         """Inverse of :meth:`to_dict`; raises SchemaError for a malformed scaler."""
         try:
-            mins = np.asarray(payload["mins"], dtype=np.float64)
-            maxs = np.asarray(payload["maxs"], dtype=np.float64)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            mins, maxs = (json_floats(payload[key], f"scaler {key}") for key in ("mins", "maxs"))
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed scaler: {exc!r}") from None
         if mins.ndim != 1 or mins.shape != maxs.shape:
             raise SchemaError(
                 f"scaler mins {mins.shape} and maxs {maxs.shape} are not vectors of one length"
             )
-        if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
-            raise SchemaError("scaler has non-finite values")
         return cls(mins, maxs)
 
 
@@ -423,6 +420,29 @@ def write_csv(path, header, columns) -> None:
 def json_text(payload) -> str:
     """The text of every JSON file the program writes: sorted keys, 2-space indent."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def json_floats(value, what: str) -> np.ndarray:
+    """The float64 array of a model file's JSON list, nested for a matrix; an entry
+    that is not a finite JSON number, or ragged nesting, is a SchemaError naming ``what``."""
+    if not _leaf_types(value) <= {int, float}:
+        raise SchemaError(f"{what} must hold JSON numbers only")
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(f"{what} is not a numeric array: {exc}") from None
+    if not np.all(np.isfinite(array)):
+        raise SchemaError(f"{what} has non-finite values")
+    return array
+
+
+def _leaf_types(value) -> set:
+    """The types of the entries of nested lists that are not lists."""
+    if type(value) is not list:
+        return {type(value)}
+    if value and type(value[0]) is list:
+        return set().union(*map(_leaf_types, value))
+    return set(map(type, value))
 
 
 def windows_to_csv(dataset: WindowedDataset, path) -> None:

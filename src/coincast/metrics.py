@@ -21,24 +21,17 @@ def _paired(actual, forecast, min_len: int = 1):
     return a, f
 
 
-def mape(actual, forecast, epsilon: float | None = None) -> float:
+def mape(actual, forecast) -> float:
     """Mean absolute percentage error, (100/n) * sum |(A_t - F_t) / A_t|.
 
     Any exactly-zero actual makes the metric undefined and raises
-    DomainError naming the first offending index, unless ``epsilon`` is
-    given, in which case denominators become |A_t| + epsilon.
+    DomainError naming the first offending index.
     """
     a, f = _paired(actual, forecast)
-    if epsilon is None:
-        zero = np.nonzero(a == 0.0)[0]
-        if zero.size:
-            raise DomainError(f"actual value is zero at index {zero[0]}; MAPE is undefined")
-        denom = np.abs(a)
-    else:
-        if not epsilon > 0:
-            raise DomainError(f"epsilon must be positive, got {epsilon}")
-        denom = np.abs(a) + epsilon
-    return float(np.mean(np.abs(a - f) / denom) * 100.0)
+    zero = np.nonzero(a == 0.0)[0]
+    if zero.size:
+        raise DomainError(f"actual value is zero at index {zero[0]}; MAPE is undefined")
+    return float(np.mean(np.abs(a - f) / np.abs(a)) * 100.0)
 
 
 def rmse(actual, forecast) -> float:

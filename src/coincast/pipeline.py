@@ -37,7 +37,7 @@ from .market_data import (
 )
 
 MODEL_FORMAT = "coincast-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def prepare_datasets(
@@ -164,7 +164,7 @@ class EvalRow:
     test_minmax_rmse: float
 
 
-def _score(model: Forecaster, dataset: WindowedDataset, predictions, mape_epsilon) -> EvalRow:
+def _score(model: Forecaster, dataset: WindowedDataset, predictions) -> EvalRow:
     """Check predictions in price units and score them, averaged over horizon steps.
 
     A step metric undefined for the targets (zero actuals for MAPE, zero range
@@ -177,14 +177,12 @@ def _score(model: Forecaster, dataset: WindowedDataset, predictions, mape_epsilo
         raise DomainError(f"model {model.name!r} produced non-finite predictions")
     targets = _invert_target(dataset.scaler, dataset.target_col, dataset.Y)
     steps = range(dataset.n_steps_out)
-    mape = [metrics_mod.mape(targets[:, s], predictions[:, s], epsilon=mape_epsilon) for s in steps]
+    mape = [metrics_mod.mape(targets[:, s], predictions[:, s]) for s in steps]
     rmse = [metrics_mod.minmax_rmse(targets[:, s], predictions[:, s]) for s in steps]
     return EvalRow(model.name, float(np.mean(mape)), float(np.mean(rmse)))
 
 
-def evaluate(
-    models, dataset: WindowedDataset, mape_epsilon: float | None = None
-) -> tuple[EvalRow, ...]:
+def evaluate(models, dataset: WindowedDataset) -> tuple[EvalRow, ...]:
     """Score every model on the same windows, one row per model in order;
     metrics averaged over horizon steps.
 
@@ -203,7 +201,7 @@ def evaluate(
         if key not in features:
             features[key] = model.features(dataset)
         predictions = model.predict_from_features(features[key], dataset)
-        rows.append(_score(model, dataset, predictions, mape_epsilon))
+        rows.append(_score(model, dataset, predictions))
     return tuple(rows)
 
 

@@ -112,24 +112,31 @@ NAN, INF = float("nan"), float("inf")
 BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(cyclic_root), id="cyclic-tree"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(fractional_root), id="tree-fractional-ids"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"][0]["left"].__setitem__(0, 10**30)), id="tree-id-overflows"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p.update(n_features=1e999)), id="booster-n_features-overflows"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["params"].update(learning_rate=True)), id="booster-learning_rate-boolean"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: first_number("threshold", True)(p["trees"][0])), id="tree-threshold-boolean"),
+    pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(lambda p: first_number("weight", "0.5")(p["trees"][0])), id="tree-weight-string"),
     pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=99)), id="manifest-version-99"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=1)), id="manifest-version-1"),
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=2)), id="manifest-version-2"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"].update(n_steps_out=2)), id="manifest-more-steps-than-boosters"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"]["lstm"].update(epoch=3)), id="manifest-config-unknown-key"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(config=[m["config"]])), id="manifest-config-not-object"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.pop("b_o")), id="lstm-no-b_o"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.update(W_f=p["W_f"][0])), id="lstm-W_f-1d"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(first_number("W_i", NAN)), id="lstm-nan"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(first_number("b_f", True)), id="lstm-boolean"),
     pytest.param("evaluate", "model/BTC/head.json", lambda raw: raw[:-9], id="head-truncated"),
     pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p.update(W=p["W"][0])), id="head-W-1d"),
     pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p["b"].append(0.0)), id="head-b-longer-than-W"),
     pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("b", NAN)), id="head-nan"),
     pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("b", 1e308)), id="head-inf-predictions"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("W", "0.5")), id="head-string"),
     pytest.param("evaluate", "model/BTC/scaler.json", json_edit(lambda p: p["maxs"].pop()), id="scaler-unequal-lengths"),
     pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("mins", INF)), id="scaler-inf"),
+    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("maxs", True)), id="scaler-boolean"),
     pytest.param("train", "btc.csv", lambda raw: raw.replace(b",Btc,", b",B\xfftc,", 1), id="csv-not-utf8"),
 ]
 
@@ -419,6 +426,22 @@ class TestFailureModes:
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
         assert main(["train", "--config", str(cfg), "--set", "lstm.epoch=3"]) == 2
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("lstm.optimizer=adam", "unknown config key 'lstm.optimizer'"),
+            ("lstm.batch_size=8", "unknown config key 'lstm.batch_size'"),
+            ("pipeline.mape_epsilon=1", "unknown config key 'pipeline.mape_epsilon'"),
+            ("lstm.clip_norm=null", "lstm.clip_norm must be a number, got None"),
+        ],
+    )
+    def test_one_training_and_scoring_path(self, tmp_path, capsys, assignment, message):
+        # training is full-batch Adam with clipping and MAPE is strict, with no key to change that
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
+        assert main(["train", "--config", str(cfg), "--set", assignment]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         (tmp_path / "a_directory").mkdir()
         for command in ("train", "analyze", "backtest"):
@@ -473,9 +496,7 @@ class TestFailureModes:
             [
                 "train",
                 "--config", str(cfg),
-                "--set", "lstm.optimizer=sgd",
-                "--set", "lstm.learning_rate=1e30",
-                "--set", "lstm.clip_norm=null",
+                "--set", "lstm.learning_rate=1e200",
                 "--set", "lstm.epochs=6",
             ]
         )

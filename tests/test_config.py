@@ -33,9 +33,9 @@ INVALID_TREES = [
     ({**MINIMAL, "lstm": {"seed": -1}}, "lstm.seed must be at least 0, got -1"),
     ({**MINIMAL, "lstm": {"seed": 2**64}}, "lstm.seed must fit in an unsigned 64-bit integer"),
     ({**MINIMAL, "lstm": {"seed": True}}, "lstm.seed must be an integer, got True"),
-    ({**MINIMAL, "lstm": {"optimizer": "rmsprop"}}, "lstm.optimizer must be one of ['adam', 'sgd'], got 'rmsprop'"),
-    ({**MINIMAL, "lstm": {"clip_norm": 0}}, "lstm.clip_norm must be positive or null, got 0"),
-    ({**MINIMAL, "lstm": {"batch_size": 0}}, "lstm.batch_size must be at least 1, got 0"),
+    ({**MINIMAL, "lstm": {"optimizer": "adam"}}, "unknown config key 'lstm.optimizer'"),
+    ({**MINIMAL, "lstm": {"clip_norm": 0}}, "lstm.clip_norm must be positive, got 0"),
+    ({**MINIMAL, "lstm": {"batch_size": 8}}, "unknown config key 'lstm.batch_size'"),
     ({**MINIMAL, "gbt": {"n_rounds": -1}}, "gbt.n_rounds must be at least 0, got -1"),
     ({**MINIMAL, "gbt": {"lambda": -0.5}}, "gbt.lambda must be non-negative, got -0.5"),
     ({**MINIMAL, "gbt": {"gamma": -0.5}}, "gbt.gamma must be non-negative, got -0.5"),
@@ -57,16 +57,16 @@ INVALID_TREES = [
     ),
     ({**MINIMAL, "pipeline": {"horizon_mode": "per_step"}}, "unknown config key 'pipeline.horizon_mode'"),
     ({**MINIMAL, "pipeline": {"dump_windows": "yes"}}, "pipeline.dump_windows must be true or false, got 'yes'"),
-    ({**MINIMAL, "pipeline": {"mape_epsilon": 0}}, "pipeline.mape_epsilon must be positive or null, got 0"),
+    ({**MINIMAL, "pipeline": {"mape_epsilon": 1}}, "unknown config key 'pipeline.mape_epsilon'"),
     ({**MINIMAL, "lstm": 7}, "config section 'lstm' must be an object"),
     ({**MINIMAL, "features": 5}, "features must be a non-empty list"),
     # wrong JSON types, section by section
     ({**MINIMAL, "lstm": {"hidden_size": "8"}}, "lstm.hidden_size must be an integer, got '8'"),
     ({**MINIMAL, "lstm": {"learning_rate": "fast"}}, "lstm.learning_rate must be a number, got 'fast'"),
     ({**MINIMAL, "lstm": {"epochs": None}}, "lstm.epochs must be an integer, got None"),
-    ({**MINIMAL, "lstm": {"batch_size": 16.0}}, "lstm.batch_size must be an integer, got 16.0"),
+    ({**MINIMAL, "lstm": {"batch_size": None}}, "unknown config key 'lstm.batch_size'"),
     ({**MINIMAL, "lstm": {"clip_norm": "off"}}, "lstm.clip_norm must be a number, got 'off'"),
-    ({**MINIMAL, "lstm": {"optimizer": None}}, "lstm.optimizer must be one of ['adam', 'sgd'], got None"),
+    ({**MINIMAL, "lstm": {"optimizer": "sgd"}}, "unknown config key 'lstm.optimizer'"),
     ({**MINIMAL, "gbt": {"max_depth": 2.0}}, "gbt.max_depth must be an integer, got 2.0"),
     ({**MINIMAL, "gbt": {"n_rounds": True}}, "gbt.n_rounds must be an integer, got True"),
     ({**MINIMAL, "gbt": {"gamma": None}}, "gbt.gamma must be a number, got None"),
@@ -81,7 +81,7 @@ INVALID_TREES = [
     ({**MINIMAL, "analysis": "x"}, "config section 'analysis' must be an object"),
     ({**MINIMAL, "pipeline": {"dump_windows": 1}}, "pipeline.dump_windows must be true or false, got 1"),
     ({**MINIMAL, "pipeline": {"dump_windows": None}}, "pipeline.dump_windows must be true or false, got None"),
-    ({**MINIMAL, "pipeline": {"mape_epsilon": "tiny"}}, "pipeline.mape_epsilon must be a number, got 'tiny'"),
+    ({**MINIMAL, "pipeline": {"mape_epsilon": None}}, "unknown config key 'pipeline.mape_epsilon'"),
     ({**MINIMAL, "pipeline": [True]}, "config section 'pipeline' must be an object"),
     ({**MINIMAL, "pipeline": {"x": 1}}, "unknown config key 'pipeline.x'"),
     ({**MINIMAL, "n_steps_out": "3"}, "n_steps_out must be an integer, got '3'"),
@@ -106,6 +106,8 @@ INVALID_TREES = [
     ({"data": {"a\\b": "a.csv"}}, "data contains an invalid symbol key: 'a\\\\b'"),
     ({"data": {"..": "a.csv"}}, "data contains an invalid symbol key: '..'"),
     ({"data": {".": "a.csv"}}, "data contains an invalid symbol key: '.'"),
+    # clipping is always on
+    ({**MINIMAL, "lstm": {"clip_norm": None}}, "lstm.clip_norm must be a number, got None"),
 ]
 
 

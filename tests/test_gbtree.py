@@ -449,6 +449,8 @@ class TestLoadValidation:
             ("left", 0, 1.2),                 # a fractional id
             ("feature", 0, 0.0),              # a float id, even a whole one
             ("right", 0, True),               # a boolean id
+            ("threshold", 0, True),           # a boolean number
+            ("weight", 0, "0.5"),             # a numeric string
         ],
     )
     def test_malformed_tree_raises(self, key, index, value):

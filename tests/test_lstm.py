@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coincast.errors import DomainError, ShapeError, SizingError, TrainingError
+from coincast.errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError
 from coincast.lstm import (
     LinearHead,
     LstmParams,
@@ -245,25 +245,12 @@ class TestTrain:
         params_b, _, _ = train(ds, TrainConfig(hidden_size=5, epochs=2, learning_rate=0.02, seed=8))
         assert not np.array_equal(params_a.W_f, params_b.W_f)
 
-    def test_minibatch_smoke(self):
-        ds = tiny_dataset(n_samples=20)
-        cfg = TrainConfig(hidden_size=4, epochs=3, learning_rate=0.01, seed=4, batch_size=8)
-        _, _, history = train(ds, cfg)
-        assert len(history) == 3 and all(np.isfinite(history))
-
-    def test_sgd_optimizer_supported(self):
-        ds = tiny_dataset()
-        cfg = TrainConfig(hidden_size=4, epochs=3, learning_rate=0.05, seed=5, optimizer="sgd")
-        _, _, history = train(ds, cfg)
-        assert all(np.isfinite(history))
-
     def test_divergence_raises_training_error(self):
+        # Adam's step is about learning_rate whatever the gradient, so it
+        # takes a step this large (1e30 and 1e100 do not) to overflow the loss
         ds = tiny_dataset()
-        cfg = TrainConfig(
-            hidden_size=4, epochs=50, learning_rate=1e30,
-            seed=6, optimizer="sgd", clip_norm=None,
-        )
-        with pytest.raises(TrainingError, match="diverged"):
+        cfg = TrainConfig(hidden_size=4, epochs=50, learning_rate=1e200, seed=6)
+        with pytest.raises(TrainingError, match="diverged at epoch 1"):
             train(ds, cfg)
 
     def test_config_validation(self):
@@ -271,9 +258,7 @@ class TestTrain:
             TrainConfig(learning_rate=-0.1)
         with pytest.raises(DomainError, match="learning_rate must be positive"):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(DomainError):
-            TrainConfig(optimizer="rmsprop")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="clip_norm must be positive"):
             TrainConfig(clip_norm=0.0)
         with pytest.raises(SizingError):
             TrainConfig(hidden_size=0)
@@ -342,6 +327,15 @@ class TestSerialization:
         npt.assert_array_equal(
             clone.predict(np.array([[2.0, 1.0]])), head.predict(np.array([[2.0, 1.0]]))
         )
+
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_a_non_number_is_refused(self, value):
+        payload = json.loads(json.dumps(init_params(3, 4, Rng(25)).to_dict()))
+        payload["b_o"][0] = value
+        with pytest.raises(SchemaError, match="LSTM b_o must hold JSON numbers only"):
+            LstmParams.from_dict(payload)
+        with pytest.raises(SchemaError, match="linear head W must hold JSON numbers only"):
+            LinearHead.from_dict({"W": [[1.5, value]], "b": [0.25]})
 
 
 def test_sigmoid_matches_gate_usage():

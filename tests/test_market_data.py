@@ -11,6 +11,7 @@ from coincast.market_data import (
     MinMaxScaler,
     align_on_dates,
     chrono_split,
+    json_floats,
     make_windows,
     parse_csv,
     rebase_to_100,
@@ -322,6 +323,32 @@ class TestMinMaxScaler:
         assert sorted(scaler.to_dict()) == ["maxs", "mins"]
         clone = MinMaxScaler.from_dict(scaler.to_dict())
         npt.assert_array_equal(clone.apply(rows), scaler.apply(rows))
+
+
+class TestJsonFloats:
+    def test_integers_and_nesting_load_as_floats(self):
+        array = json_floats([[1, 2.5], [0, -3]], "w")
+        assert array.dtype == np.float64
+        npt.assert_array_equal(array, [[1.0, 2.5], [0.0, -3.0]])
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([1.0, True], "w must hold JSON numbers only"),
+            ([[1.0], [False]], "w must hold JSON numbers only"),
+            ([1.0, "3"], "w must hold JSON numbers only"),
+            ([1.0, None], "w must hold JSON numbers only"),
+            ([1.0, [2.0]], "w must hold JSON numbers only"),
+            ({"a": 1.0}, "w must hold JSON numbers only"),
+            ([[1.0, 2.0], [3.0]], "w is not a numeric array"),
+            ([10**400], "w is not a numeric array"),
+            ([[1.0], [float("nan")]], "w has non-finite values"),
+            ([float("-inf")], "w has non-finite values"),
+        ],
+    )
+    def test_refuses_anything_but_finite_numbers(self, value, message):
+        with pytest.raises(SchemaError, match=message):
+            json_floats(value, "w")
 
 
 class TestWindows:

@@ -18,14 +18,6 @@ class TestMape:
         with pytest.raises(DomainError, match="index 1"):
             mape([4.0, 0.0, 2.0], [4.0, 1.0, 2.0])
 
-    def test_epsilon_smooths_zero_actuals(self):
-        # denominators become |A| + 1: errors 1/1 and 0/2 -> mean 50%
-        npt.assert_allclose(mape([0.0, 1.0], [1.0, 1.0], epsilon=1.0), 50.0, rtol=1e-12)
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(DomainError):
-            mape([1.0], [1.0], epsilon=0.0)
-
     def test_scale_invariant(self):
         rng = np.random.default_rng(0)
         actual = rng.uniform(10.0, 90.0, size=40)

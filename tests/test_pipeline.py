@@ -307,7 +307,7 @@ class TestBundleRoundTrip:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest == {
             "format": "coincast-model",
-            "version": 2,
+            "version": 3,
             "config": RUN_CONFIG.to_dict(),
             "data_hash": "",
         }

@@ -1,19 +1,26 @@
 """The README's code examples run as written."""
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 from conftest import random_walk_rows, rows_to_csv_text
+from coincast.config import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def python_block(heading: str) -> str:
-    """The first ```python block after the ``## heading`` line."""
+def code_block(heading: str, language: str) -> str:
+    """The first ```language block after the ``## heading`` line."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index(f"\n## {heading}\n"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_running_config_loads_and_shows_the_defaults():
+    cfg = RunConfig.from_dict(json.loads(code_block("Running", "json")))
+    assert cfg == RunConfig.from_dict({"data": cfg.data})
 
 
 def test_library_use_example_runs(tmp_path, monkeypatch):
@@ -25,7 +32,7 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(python_block("Library use"), str(README), "exec"), {})
+        exec(compile(code_block("Library use", "python"), str(README), "exec"), {})
     lines = out.getvalue().split()
     assert lines[0] == "model,test_mape,test_minmax_rmse"
     assert [line.split(",")[0] for line in lines[1:]] == ["hybrid", "lstm-only", "gbt-lags"]
