@@ -7,19 +7,18 @@ value is addressable by its dotted JSON name (e.g. ``gbt.lambda``,
 any value outside its documented range - all raised before data is read.
 
 Each section is one dataclass: ``lstm`` is the trainer's own TrainConfig and
-``gbt`` a TreeParams that also carries ``n_rounds``. A JSON value's type is
-checked here, from the field's annotation; its range is checked by the
-dataclass itself, so a library caller meets the same rules.
+``gbt`` a TreeParams that also carries ``n_rounds``. Every dataclass checks
+its own fields, the type from the annotation and then the range, so a library
+caller meets the same rules as a config file.
 """
 from __future__ import annotations
 
 import json
-import math
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, SizingError
+from .errors import ConfigError, DomainError, SizingError, check_field_kinds
 from .gbtree import TreeParams
 from .lstm import TrainConfig
 from .market_data import DEFAULT_FEATURES, PRICE_FIELDS
@@ -29,30 +28,11 @@ ENV_SEED = "TOOL_SEED"
 # Fields whose JSON name differs from the Python one (``lambda`` is a keyword).
 _JSON_NAMES = {"lam": "lambda"}
 
-# The JSON values each annotated field type admits, and how to name them.
-_KINDS = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-}
-
-
-def _check_type(where: str, hint, value) -> None:
-    """A field typed ``int``, ``float`` or ``bool`` must hold a JSON value of
-    that kind; a float must also be finite."""
-    if hint not in _KINDS:
-        return
-    what, admits = _KINDS[hint]
-    if not admits(value):
-        raise ConfigError(f"{where} must be {what}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-
 
 def _build(cls, section: str, payload):
-    """Build dataclass ``cls`` from one JSON object: reject unknown keys, check
-    each value's type, then let ``cls`` check the ranges. Nested sections are
-    built the same way; a null or absent section takes its defaults."""
+    """Build dataclass ``cls`` from one JSON object: reject unknown keys, then
+    let ``cls`` check the values. Nested sections are built the same way; a
+    null or absent section takes its defaults."""
     if payload is None:
         return cls()
     if not isinstance(payload, dict):
@@ -67,8 +47,6 @@ def _build(cls, section: str, payload):
         hint = hints[names[key]]
         if is_dataclass(hint):
             value = _build(hint, key, value)
-        else:
-            _check_type(where, hint, value)
         kwargs[names[key]] = value
     try:
         return cls(**kwargs)
@@ -112,6 +90,7 @@ class AnalysisSection:
     correlation_basis: str = "returns"
 
     def __post_init__(self):
+        check_field_kinds(self)
         _at_least(
             self,
             volatility_window=2,
@@ -136,6 +115,9 @@ class AnalysisSection:
 class PipelineSection:
     dump_windows: bool = False
 
+    def __post_init__(self):
+        check_field_kinds(self)
+
 
 @dataclass
 class RunConfig:
@@ -158,6 +140,7 @@ class RunConfig:
         return _build(cls, "", tree)
 
     def __post_init__(self):
+        check_field_kinds(self)
         if not isinstance(self.data, dict) or not self.data:
             raise ConfigError("data must be a non-empty object mapping symbols to CSV paths")
         for symbol, path in self.data.items():

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ShapeError, SizingError
+from .errors import DomainError, SchemaError, ShapeError, SizingError, check_field_kinds
 from .market_data import json_floats
 
 _LEAF = -1
@@ -46,6 +46,7 @@ class TreeParams:
     learning_rate: float = 0.3
 
     def __post_init__(self):
+        check_field_kinds(self, {"lam": "lambda"})
         if self.lam < 0:
             raise DomainError(f"lambda must be non-negative, got {self.lam}")
         if self.gamma < 0:

@@ -16,6 +16,13 @@ backpropagation through time, and discards the head afterwards. Each epoch
 is one full-batch Adam step on the gradient clipped to a global norm, so
 ``loss_history[e]`` is the loss of the parameters at the start of epoch e.
 
+Training holds one epoch of BPTT state at a time: per window and step, the
+k+d values of [h_{t-1}, x_t] and the k values each of f, i, c~, o and C_t,
+so n_steps_in x windows x (6k + d) float64 values, about 220 MB per symbol
+at the README defaults (30 steps, 2,376 windows, k=64, d=5). C_{t-1} is the
+previous step's C_t, not a copy, and the backward pass recomputes tanh(C_t)
+rather than store it.
+
 There is one batched kernel: a step function over (N, k) rows and one BPTT
 function. Training runs it on all windows at once. Latent extraction and the
 single-sequence functions run it on zero-padded tiles of TILE_ROWS rows, so
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError
+from .errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError, check_field_kinds
 from .market_data import WindowedDataset, json_floats
 from .numkernel import Rng, sigmoid
 
@@ -125,13 +132,15 @@ def init_params(input_size: int, hidden_size: int, rng: Rng) -> LstmParams:
 
 @dataclass
 class StepCache:
+    """What BPTT needs of one step: (N, k+d) for ``concat``, (N, k) for the rest."""
+
     concat: np.ndarray  # [h_{t-1}, x_t]
     f: np.ndarray
     i: np.ndarray
     c_tilde: np.ndarray
     o: np.ndarray
-    C_prev: np.ndarray
-    tanh_C: np.ndarray
+    C_prev: np.ndarray  # C_{t-1}: the previous step's ``C`` object, not a copy
+    C: np.ndarray  # C_t; backward recomputes tanh(C_t) rather than store it
 
 
 @dataclass
@@ -158,9 +167,8 @@ def _step(params: LstmParams, h: np.ndarray, C: np.ndarray, x: np.ndarray):
     o = sigmoid(_affine(concat, params.W_o, params.b_o))
     C_new = f * C
     C_new += i * c_tilde
-    tanh_C = np.tanh(C_new)
-    cache = StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=C, tanh_C=tanh_C)
-    return o * tanh_C, C_new, cache
+    cache = StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=C, C=C_new)
+    return o * np.tanh(C_new), C_new, cache
 
 
 def _forward(params: LstmParams, X3: np.ndarray):
@@ -245,11 +253,12 @@ def _backward(params: LstmParams, steps: list[StepCache], dHn: np.ndarray) -> Ls
     dC = np.zeros_like(dHn)
     scratch = np.empty_like(dHn)
     for step in reversed(steps):
-        dC += _tanh_chain(dh, step.o, step.tanh_C, scratch)
+        tanh_C = np.tanh(step.C)
+        dC += _tanh_chain(dh, step.o, tanh_C, scratch)
         da_f = _sigmoid_chain(dC, step.C_prev, step.f, scratch)
         da_i = _sigmoid_chain(dC, step.c_tilde, step.i, scratch)
         da_c = _tanh_chain(dC, step.i, step.c_tilde, scratch)
-        da_o = _sigmoid_chain(dh, step.tanh_C, step.o, scratch)
+        da_o = _sigmoid_chain(dh, tanh_C, step.o, scratch)
         grads.W_f += da_f.T @ step.concat
         grads.W_i += da_i.T @ step.concat
         grads.W_C += da_c.T @ step.concat
@@ -325,6 +334,7 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        check_field_kinds(self)
         if self.hidden_size < 1:
             raise SizingError(f"hidden_size must be at least 1, got {self.hidden_size}")
         if self.epochs < 1:
@@ -405,6 +415,8 @@ def train(dataset: WindowedDataset, config: TrainConfig):
             history.append(loss)
             dpred = (2.0 / (N * n_out)) * err
             lstm_grads = _backward(params, steps, dpred @ head.W)
+            # drop this epoch's caches before the next forward builds its own
+            del steps
             grads = {"head_W": dpred.T @ Hn, "head_b": dpred.sum(axis=0), **vars(lstm_grads)}
             _clip_global(grads, config.clip_norm)
             optimizer.step(tensors, grads)

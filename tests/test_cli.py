@@ -138,6 +138,8 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("mins", INF)), id="scaler-inf"),
     pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("maxs", True)), id="scaler-boolean"),
     pytest.param("train", "btc.csv", lambda raw: raw.replace(b",Btc,", b",B\xfftc,", 1), id="csv-not-utf8"),
+    # asks numpy for about 29 TiB of LSTM weights, which fails at once
+    pytest.param("train", "config.json", json_edit(lambda c: c["lstm"].update(hidden_size=2_000_000)), id="lstm-too-large-to-allocate"),
 ]
 
 

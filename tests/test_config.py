@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from coincast.config import RunConfig, apply_override, load_config
-from coincast.errors import ConfigError
+from coincast.config import AnalysisSection, RunConfig, apply_override, load_config
+from coincast.errors import ConfigError, DomainError
 from coincast.gbtree import TreeParams
 from coincast.lstm import TrainConfig
 
@@ -109,6 +109,24 @@ INVALID_TREES = [
     # clipping is always on
     ({**MINIMAL, "lstm": {"clip_norm": None}}, "lstm.clip_norm must be a number, got None"),
 ]
+
+# A section built directly, as a library caller does, meets the same type rules.
+MISTYPED_FIELDS = [
+    pytest.param(TrainConfig, {"clip_norm": None}, "clip_norm must be a number, got None", id="clip_norm-null"),
+    pytest.param(TrainConfig, {"epochs": "3"}, "epochs must be an integer, got '3'", id="epochs-string"),
+    pytest.param(TreeParams, {"lam": None}, "lambda must be a number, got None", id="lam-null"),
+    pytest.param(AnalysisSection, {"sma_fast": None}, "sma_fast must be an integer, got None", id="sma_fast-null"),
+    pytest.param(TrainConfig, {"epochs": 2.5}, "epochs must be an integer, got 2.5", id="epochs-fractional"),
+    pytest.param(TreeParams, {"max_depth": True}, "max_depth must be an integer, got True", id="max_depth-boolean"),
+    pytest.param(TrainConfig, {"hidden_size": float("nan")}, "hidden_size must be an integer, got nan", id="hidden_size-nan"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, message", MISTYPED_FIELDS)
+def test_mistyped_field_is_a_domain_error(cls, kwargs, message):
+    with pytest.raises(DomainError) as info:
+        cls(**kwargs)
+    assert str(info.value) == message
 
 
 def write_config(tmp_path, tree, name="config.json"):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -265,6 +266,20 @@ class TestTrain:
         with pytest.raises(SizingError):
             TrainConfig(epochs=0)
 
+    def test_peak_memory_is_one_epoch_of_caches(self):
+        # one epoch of BPTT state is n*N*(6k+d) float64 values: concat (k+d)
+        # plus f, i, c_tilde, o and C (k each) per step and window; holding a
+        # second epoch's caches, or tanh(C) beside C, goes past the bound
+        N, n, k, d = 208, 12, 16, 5
+        ds = tiny_dataset(n_samples=N, n_in=n, d=d)
+        tracemalloc.start()
+        try:
+            train(ds, TrainConfig(hidden_size=k, epochs=3, learning_rate=0.01, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * N * (6 * k + d) * 8
+
 
 def reference_latent(params: LstmParams, X) -> np.ndarray:
     """Plain per-vector loop over one window: the cell equations as written."""
@@ -351,9 +366,8 @@ def plain_step(params: LstmParams, h, C, x):
     c_tilde = np.tanh(concat @ params.W_C.T + params.b_C)
     o = sigmoid(concat @ params.W_o.T + params.b_o)
     C_new = f * C + i * c_tilde
-    tanh_C = np.tanh(C_new)
-    cache = StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=C, tanh_C=tanh_C)
-    return o * tanh_C, C_new, cache
+    cache = StepCache(concat=concat, f=f, i=i, c_tilde=c_tilde, o=o, C_prev=C, C=C_new)
+    return o * np.tanh(C_new), C_new, cache
 
 
 def plain_backward(params: LstmParams, steps, dHn) -> LstmParams:
@@ -363,8 +377,9 @@ def plain_backward(params: LstmParams, steps, dHn) -> LstmParams:
     dh = dHn.copy()
     dC = np.zeros_like(dHn)
     for step in reversed(steps):
-        do = dh * step.tanh_C
-        dC = dC + dh * step.o * (1.0 - step.tanh_C**2)
+        tanh_C = np.tanh(step.C)
+        do = dh * tanh_C
+        dC = dC + dh * step.o * (1.0 - tanh_C**2)
         df = dC * step.C_prev
         di = dC * step.c_tilde
         dct = dC * step.i
