@@ -213,6 +213,7 @@ def sma_crossover_backtest(
     skipped. ``cost_rate`` is charged proportionally on every fill. A
     position still open at the end is marked closed at the last bar in the
     trade log; the equity curve already carries it at market value.
+    A curve that overflows float64 raises DomainError.
     """
     c = _vector(closes, "closes")
     if not 1 <= fast < slow:
@@ -235,6 +236,8 @@ def sma_crossover_backtest(
     t = np.arange(slow - 1, L)
     desired[t] = (fast_sma[t - fast + 1] > slow_sma[t - slow + 1]).astype(np.int64)
 
+    # Python floats, which overflow to inf silently; the check below reports it
+    prices = c.tolist()
     cash = float(initial_capital)
     units = 0.0
     position = 0
@@ -245,21 +248,27 @@ def sma_crossover_backtest(
         if bar >= slow:
             want = desired[bar - 1]
             if want == 1 and position == 0 and bar < L - 1:
-                units = cash * (1.0 - cost_rate) / c[bar]
+                units = cash * (1.0 - cost_rate) / prices[bar]
                 cash = 0.0
                 position = 1
                 entry_bar = bar
             elif want == 0 and position == 1:
-                cash = units * c[bar] * (1.0 - cost_rate)
+                cash = units * prices[bar] * (1.0 - cost_rate)
                 units = 0.0
                 position = 0
                 trades.append((entry_bar, bar))
                 entry_bar = None
-        strategy[bar] = units * c[bar] if position else cash
+        strategy[bar] = units * prices[bar] if position else cash
     if position:
         trades.append((entry_bar, L - 1))
 
-    buy_and_hold = initial_capital * (c / c[0])
+    with np.errstate(over="ignore"):
+        buy_and_hold = initial_capital * (c / c[0])
+    bad = np.flatnonzero(~(np.isfinite(strategy) & np.isfinite(buy_and_hold)))
+    if bad.size:
+        raise DomainError(
+            f"equity curves overflow float64 at bar {bad[0]} from initial capital {initial_capital}"
+        )
     return BacktestResult(
         strategy=strategy,
         buy_and_hold=buy_and_hold,
@@ -306,5 +315,7 @@ def returns_histogram(returns, bins: int = 50):
         raise SizingError("cannot histogram an empty sample")
     if bins < 1:
         raise SizingError(f"need at least 1 bin, got {bins}")
+    if bins >= np.iinfo(np.intp).max:
+        raise DomainError(f"{bins} bins are more than numpy can index")
     counts, edges = np.histogram(r, bins=bins)
     return counts, edges

@@ -7,8 +7,9 @@ file). Artifacts are written to a temporary directory first and moved into
 the configured output directory only when the whole command has succeeded,
 so a failed run never leaves partial files behind.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 data/input error or
-a failed allocation, 4 numeric training failure.
+Exit codes: 0 success, 2 configuration or usage error, 3 data/input error, a
+failed allocation or a booster worker process that died, 4 numeric training
+failure.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .errors import (
     SizingError,
     TrainingError,
     ValidationError,
+    WorkerError,
 )
 from .market_data import (
     align_on_dates,
@@ -47,7 +49,7 @@ from .market_data import (
 _EXIT_CODES = (
     (ConfigError, 2),
     (TrainingError, 4),
-    ((SchemaError, ValidationError, SizingError, DomainError, ShapeError, OSError, MemoryError), 3),
+    ((SchemaError, ValidationError, SizingError, DomainError, ShapeError, OSError, MemoryError, WorkerError), 3),
 )
 
 

@@ -2,8 +2,9 @@
 field's type that every settings dataclass runs.
 
 The CLI maps these onto exit codes: ConfigError -> 2, input/data errors
-(SchemaError, ValidationError, SizingError, DomainError, ShapeError) and a
-failed allocation (MemoryError) -> 3, TrainingError -> 4.
+(SchemaError, ValidationError, SizingError, DomainError, ShapeError), a
+failed allocation (MemoryError) and a dead worker process (WorkerError) -> 3,
+TrainingError -> 4.
 """
 from __future__ import annotations
 
@@ -39,6 +40,10 @@ class DomainError(ToolkitError):
 
 class ShapeError(ToolkitError):
     """Array dimensions are inconsistent with each other."""
+
+
+class WorkerError(ToolkitError):
+    """A worker process died before returning its part of a result."""
 
 
 class TrainingError(ToolkitError):

@@ -7,12 +7,20 @@ the training windows. Two baselines ride along for every run: the LSTM with
 its linear head used directly, and boosters fit on flattened raw windows.
 All three are one :class:`Forecaster`: a readout on per-window features.
 
+A symbol's boosters (both kinds, every horizon step) are independent fits
+that call no BLAS, so they run in up to one forked worker process per usable
+CPU; the artifacts are byte-identical whatever the CPU count. Symbols stay
+sequential: their LSTM training runs on BLAS, whose thread count this
+package cannot set, and parallel symbols oversubscribe the cores.
+
 All model quality numbers are computed in original price units after
 inverting the fitted min-max scaler.
 """
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +29,7 @@ import numpy as np
 from . import lstm as lstm_mod
 from . import metrics as metrics_mod
 from .config import RunConfig
-from .errors import ConfigError, DomainError, SchemaError, ShapeError, SizingError
+from .errors import ConfigError, DomainError, SchemaError, ShapeError, SizingError, WorkerError
 from .gbtree import Booster, TreeParams, train_booster
 from .market_data import (
     MinMaxScaler,
@@ -120,10 +128,52 @@ class Forecaster:
 
 
 def fit_horizon_boosters(
-    Z: np.ndarray, Y: np.ndarray, tree_params: TreeParams, n_rounds: int
-) -> list[Booster]:
-    """Stage 2: one booster per horizon step."""
-    return [train_booster(Z, Y[:, step], tree_params, n_rounds) for step in range(Y.shape[1])]
+    features: Sequence[np.ndarray], Y: np.ndarray, tree_params: TreeParams, n_rounds: int
+) -> list[list[Booster]]:
+    """Stage 2: on each (N, p) matrix of ``features``, one booster per horizon
+    step of ``Y``; returns each matrix's boosters in step order.
+
+    The fits run in up to one forked worker process per usable CPU, widest
+    matrix first so that the longest fits do not trail; with one usable CPU,
+    or no ``fork``, they run in this process. Either way the boosters are the
+    same bits, and the error of the first failing fit in (matrix, step) order
+    is raised as the fit raised it. A worker that dies raises WorkerError.
+    """
+    n_steps = Y.shape[1]
+    jobs = [(F, Y[:, step]) for F in features for step in range(n_steps)]
+    boosters = _fit_all(jobs, tree_params, n_rounds)
+    return [boosters[i * n_steps : (i + 1) * n_steps] for i in range(len(features))]
+
+
+def _fit(F, y, tree_params, n_rounds) -> Booster:
+    # Looks train_booster up when called, so a forked worker runs the one
+    # bound in its parent.
+    return train_booster(F, y, tree_params, n_rounds)
+
+
+def _fit_all(jobs, tree_params, n_rounds) -> list[Booster]:
+    """The booster of every ``(features, target)`` job, in job order."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers > 1:
+        # imported here: the pool's modules cost every other command ~20 ms
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork, not spawn: a worker starts with the parent's imports instead of
+        # re-importing numpy, and fits call no BLAS, whose threads a fork would not carry
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                widest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].shape[1])
+                futures = {i: pool.submit(_fit, *jobs[i], tree_params, n_rounds) for i in widest_first}
+                return [futures[i].result() for i in range(len(jobs))]
+            except BrokenProcessPool:
+                raise WorkerError("a worker process fitting boosters died before returning") from None
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_fit(F, y, tree_params, n_rounds) for F, y in jobs]
 
 
 def train_models(
@@ -141,10 +191,9 @@ def train_models(
     params, head, history = lstm_mod.train(train_ds, lstm_config)
     models = _models(params, head, [], [])
     hybrid, _, gbt_lags = models
-    for model in (hybrid, gbt_lags):
-        model.readout = fit_horizon_boosters(
-            model.features(train_ds), train_ds.Y, tree_params, n_rounds
-        )
+    hybrid.readout, gbt_lags.readout = fit_horizon_boosters(
+        [hybrid.features(train_ds), gbt_lags.features(train_ds)], train_ds.Y, tree_params, n_rounds
+    )
     return models, tuple(history)
 
 

@@ -256,6 +256,12 @@ class TestBacktest:
         with pytest.raises(DomainError):
             sma_crossover_backtest(bad, 5, 10)
 
+    def test_overflowing_curves_raise(self):
+        # a rally from 1e308 leaves float64 in both curves; no numpy warning on the way
+        closes = 100.0 * 1.05 ** np.arange(40.0)
+        with pytest.raises(DomainError, match="equity curves overflow float64 at bar 13 "):
+            sma_crossover_backtest(closes, 2, 4, initial_capital=1e308)
+
 
 class TestDistributionStats:
     def test_symmetric_two_point_sample(self):
@@ -290,3 +296,7 @@ class TestHistogram:
     def test_empty_sample(self):
         with pytest.raises(SizingError):
             returns_histogram([], bins=10)
+
+    def test_more_bins_than_numpy_can_index(self):
+        with pytest.raises(DomainError, match="more than numpy can index"):
+            returns_histogram([0.1, -0.2, 0.3], bins=10**30)

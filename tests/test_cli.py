@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import random_walk_rows, rows_to_csv_text
 import coincast
+from coincast import pipeline
 from coincast.cli import _EXIT_CODES, _Stage, entry, main
 from coincast.errors import (
     ConfigError,
@@ -21,6 +23,7 @@ from coincast.errors import (
     ToolkitError,
     TrainingError,
     ValidationError,
+    WorkerError,
 )
 
 FAST_SECTIONS = {
@@ -140,6 +143,10 @@ BAD_INPUTS = [
     pytest.param("train", "btc.csv", lambda raw: raw.replace(b",Btc,", b",B\xfftc,", 1), id="csv-not-utf8"),
     # asks numpy for about 29 TiB of LSTM weights, which fails at once
     pytest.param("train", "config.json", json_edit(lambda c: c["lstm"].update(hidden_size=2_000_000)), id="lstm-too-large-to-allocate"),
+    pytest.param("analyze", "config.json", json_edit(lambda c: c.update(analysis={"histogram_bins": 10**30})), id="histogram-bins-past-numpy-index"),
+    # from the largest float, the first close above the first one overflows the curves
+    pytest.param("backtest", "config.json", json_edit(lambda c: c.update(analysis={"initial_capital": sys.float_info.max})), id="backtest-equity-overflows"),
+    pytest.param("analyze", "config.json", json_edit(lambda c: c.update(analysis={"initial_capital": sys.float_info.max})), id="analyze-equity-overflows"),
 ]
 
 
@@ -533,11 +540,69 @@ class TestFailureModes:
             DomainError: 3,
             ShapeError: 3,
             TrainingError: 4,
+            WorkerError: 3,
         }
 
     def test_series_too_short_for_windows(self, tmp_path):
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=10, extra={"n_steps_in": 30})
         assert main(["train", "--config", str(cfg)]) == 3
+
+
+POOL = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="boosters are fit in worker processes only with at least 2 usable CPUs",
+)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@POOL
+class TestBoosterWorkers:
+    def train(self, tmp_path, capsys):
+        tmp_path.mkdir(exist_ok=True)
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
+        code = main(["train", "--config", str(cfg), "--set", "n_steps_out=3"])
+        err = capsys.readouterr().err
+        assert_no_child_left()
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob(".stage-*"))
+        return code, err
+
+    def test_no_worker_outlives_train(self, tmp_path, capsys):
+        assert self.train(tmp_path, capsys) == (0, "")
+
+    @pytest.mark.parametrize("kind", [DomainError, MemoryError])
+    def test_worker_error_exits_as_in_process(self, tmp_path, capsys, monkeypatch, kind):
+        # the lag boosters are fit first and fail at once; the hybrid's fail
+        # later, but come first in job order, so theirs is the error reported
+        def failing(F, y, params, n_rounds):
+            if F.shape[1] > 4:  # lags, not the 4 latents
+                raise DomainError("lag fit failed")
+            time.sleep(0.2)
+            raise kind("hybrid fit failed")
+
+        monkeypatch.setattr(pipeline, "train_booster", failing)
+        pooled = self.train(tmp_path / "pool", capsys)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        in_process = self.train(tmp_path / "one", capsys)
+        assert pooled == in_process == (3, "error: hybrid fit failed\n")
+
+    def test_dead_worker_exits_3(self, tmp_path, capsys, monkeypatch):
+        parent, fit = os.getpid(), pipeline.train_booster
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return fit(*args)
+
+        monkeypatch.setattr(pipeline, "train_booster", dying)
+        code, err = self.train(tmp_path, capsys)
+        assert code == 3
+        assert err == "error: a worker process fitting boosters died before returning\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoint:

@@ -1,4 +1,6 @@
 import json
+import os
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -7,15 +9,17 @@ import pytest
 from conftest import random_walk_rows, rows_to_series
 from coincast import lstm as lstm_mod
 from coincast import metrics as metrics_mod
+from coincast import pipeline
 from coincast.config import RunConfig
 from coincast.errors import DomainError, SchemaError, ShapeError, SizingError
-from coincast.gbtree import TreeParams
+from coincast.gbtree import TreeParams, train_booster
 from coincast.lstm import TrainConfig
 from coincast.market_data import MinMaxScaler, series_to_features
 from coincast.pipeline import (
     Forecaster,
     TrainedBundle,
     evaluate,
+    fit_horizon_boosters,
     load_bundle,
     prepare_datasets,
     save_bundle,
@@ -178,6 +182,68 @@ class TestMultiStep:
             short = Forecaster("hybrid", hybrid.lstm, hybrid.readout[:count])
             with pytest.raises(ShapeError, match=rf"{count} booster\(s\) for a 3-step horizon"):
                 short.predict_prices(test_ds)
+
+
+POOL = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="boosters are fit in worker processes only with at least 2 usable CPUs",
+)
+
+
+@pytest.fixture(params=[pytest.param("pool", marks=POOL), "in-process"])
+def cpus(request, monkeypatch):
+    """Fit in a worker pool, or in this process as with one usable CPU."""
+    if request.param == "in-process":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def three_steps():
+    series = rows_to_series(random_walk_rows(T=100, seed=28))
+    train_ds, _ = prepare_datasets(series, FEATURES, "close", 8, 3, 0.8)
+    lags = train_ds.X.reshape(train_ds.n_samples, -1)
+    return [lags[:, :6], lags], train_ds.Y
+
+
+class TestHorizonBoosters:
+    def test_each_booster_is_the_direct_fit(self, cpus, three_steps, monkeypatch):
+        features, Y = three_steps
+        fit = pipeline.train_booster
+
+        def tagged(*args):
+            booster = fit(*args)
+            booster.pid = os.getpid()
+            return booster
+
+        monkeypatch.setattr(pipeline, "train_booster", tagged)
+        fitted = fit_horizon_boosters(features, Y, FAST_TREES, 4)
+        assert [len(boosters) for boosters in fitted] == [3, 3]
+        for F, boosters in zip(features, fitted):
+            for step, booster in enumerate(boosters):
+                assert booster.to_dict() == fit(F, Y[:, step], FAST_TREES, 4).to_dict()
+        in_parent = {b.pid == os.getpid() for boosters in fitted for b in boosters}
+        assert in_parent == {cpus == "in-process"}
+
+    @pytest.mark.parametrize("kind", [DomainError, MemoryError])
+    def test_first_failing_fit_in_job_order_raises(self, cpus, three_steps, monkeypatch, kind):
+        # the wide matrix is fit first and fails at once; the narrow one's
+        # second step fails later, but comes first in job order
+        features, Y = three_steps
+
+        def failing(F, y, params, n_rounds):
+            if F.shape[1] == features[1].shape[1]:
+                raise DomainError("wide fit failed")
+            if np.array_equal(y, Y[:, 1]):
+                time.sleep(0.2)
+                raise kind("narrow step 1 failed")
+            return train_booster(F, y, params, n_rounds)
+
+        monkeypatch.setattr(pipeline, "train_booster", failing)
+        with pytest.raises(kind) as info:
+            fit_horizon_boosters(features, Y, FAST_TREES, 2)
+        assert type(info.value) is kind
+        assert str(info.value) == "narrow step 1 failed"
 
 
 class TestEvaluate:
