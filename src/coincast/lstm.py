@@ -18,15 +18,16 @@ is one full-batch Adam step on the gradient clipped to a global norm, so
 
 Training holds one epoch of BPTT state at a time: per window and step, the
 k+d values of [h_{t-1}, x_t] and the k values each of f, i, c~, o and C_t,
-so n_steps_in x windows x (6k + d) float64 values, about 220 MB per symbol
+so n_steps_in x windows x (6k + d) float32 values, about 110 MB per symbol
 at the README defaults (30 steps, 2,376 windows, k=64, d=5). C_{t-1} is the
 previous step's C_t, not a copy, and the backward pass recomputes tanh(C_t)
 rather than store it.
 
 There is one batched kernel: a step function over (N, k) rows and one BPTT
-function. Training runs it on all windows at once. Latent extraction and the
-single-sequence functions run it on zero-padded tiles of TILE_ROWS rows, so
-a window's latent is bitwise the same whichever windows share its tile.
+function, computing in the dtype of its inputs. Training runs it in float32
+(DTYPE) on all windows at once. Latent extraction and the single-sequence
+functions run it in the params' dtype on zero-padded tiles of TILE_ROWS rows,
+so a window's latent is bitwise the same whichever windows share its tile.
 
 All gate weights are (k, k+d) acting on the concatenated [h, x] vector;
 initial h and C are zero. Weight init is uniform on +-1/sqrt(k+d) drawn in
@@ -53,6 +54,9 @@ PARAM_FIELDS = _WEIGHTS + _BIASES
 # window's result independent of the batch it arrives in.
 TILE_ROWS = 64
 
+# What training runs in and model files load as; the kernel follows its inputs.
+DTYPE = np.float32
+
 # Adam moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -78,6 +82,10 @@ class LstmParams:
     def input_size(self) -> int:
         return self.W_f.shape[1] - self.W_f.shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.W_f.dtype
+
     def validate(self) -> None:
         if self.W_f.ndim != 2 or self.W_f.shape[1] <= self.W_f.shape[0]:
             raise ShapeError(f"W_f is {self.W_f.shape}; expected (k, k+d) with d >= 1")
@@ -98,7 +106,7 @@ class LstmParams:
     def from_dict(cls, payload: dict) -> "LstmParams":
         """Inverse of :meth:`to_dict`; raises SchemaError for missing or non-finite values."""
         try:
-            arrays = {name: json_floats(payload[name], f"LSTM {name}") for name in PARAM_FIELDS}
+            arrays = {name: json_floats(payload[name], f"LSTM {name}", DTYPE) for name in PARAM_FIELDS}
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed LSTM parameters: {exc!r}") from None
         params = cls(**arrays)
@@ -175,8 +183,8 @@ def _forward(params: LstmParams, X3: np.ndarray):
     """Run (N, n, d) sequences from zero state; returns (H_n, per-step caches)."""
     N, n, _ = X3.shape
     k = params.hidden_size
-    h = np.zeros((N, k))
-    C = np.zeros((N, k))
+    h = np.zeros((N, k), X3.dtype)
+    C = np.zeros((N, k), X3.dtype)
     steps = []
     for t in range(n):
         h, C, cache = _step(params, h, C, X3[:, t, :])
@@ -186,29 +194,30 @@ def _forward(params: LstmParams, X3: np.ndarray):
 
 def _tile(rows: np.ndarray) -> np.ndarray:
     """Zero-pad up to TILE_ROWS rows along the first axis."""
-    out = np.zeros((TILE_ROWS,) + rows.shape[1:])
+    out = np.zeros((TILE_ROWS,) + rows.shape[1:], rows.dtype)
     out[: rows.shape[0]] = rows
     return out
 
 
 def cell_forward(params: LstmParams, x, state: LstmState):
-    """One LSTM step; returns the new state and the cache needed for BPTT."""
+    """One LSTM step in the params' dtype; returns the new state and the cache needed for BPTT."""
     k, d = params.hidden_size, params.input_size
-    xv = np.asarray(x, dtype=np.float64).ravel()
+    xv = np.asarray(x, dtype=params.dtype).ravel()
     if xv.size != d:
         raise ShapeError(f"input vector has length {xv.size}, expected {d}")
     if state.h.shape != (k,) or state.C.shape != (k,):
         raise ShapeError(
             f"state vectors have shapes {state.h.shape}/{state.C.shape}, expected {(k,)}"
         )
-    h, C, cache = _step(params, _tile(state.h[None]), _tile(state.C[None]), _tile(xv[None]))
+    tiles = [_tile(np.asarray(v, dtype=params.dtype)[None]) for v in (state.h, state.C, xv)]
+    h, C, cache = _step(params, *tiles)
     row = StepCache(**{name: rows[0] for name, rows in vars(cache).items()})
     return LstmState(h=h[0], C=C[0]), row
 
 
 def sequence_forward(params: LstmParams, X):
-    """Run a (n, d) sequence from zero state; returns (h_n, cache)."""
-    mat = np.asarray(X, dtype=np.float64)
+    """Run a (n, d) sequence from zero state in the params' dtype; returns (h_n, cache)."""
+    mat = np.asarray(X, dtype=params.dtype)
     if mat.ndim != 2:
         raise ShapeError(f"expected a 2-D sequence, got {mat.ndim} dimension(s)")
     if mat.shape[0] < 1:
@@ -288,7 +297,7 @@ def sequence_backward(params: LstmParams, cache: SequenceCache, grad_h_n) -> Lst
             f"cache was built for k={cache.hidden_size}, d={cache.input_size}; "
             f"params have k={k}, d={params.input_size}"
         )
-    dh = np.asarray(grad_h_n, dtype=np.float64).ravel()
+    dh = np.asarray(grad_h_n, dtype=params.dtype).ravel()
     if dh.size != k:
         raise ShapeError(f"gradient on h_n has length {dh.size}, expected {k}")
     # the padding rows get a zero gradient, so they add exact zeros
@@ -303,7 +312,7 @@ class LinearHead:
     b: np.ndarray  # (n_out,)
 
     def predict(self, latents) -> np.ndarray:
-        Z = np.asarray(latents, dtype=np.float64)
+        Z = np.asarray(latents, dtype=self.W.dtype)
         if Z.ndim != 2 or Z.shape[1] != self.W.shape[1]:
             raise ShapeError(
                 f"latents have shape {Z.shape}, head expects (N, {self.W.shape[1]})"
@@ -317,7 +326,7 @@ class LinearHead:
     def from_dict(cls, payload: dict) -> "LinearHead":
         """Inverse of :meth:`to_dict`; raises SchemaError for a malformed head."""
         try:
-            head = cls(*(json_floats(payload[key], f"linear head {key}") for key in ("W", "b")))
+            head = cls(*(json_floats(payload[key], f"linear head {key}", DTYPE) for key in ("W", "b")))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed linear head: {exc!r}") from None
         if head.W.ndim != 2 or head.b.shape != head.W.shape[:1]:
@@ -350,11 +359,11 @@ class TrainConfig:
 
 
 class _Adam:
-    def __init__(self, lr: float, shapes: dict):
+    def __init__(self, lr: float, tensors: dict):
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self.m = {name: np.zeros_like(t) for name, t in tensors.items()}
+        self.v = {name: np.zeros_like(t) for name, t in tensors.items()}
 
     def step(self, tensors: dict, grads: dict):
         self.t += 1
@@ -382,26 +391,27 @@ def _clip_global(grads: dict, clip_norm: float):
 def train(dataset: WindowedDataset, config: TrainConfig):
     """Pre-train an LSTM on windowed data through a temporary linear head.
 
-    Each epoch is one Adam step on the full-batch gradient, clipped to
-    global norm ``config.clip_norm``. Returns (params, head, loss_history)
-    where loss_history[e] is the mean squared error over the whole dataset
-    of the parameters at the start of epoch e. Deterministic for a fixed seed.
+    Runs in DTYPE. Each epoch is one Adam step on the full-batch gradient,
+    clipped to global norm ``config.clip_norm``. Returns (params, head,
+    loss_history) where loss_history[e] is the mean squared error over the
+    whole dataset of the parameters at the start of epoch e. Deterministic
+    for a fixed seed.
     """
     N = dataset.n_samples
     if N < 1:
         raise SizingError("cannot train on an empty dataset")
-    X3 = np.asarray(dataset.X, dtype=np.float64)
-    Y = np.asarray(dataset.Y, dtype=np.float64)
+    X3 = np.asarray(dataset.X, dtype=DTYPE)
+    Y = np.asarray(dataset.Y, dtype=DTYPE)
     n_out = Y.shape[1]
     d = X3.shape[2]
     k = config.hidden_size
 
     rng = Rng(config.seed)
-    params = init_params(d, k, rng)
-    head = LinearHead(W=rng.uniform(n_out, k, 1.0 / math.sqrt(k)), b=np.zeros(n_out))
+    params = LstmParams(**{name: t.astype(DTYPE) for name, t in vars(init_params(d, k, rng)).items()})
+    head = LinearHead(W=rng.uniform(n_out, k, 1.0 / math.sqrt(k)).astype(DTYPE), b=np.zeros(n_out, DTYPE))
 
     tensors = {"head_W": head.W, "head_b": head.b, **vars(params)}
-    optimizer = _Adam(config.learning_rate, {name: t.shape for name, t in tensors.items()})
+    optimizer = _Adam(config.learning_rate, tensors)
     history: list[float] = []
     # overflow during a diverging run is reported via TrainingError below,
     # not as a numpy warning
@@ -431,13 +441,13 @@ def extract_latents(params: LstmParams, dataset: WindowedDataset) -> np.ndarray:
     bitwise identical to :func:`sequence_forward` on window i alone, whatever
     other windows are extracted with it.
     """
-    X3 = np.asarray(dataset.X, dtype=np.float64)
+    X3 = np.asarray(dataset.X, dtype=params.dtype)
     if X3.ndim != 3 or X3.shape[2] != params.input_size:
         raise ShapeError(
             f"windows have shape {X3.shape}, params expect (N, n, {params.input_size})"
         )
     N = X3.shape[0]
-    Z = np.zeros((N, params.hidden_size))
+    Z = np.zeros((N, params.hidden_size), params.dtype)
     for start in range(0, N, TILE_ROWS):
         rows = X3[start : start + TILE_ROWS]
         H, _ = _forward(params, _tile(rows))

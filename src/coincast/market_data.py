@@ -422,13 +422,15 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def json_floats(value, what: str) -> np.ndarray:
-    """The float64 array of a model file's JSON list, nested for a matrix; an entry
-    that is not a finite JSON number, or ragged nesting, is a SchemaError naming ``what``."""
+def json_floats(value, what: str, dtype=np.float64) -> np.ndarray:
+    """The ``dtype`` array of a model file's JSON list, nested for a matrix; an entry
+    that is not a JSON number finite in ``dtype``, or ragged nesting, is a SchemaError
+    naming ``what``."""
     if not _leaf_types(value) <= {int, float}:
         raise SchemaError(f"{what} must hold JSON numbers only")
     try:
-        array = np.asarray(value, dtype=np.float64)
+        with np.errstate(over="ignore"):  # overflow to inf is refused below
+            array = np.asarray(value, dtype=dtype)
     except (OverflowError, ValueError) as exc:
         raise SchemaError(f"{what} is not a numeric array: {exc}") from None
     if not np.all(np.isfinite(array)):

@@ -17,8 +17,10 @@ def sigmoid(x):
     IEEE operations on the same values as 1 / (1 + exp(-x)), and for x < 0 the
     same as exp(x) / (1 + exp(x)), with no exp argument above zero and no
     masked gather. Accepts scalars or arrays; returns a float for scalar input.
+    Float32 input is computed and returned in float32, anything else in float64.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x)
+    arr = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
     # a 0-d operand makes numpy ufuncs return scalars, which take no out=
     a = np.atleast_1d(arr)
     den = np.abs(a)

@@ -45,7 +45,7 @@ from .market_data import (
 )
 
 MODEL_FORMAT = "coincast-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 def prepare_datasets(

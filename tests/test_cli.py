@@ -399,6 +399,17 @@ class TestEvaluate:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_a_version_3_model_asks_to_be_retrained(self, trained, tmp_path, capsys):
+        # version 3 stored float64 LSTM weights; version 4 loads them as float32
+        cfg = write_workspace(tmp_path)
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        manifest = model / "BTC" / "manifest.json"
+        manifest.write_bytes(json_edit(lambda m: m.update(version=3))(manifest.read_bytes()))
+        assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 3
+        assert "is model format version 3; only version 4 is read, so retrain the model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_evaluate_without_model_fails_cleanly(self, tmp_path):
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
         assert main(["evaluate", "--config", str(cfg)]) == 3

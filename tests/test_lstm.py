@@ -16,6 +16,7 @@ from coincast.lstm import (
     StepCache,
     TrainConfig,
     _backward,
+    _forward,
     _step,
     cell_forward,
     extract_latents,
@@ -42,6 +43,10 @@ def zero_params(hidden: int, inputs: int) -> LstmParams:
 
 def zero_state(hidden: int) -> LstmState:
     return LstmState(h=np.zeros(hidden), C=np.zeros(hidden))
+
+
+def as_dtype(params: LstmParams, dtype) -> LstmParams:
+    return LstmParams(**{name: getattr(params, name).astype(dtype) for name in PARAM_NAMES})
 
 
 def with_field(params: LstmParams, name: str, value: np.ndarray) -> LstmParams:
@@ -247,8 +252,8 @@ class TestTrain:
         assert not np.array_equal(params_a.W_f, params_b.W_f)
 
     def test_divergence_raises_training_error(self):
-        # Adam's step is about learning_rate whatever the gradient, so it
-        # takes a step this large (1e30 and 1e100 do not) to overflow the loss
+        # Adam's step is about learning_rate whatever the gradient, so only a
+        # huge step overflows the loss (in float32, 1e30 already does)
         ds = tiny_dataset()
         cfg = TrainConfig(hidden_size=4, epochs=50, learning_rate=1e200, seed=6)
         with pytest.raises(TrainingError, match="diverged at epoch 1"):
@@ -266,8 +271,23 @@ class TestTrain:
         with pytest.raises(SizingError):
             TrainConfig(epochs=0)
 
+    def test_runs_in_float32_throughout(self):
+        ds = tiny_dataset(n_samples=20)
+        params, head, _ = train(ds, TrainConfig(hidden_size=5, epochs=2, learning_rate=0.01, seed=4))
+        assert {getattr(params, name).dtype for name in PARAM_NAMES} == {np.dtype(np.float32)}
+        assert head.W.dtype == head.b.dtype == np.float32
+        Hn, steps = _forward(params, ds.X.astype(np.float32))
+        assert Hn.dtype == np.float32
+        for step in steps:
+            for field in dataclasses.fields(StepCache):
+                assert getattr(step, field.name).dtype == np.float32, field.name
+        grads = _backward(params, steps, (Hn @ head.W.T - ds.Y.astype(np.float32)) @ head.W)
+        for name in PARAM_NAMES:
+            assert getattr(grads, name).dtype == np.float32, name
+        assert head.predict(Hn).dtype == np.float32
+
     def test_peak_memory_is_one_epoch_of_caches(self):
-        # one epoch of BPTT state is n*N*(6k+d) float64 values: concat (k+d)
+        # one epoch of BPTT state is n*N*(6k+d) float32 values: concat (k+d)
         # plus f, i, c_tilde, o and C (k each) per step and window; holding a
         # second epoch's caches, or tanh(C) beside C, goes past the bound
         N, n, k, d = 208, 12, 16, 5
@@ -278,7 +298,7 @@ class TestTrain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * n * N * (6 * k + d) * 8
+        assert peak <= 1.5 * n * N * (6 * k + d) * 4
 
 
 def reference_latent(params: LstmParams, X) -> np.ndarray:
@@ -296,24 +316,32 @@ def reference_latent(params: LstmParams, X) -> np.ndarray:
     return h
 
 
+# the kernel follows its params' dtype: float32 as trained and stored, float64 as tested
+DTYPES = (np.float64, np.float32)
+
+
 class TestLatents:
     @pytest.mark.parametrize("n_samples", [12, 64, 65, 130])
     def test_shape_and_bitwise_contract(self, n_samples):
         ds = tiny_dataset(n_samples=n_samples)
-        params, _, _ = train(ds, TrainConfig(hidden_size=5, epochs=2, learning_rate=0.01, seed=9))
-        latents = extract_latents(params, ds)
-        assert latents.shape == (ds.n_samples, 5)
-        for row in range(ds.n_samples):
-            h_n, _ = sequence_forward(params, ds.X[row])
-            npt.assert_array_equal(latents[row], h_n)
+        trained, _, _ = train(ds, TrainConfig(hidden_size=5, epochs=2, learning_rate=0.01, seed=9))
+        for dtype in DTYPES:
+            params = as_dtype(trained, dtype)
+            latents = extract_latents(params, ds)
+            assert latents.shape == (ds.n_samples, 5)
+            assert latents.dtype == dtype
+            for row in range(ds.n_samples):
+                h_n, _ = sequence_forward(params, ds.X[row])
+                assert same_bits(latents[row], h_n)
 
     def test_slice_matches_full_dataset_rows(self):
         ds = tiny_dataset(n_samples=150)
-        params = init_params(2, 6, Rng(26))
-        full = extract_latents(params, ds)
-        for start, stop in ((0, 1), (5, 69), (63, 150), (70, 71)):
-            part = dataclasses.replace(ds, X=ds.X[start:stop], Y=ds.Y[start:stop])
-            npt.assert_array_equal(extract_latents(params, part), full[start:stop])
+        for dtype in DTYPES:
+            params = as_dtype(init_params(2, 6, Rng(26)), dtype)
+            full = extract_latents(params, ds)
+            for start, stop in ((0, 1), (5, 69), (63, 150), (70, 71)):
+                part = dataclasses.replace(ds, X=ds.X[start:stop], Y=ds.Y[start:stop])
+                assert same_bits(extract_latents(params, part), full[start:stop])
 
     def test_matches_per_vector_reference(self):
         ds = tiny_dataset(n_samples=70, d=3)
@@ -330,18 +358,27 @@ class TestLatents:
 
 class TestSerialization:
     def test_params_round_trip(self):
-        params = init_params(3, 4, Rng(25))
-        clone = LstmParams.from_dict(json.loads(json.dumps(params.to_dict())))
+        params, _, _ = train(tiny_dataset(), TrainConfig(hidden_size=4, epochs=3, seed=25))
+        payload = json.loads(json.dumps(params.to_dict()))
+        clone = LstmParams.from_dict(payload)
         for name in PARAM_NAMES:
-            npt.assert_array_equal(getattr(clone, name), getattr(params, name))
+            # the file holds the exact float64 widening of every float32 value
+            assert payload[name] == getattr(params, name).astype(np.float64).tolist()
+            assert same_bits(getattr(clone, name), getattr(params, name))
 
     def test_head_round_trip(self):
-        head = LinearHead(W=np.array([[1.5, -2.0]]), b=np.array([0.25]))
+        ds = tiny_dataset()
+        params, head, _ = train(ds, TrainConfig(hidden_size=4, epochs=3, seed=25))
         clone = LinearHead.from_dict(json.loads(json.dumps(head.to_dict())))
-        npt.assert_array_equal(clone.W, head.W)
-        npt.assert_array_equal(
-            clone.predict(np.array([[2.0, 1.0]])), head.predict(np.array([[2.0, 1.0]]))
-        )
+        assert same_bits(clone.W, head.W) and same_bits(clone.b, head.b)
+        latents = extract_latents(params, ds)
+        assert same_bits(clone.predict(latents), head.predict(latents))
+
+    def test_a_value_past_float32_is_refused(self):
+        payload = json.loads(json.dumps(init_params(3, 4, Rng(25)).to_dict()))
+        payload["W_C"][1][2] = 1e300
+        with pytest.raises(SchemaError, match="LSTM W_C has non-finite values"):
+            LstmParams.from_dict(payload)
 
     @pytest.mark.parametrize("value", [True, "0.5", None])
     def test_a_non_number_is_refused(self, value):

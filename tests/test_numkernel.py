@@ -45,9 +45,9 @@ class TestActivations:
         npt.assert_array_equal(out, np.full((3, 4), 0.5))
 
 
-def masked_sigmoid(x):
+def masked_sigmoid(x, dtype=np.float64):
     """The two-branch masked form: 1/(1+exp(-a)) where a >= 0, exp(a)/(1+exp(a)) elsewhere."""
-    a = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    a = np.atleast_1d(np.asarray(x, dtype=dtype))
     out = np.empty_like(a)
     pos = a >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
@@ -63,9 +63,12 @@ class TestSigmoidExactness:
         a = np.random.default_rng(int(scale * 10) + len(shape)).normal(size=shape) * scale
         flat = a.reshape(-1)
         flat[: min(4, flat.size)] = [0.0, -0.0, np.inf, -np.inf][: min(4, flat.size)]
-        out = sigmoid(a)
-        assert out.shape == a.shape
-        assert out.tobytes() == masked_sigmoid(a).reshape(shape).tobytes()
+        # float32 in is computed and returned in float32
+        for dtype in (np.float64, np.float32):
+            x = a.astype(dtype)
+            out = sigmoid(x)
+            assert out.shape == a.shape and out.dtype == dtype
+            assert out.tobytes() == masked_sigmoid(x, dtype).reshape(shape).tobytes()
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 2.5, -2.5, 750.0, -750.0, np.inf, -np.inf])
     def test_scalar_and_0d_return_float(self, value):

@@ -346,6 +346,21 @@ class TestBundleRoundTrip:
         assert loaded.data_hash == "abc123"
         assert len(history) == FAST_LSTM["epochs"]
 
+    def test_loaded_lstm_reproduces_the_float32_bits(self, tmp_path, splits, fitted):
+        # the model files hold the float32 weights' exact float64 widening, so
+        # latents and lstm-only predictions come back bit for bit
+        train_ds, test_ds = splits
+        (hybrid, lstm_only, _), _ = fitted
+        save_bundle(tmp_path, bundle_of(fitted[0], train_ds))
+        loaded = load_bundle(tmp_path)
+        for name in lstm_mod.PARAM_FIELDS:
+            assert getattr(loaded.hybrid.lstm, name).dtype == np.float32, name
+        for ds in splits:
+            before, after = hybrid.features(ds), loaded.hybrid.features(ds)
+            assert before.dtype == np.float32 and before.tobytes() == after.tobytes()
+        before = lstm_only.predict_prices(test_ds)
+        assert before.tobytes() == loaded.lstm_baseline.predict_prices(test_ds).tobytes()
+
     def test_three_step_round_trip(self, tmp_path):
         series = rows_to_series(random_walk_rows(T=100, seed=28))
         train_ds, test_ds = prepare_datasets(series, FEATURES, "close", 8, 3, 0.8)
@@ -373,7 +388,7 @@ class TestBundleRoundTrip:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest == {
             "format": "coincast-model",
-            "version": 3,
+            "version": 4,
             "config": RUN_CONFIG.to_dict(),
             "data_hash": "",
         }
