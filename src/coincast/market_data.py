@@ -7,6 +7,14 @@ SNo, Name, Symbol, Date, High, Low, Open, Close, Volume, Marketcap
 validated on the way in: parse failures, duplicate dates, negative values
 and OHLC ordering violations all raise naming the first offending line
 (1-based).
+
+A file is read by one of two paths that give the same series. numpy's C
+reader (``np.loadtxt``) reads the data rows and whole columns are checked at
+once; any file it refuses, or that fails a check, goes to the row-by-row pass
+over ``csv`` records, which names the first faulty line. Both convert numbers
+with ``PyOS_string_to_double``, the function ``float()`` calls, so the values
+are the same bits. Output rows are written with ``csv.writer`` only where a
+cell may need quoting; every other row is one ``",".join``.
 """
 from __future__ import annotations
 
@@ -16,9 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from datetime import date, datetime
-from itertools import compress
-from operator import itemgetter
-from typing import NoReturn
+from itertools import compress, count
 
 import numpy as np
 
@@ -62,14 +68,31 @@ class PriceSeries:
 def _as_text(source) -> str:
     data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, str):
-        return data
+        return data.removeprefix("\ufeff")
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"file is not UTF-8 text: {exc}") from None
 
 
-def _parse_day(raw: str, line_no: int) -> date:
+def _records(buf):
+    """Yield (line number, row) for each csv record of ``buf``, from line 1; a
+    record csv cannot read, such as one with a field over its size limit, is a
+    ValidationError naming the line."""
+    reader = csv.reader(buf)
+    for line_no in count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValidationError(f"line {line_no}: {exc}") from None
+        yield line_no, row
+
+
+def _parse_day(raw: str) -> date | None:
+    """The date of a ``YYYY-MM-DD`` or ``YYYY-MM-DD HH:MM:SS`` stamp (or another
+    ISO 8601 form that datetime reads), or None."""
     s = raw.strip()
     try:
         return datetime.fromisoformat(s).date()
@@ -78,7 +101,7 @@ def _parse_day(raw: str, line_no: int) -> date:
     try:
         return datetime.strptime(s, "%Y-%m-%d %H:%M:%S").date()
     except ValueError:
-        raise ValidationError(f"line {line_no}: cannot parse date {raw!r}") from None
+        return None
 
 
 def _parse_number(raw: str, column: str, line_no: int) -> float:
@@ -93,23 +116,9 @@ def _parse_number(raw: str, column: str, line_no: int) -> float:
     return value
 
 
-def _columns_if_valid(numbered, width: int, cols: dict):
-    """Parse and validate the data rows a whole column at a time.
-
-    Returns the dates and the (n, 6) value matrix sorted by date, or None
-    when any row fails a check; :func:`_raise_first_fault` then names it.
-    """
-    rows = [row for _, row in numbered]
-    if min(map(len, rows)) < width:
-        return None
-    try:
-        days = [_parse_day(row[cols["date"]], line_no) for line_no, row in numbered]
-        values = np.column_stack([
-            np.fromiter(map(float, map(itemgetter(cols[field]), rows)), np.float64, len(rows))
-            for field in PRICE_FIELDS
-        ])
-    except (ValueError, ValidationError):
-        return None
+def _sorted_if_valid(days: list, values: np.ndarray):
+    """The dates and (n, 6) value matrix sorted by date, or None when a value is
+    not finite or negative, a row breaks OHLC order, or a date repeats."""
     ordinals = np.fromiter(map(date.toordinal, days), np.int64, len(days))
     order = np.argsort(ordinals, kind="stable")
     o, h, lo, c = values[:, :4].T
@@ -120,18 +129,71 @@ def _columns_if_valid(numbered, width: int, cols: dict):
         and (h >= np.maximum(o, c)).all()
         and (np.diff(ordinals[order]) > 0).all()
     )
-    return (tuple(days[i] for i in order), values[order]) if valid else None
+    return (tuple(map(days.__getitem__, order.tolist())), values[order]) if valid else None
 
 
-def _raise_first_fault(numbered, width: int, cols: dict) -> NoReturn:
-    """Raise the error of the first offending line, checking each line in turn:
-    field count, date, duplicate, each field's parse and finiteness, negatives,
-    OHLC order."""
+# Longest date text the C reader keeps; a longer one goes to the row pass.
+_DATE_CHARS = 32
+# Characters the C reader treats differently from csv or float(): NUL ends a
+# numpy string, and float() does not strip the separators U+001C-U+001F.
+_ROW_PASS_CHARS = ("\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _columns_if_valid(buf, text: str, width: int, cols: dict):
+    """Read the data rows from ``buf`` with numpy's C reader and check them a
+    whole column at a time.
+
+    Returns the dates and the (n, 6) value matrix sorted by date, or None when
+    the reader refuses a row, a row fails a check, or csv might read the rows
+    differently (a field past csv's size limit, a bare CR line end, a row with
+    more or fewer fields than the header); the row pass then reads them.
+    """
+    body = buf.tell()
+    if not any(map(str.strip, buf)):  # numpy warns when it finds no row
+        return None
+    buf.seek(body)
+    limit = csv.field_size_limit()
+    if (
+        any(ch in text for ch in _ROW_PASS_CHARS)
+        # csv ends a line at a bare CR; numpy may not
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
+        # no field is longer than its line unless a quoted field spans lines
+        or (len(text) > limit and ('"' in text or max(map(len, buf)) > limit))
+    ):
+        return None
+    buf.seek(body)
+    kinds = ["U1"] * width
+    kinds[cols["date"]] = f"U{_DATE_CHARS}"
+    for field in PRICE_FIELDS:
+        kinds[cols[field]] = "f8"
+    dtype = np.dtype([(f"c{i}", kind) for i, kind in enumerate(kinds)])
+    try:
+        table = np.loadtxt(buf, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError:
+        return None
+    stamps = table[f"c{cols['date']}"].tolist()
+    if max(map(len, stamps), default=_DATE_CHARS) >= _DATE_CHARS:  # may have been cut short
+        return None
+    days = list(map(_parse_day, stamps))
+    if None in days:
+        return None
+    values = np.column_stack([table[f"c{cols[field]}"] for field in PRICE_FIELDS])
+    return _sorted_if_valid(days, values)
+
+
+def _rows_checked(numbered, width: int, cols: dict):
+    """Check each data row in turn and return the dates and value matrix sorted
+    by date; the first offending line raises. Within a line the checks run in
+    the order: field count, date, duplicate, each field's parse and finiteness,
+    negatives, OHLC order."""
     first_line: dict[date, int] = {}
+    rows = []
     for line_no, row in numbered:
         if len(row) < width:
             raise ValidationError(f"line {line_no}: expected {width} fields, got {len(row)}")
-        day = _parse_day(row[cols["date"]], line_no)
+        day = _parse_day(row[cols["date"]])
+        if day is None:
+            raise ValidationError(f"line {line_no}: cannot parse date {row[cols['date']]!r}")
         if day in first_line:
             raise ValidationError(
                 f"duplicate date {day.isoformat()} (lines {first_line[day]} and {line_no})"
@@ -148,7 +210,13 @@ def _raise_first_fault(numbered, width: int, cols: dict) -> NoReturn:
                     line_no, v["open"], v["high"], v["low"], v["close"]
                 )
             )
-    raise AssertionError("the column checks rejected a file that every row check accepts")
+        rows.append(list(v.values()))
+    return _sorted_if_valid(list(first_line), np.array(rows, dtype=np.float64))
+
+
+def _data_rows(records):
+    """The records that hold a non-blank field."""
+    return ((line_no, row) for line_no, row in records if any(map(str.strip, row)))
 
 
 def parse_csv(source) -> PriceSeries:
@@ -159,11 +227,11 @@ def parse_csv(source) -> PriceSeries:
     naming the first offending line.
     """
     text = _as_text(source)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty file: header row is missing") from None
+    buf = io.StringIO(text, newline="")
+    records = _records(buf)
+    _, header = next(records, (1, None))
+    if header is None:
+        raise SchemaError("empty file: header row is missing")
     cols: dict[str, int] = {}
     for idx, name in enumerate(header):
         key = name.strip().lower()
@@ -173,19 +241,22 @@ def parse_csv(source) -> PriceSeries:
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
 
-    numbered = [
-        (line_no, row) for line_no, row in enumerate(reader, start=2) if any(map(str.strip, row))
-    ]
-    if not numbered:
-        raise ValidationError("file contains a header but no data rows")
-    parsed = _columns_if_valid(numbered, len(header), cols)
+    body = buf.tell()
+    parsed = _columns_if_valid(buf, text, len(header), cols)
+    buf.seek(body)
+    numbered = _data_rows(records)
     if parsed is None:
-        _raise_first_fault(numbered, len(header), cols)
+        numbered = list(numbered)
+        if not numbered:
+            raise ValidationError("file contains a header but no data rows")
+        parsed = _rows_checked(numbered, len(header), cols)
     days, values = parsed
     # symbol and name come from the first row that names a symbol, else the last row
-    first = next((row for _, row in numbered if row[cols["symbol"]].strip()), numbered[-1][1])
+    for _, row in numbered:
+        if row[cols["symbol"]].strip():
+            break
     return PriceSeries(
-        symbol=first[cols["symbol"]].strip(), name=first[cols["name"]].strip(), days=days, values=values
+        symbol=row[cols["symbol"]].strip(), name=row[cols["name"]].strip(), days=days, values=values
     )
 
 
@@ -394,27 +465,52 @@ def train_row_count(n_train_windows: int, n_steps_in: int, n_steps_out: int) -> 
     return n_train_windows + n_steps_in + n_steps_out - 1
 
 
+# Characters that make csv.writer quote a cell.
+_QUOTED_CHARS = (",", '"', "\r", "\n")
+# Rows converted to text at a time, so a table's cells are never all alive at once.
+_ROWS_PER_BLOCK = 256
+
+
 def _cells(column) -> list:
-    if not isinstance(column, np.ndarray):
-        return column
-    if column.dtype.kind != "f":
-        return column.tolist()
-    cells = list(map(repr, column.tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist():
-        cells[i] = ""
-    return cells
+    """The text csv.writer writes for each cell of a column."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            cells = list(map(repr, column.tolist()))
+            for i in np.flatnonzero(~np.isfinite(column)).tolist():
+                cells[i] = ""
+            return cells
+        column = column.tolist()
+    return ["" if cell is None else str(cell) for cell in column]
+
+
+def _numeric(column) -> bool:
+    """Whether every cell of the column is a number, which csv.writer never quotes."""
+    return isinstance(column, range) or (isinstance(column, np.ndarray) and column.dtype.kind in "biuf")
 
 
 def write_csv(path, header, columns) -> None:
-    """Write one CSV from equal-length columns, one per header name.
+    """Write one CSV from equal-length column sequences, one per header name.
 
     A float array is written with repr for full round-trip fidelity and a
-    blank cell where a value is not finite; any other column as it is.
+    blank cell where a value is not finite; any other column as it is. The
+    bytes are csv.writer's; rows that need no quoting are joined directly.
     """
+    columns = list(columns)
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    texts = [i for i, column in enumerate(columns) if not _numeric(column)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns), strict=True))
+        for start in range(0, max(lengths, default=0), _ROWS_PER_BLOCK):
+            block = [_cells(column[start : start + _ROWS_PER_BLOCK]) for column in columns]
+            joined = "".join("".join(block[i]) for i in texts)
+            # csv.writer writes a lone empty cell as "", so one-column tables go through it
+            if len(columns) > 1 and not any(ch in joined for ch in _QUOTED_CHARS):
+                fh.writelines(",".join(row) + "\n" for row in zip(*block))
+            else:
+                writer.writerows(zip(*block))
 
 
 def json_text(payload) -> str:

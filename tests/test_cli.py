@@ -141,6 +141,7 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("mins", INF)), id="scaler-inf"),
     pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("maxs", True)), id="scaler-boolean"),
     pytest.param("train", "btc.csv", lambda raw: raw.replace(b",Btc,", b",B\xfftc,", 1), id="csv-not-utf8"),
+    pytest.param("backtest", "btc.csv", lambda raw: raw.replace(b",Btc,", b"," + b"N" * 200_000 + b",", 1), id="csv-field-past-csv-limit"),
     # asks numpy for about 29 TiB of LSTM weights, which fails at once
     pytest.param("train", "config.json", json_edit(lambda c: c["lstm"].update(hidden_size=2_000_000)), id="lstm-too-large-to-allocate"),
     pytest.param("analyze", "config.json", json_edit(lambda c: c.update(analysis={"histogram_bins": 10**30})), id="histogram-bins-past-numpy-index"),

@@ -1,10 +1,20 @@
+import csv
 import io
+import math
+import sys
+import warnings
+from contextlib import nullcontext
 from datetime import date
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coincast import market_data
 from coincast.errors import DomainError, SchemaError, ShapeError, SizingError, ValidationError
 from coincast.market_data import (
     PRICE_FIELDS,
@@ -19,8 +29,12 @@ from coincast.market_data import (
     train_row_count,
     train_window_count,
     windows_to_csv,
+    write_csv,
 )
 from conftest import random_walk_rows, rows_to_csv_text, rows_to_series
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gen import ohlcv_csv  # noqa: E402
 
 GOOD_CSV = """SNo,Name,Symbol,Date,High,Low,Open,Close,Volume,Marketcap
 1,Bitcoin,BTC,2017-01-02 23:59:59,1041.0,990.0,1000.0,1020.0,500000,16000000000
@@ -47,7 +61,8 @@ class TestParseCsv:
 
     def test_utf8_bom_is_skipped(self):
         raw = GOOD_CSV.encode("utf-8")
-        for source in (b"\xef\xbb\xbf" + raw, io.BytesIO(b"\xef\xbb\xbf" + raw)):
+        bom = "\ufeff" + GOOD_CSV
+        for source in (b"\xef\xbb\xbf" + raw, io.BytesIO(b"\xef\xbb\xbf" + raw), bom, io.StringIO(bom)):
             series = parse_csv(source)
             plain = parse_csv(raw)
             assert (series.symbol, series.name, series.days) == (plain.symbol, plain.name, plain.days)
@@ -114,6 +129,19 @@ class TestParseCsv:
         text = GOOD_CSV.replace("1020.0,500000", "2000.0,500000")
         with pytest.raises(ValidationError, match="line 2.*OHLC"):
             parse_csv(text)
+
+    def test_field_past_the_csv_limit_names_its_line(self):
+        long_name = _csv("1,B,BTC,2017-01-01,2,1,1.5,1.5,1,1", f"2,{'N' * 200_000},BTC,2017-01-02,2,1,1.5,1.5,1,1")
+        # a stray quote opens a field that runs to the end of the file
+        stray_quote = _csv(
+            "1,B,BTC,2017-01-01,2,1,1.5,1.5,1,1",
+            '2,"B,BTC,2017-01-02,2,1,1.5,1.5,1,1',
+            *(f"{i},B,BTC,{date.fromordinal(736330 + i)},2,1,1.5,1.5,1,1" for i in range(3, 5000)),
+        )
+        for text, line in ((long_name, 3), (stray_quote, 3)):
+            with pytest.raises(ValidationError) as info:
+                parse_csv(text)
+            assert str(info.value) == f"line {line}: field larger than field limit (131072)"
 
     def test_round_trip_through_writer(self):
         rows = random_walk_rows(T=40, seed=5)
@@ -230,6 +258,191 @@ class TestParseCsv:
         with pytest.raises(ValidationError) as info:
             parse_csv(_csv(*rows))
         assert str(info.value) == message
+
+
+def _outcome(text: str, c_reader: bool = True):
+    """What parse_csv makes of ``text``: the series' symbol, name, days and value
+    bits, or the error's type and message. ``c_reader=False`` sends every file to
+    the row pass."""
+    row_pass_only = mock.patch.object(market_data, "_columns_if_valid", return_value=None)
+    with nullcontext() if c_reader else row_pass_only, warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a file with no rows
+        try:
+            series = parse_csv(text)
+        except (SchemaError, ValidationError) as exc:
+            return type(exc).__name__, str(exc)
+    return series.symbol, series.name, series.days, series.values.dtype, series.values.tobytes()
+
+
+def _takes_c_reader(text: str) -> bool:
+    results = []
+    real = market_data._columns_if_valid
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with mock.patch.object(market_data, "_columns_if_valid", spy):
+        parse_csv(text)
+    return results[0] is not None
+
+
+# Field texts that each path must read the same way, chosen to hit the places
+# where numpy's reader, csv and float() could part. Each pair is (texts a valid
+# file may hold, texts that make a file faulty or send it to the row pass).
+_NAMES = (("Coin", '"Coin, Inc"', '"Say ""hi"""', '"two\nlines"', '"two\r\nlines"', " spaced ", 'a"b', '"a"b', ""), ())
+_STAMPS = (("{}", "{} 23:59:59", " {} ", "{}T12:00"), ("{}" + " " * 30, "{}" + " " * 25 + "junk", "{}\x00", "{}x"))
+# in a valid file these replace Volume or Marketcap only, so OHLC order holds
+_NUMBERS = (("1_000", "+1e3", " 1.5 ", '"2.5"', "\xa01.5", "1e3\t"), ("nan", "1e500", "-1", "x", "", '"1,5"', "1\x1c", "0x10"))
+_LAYOUTS = (("row", "row", "row", "empty"), ("spaces", "commas"))
+_ENDS = (("\n", "\r\n"), ("\r",))
+
+
+@st.composite
+def csv_texts(draw):
+    valid = draw(st.booleans())
+
+    def pick(choices):
+        good, bad = choices
+        return draw(st.sampled_from(good if valid else good + bad))
+
+    header = ["SNo", "Name", "Symbol", "Date", "High", "Low", "Open", "Close", "Volume", "Marketcap"]
+    header = [draw(st.sampled_from((h, h.lower(), h.upper()))) for h in header]
+    extra = draw(st.sampled_from(((), ("Notes",), ("close",), ("Close", "Date"))))
+    end = pick(_ENDS)
+    n = draw(st.integers(1, 7))
+    # a valid file's dates are distinct and shuffled; a faulty one's may repeat
+    offsets = draw(st.permutations(range(n)) if valid else st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    lines = [",".join(header + list(extra))]
+    for sno, offset in enumerate(offsets, start=1):
+        layout = pick(_LAYOUTS)
+        if layout != "row":
+            lines.append({"empty": "", "spaces": "   ", "commas": ",,,"}[layout])
+            continue
+        price = draw(st.floats(0.001, 1e6))
+        fields = [
+            str(sno),
+            pick(_NAMES),
+            draw(st.sampled_from(("BTC", "", " ", '"E,T"'))),
+            pick(_STAMPS).format(date(2017, 1, 1 + offset).isoformat()),
+            *map(repr, (price * 1.02, price * 0.98, price, price * 1.01, price * 10.0, price * 1e6)),
+            *(f"x{i}" for i in range(len(extra))),
+        ]
+        if draw(st.booleans()):
+            fields[draw(st.integers(8, 9) if valid else st.integers(4, 9))] = pick(_NUMBERS)
+        if not valid:
+            fields = fields[: draw(st.sampled_from((len(fields), 7)))] + draw(st.sampled_from(([], ["more"])))
+        lines.append(",".join(fields))
+    bom = draw(st.sampled_from(("", "﻿")))
+    return bom + end.join(lines) + draw(st.sampled_from((end, "")))
+
+
+class TestParsePaths:
+    """The C reader and the row pass give the same series, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_both_paths_agree(self, text):
+        assert _outcome(text) == _outcome(text, c_reader=False)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(GOOD_CSV, id="datetime-stamps"),
+            pytest.param(GOOD_CSV.replace("\n", "\r\n"), id="crlf"),
+            pytest.param("﻿" + GOOD_CSV, id="bom"),
+            pytest.param(GOOD_CSV.replace("Bitcoin", '"Bitcoin, ""the"" coin\nof coins"'), id="quoted-comma-quote-newline"),
+            pytest.param(GOOD_CSV.replace("Marketcap\n", "Marketcap,Close\n").replace("000\n", "000,7\n"), id="duplicate-header"),
+            pytest.param(GOOD_CSV + "\n\n", id="empty-lines"),
+            pytest.param(GOOD_CSV.replace("1041.0", "+1041e0").replace("990.0", " 990.0 "), id="signs-exponents-spaces"),
+        ],
+    )
+    def test_clean_files_take_the_c_reader(self, text):
+        assert _takes_c_reader(text)
+        assert _outcome(text) == _outcome(text, c_reader=False)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(GOOD_CSV.replace("500000", "500_000"), id="underscore-number"),
+            pytest.param(GOOD_CSV + "   \n", id="whitespace-only-row"),
+            pytest.param(GOOD_CSV.replace("\n", "\r"), id="bare-cr"),
+            pytest.param(GOOD_CSV.replace("2017-01-03", "2017-01-03" + " " * 40), id="date-past-field-width"),
+            pytest.param(GOOD_CSV.replace("BTC,2017", "BTC,2017", 1).replace("16000000000", "16000000000,extra"), id="longer-row"),
+        ],
+    )
+    def test_files_the_c_reader_refuses_parse_by_rows(self, text):
+        assert not _takes_c_reader(text)
+        assert _outcome(text) == _outcome(text, c_reader=False)
+        assert len(parse_csv(text)) == 3
+
+    def test_date_past_the_field_width_is_never_cut_short(self):
+        # the first 32 characters are a date; the whole field is not
+        text = GOOD_CSV.replace("2017-01-03", "2017-01-03" + " " * 25 + "junk")
+        with pytest.raises(ValidationError, match="line 4: cannot parse date"):
+            parse_csv(text)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_generated_bench_file_takes_the_c_reader(self, seed):
+        for index in range(8):
+            for days in (400, 2000):
+                assert _takes_c_reader(ohlcv_csv(seed, index, days).decode("ascii"))
+
+
+def _csv_writer_text(header, columns) -> str:
+    """The text csv.writer writes for the table, cell by cell as write_csv documents."""
+
+    def cells(column):
+        if not isinstance(column, np.ndarray):
+            return column
+        if column.dtype.kind != "f":
+            return column.tolist()
+        return ["" if not math.isfinite(x) else repr(x) for x in column.tolist()]
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*map(cells, columns)))
+    return buf.getvalue()
+
+
+class TestWriteCsvBytes:
+    """write_csv writes exactly what csv.writer writes."""
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            pytest.param(["a,b", 'q"q', "r\rr", "n\nn", " s "], [["x,y", "", "z"], ['a"', "b", ""], ["\r", "c", "d"], ["\n", "e", "f"], [" x", "y ", " "]], id="cells-that-quote"),
+            pytest.param(["a b", "c"], [[" x", "y "], ["z", ""]], id="spaces"),
+            pytest.param(["only"], [["", "x", ""]], id="one-column-empty-cell"),
+            pytest.param(["only"], [np.array([np.nan, 1.0])], id="one-column-blank-float"),
+            pytest.param(["x", "y"], [np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300]), np.array([1.0 / 3.0, 2.0, 3.0, 4.0, 5.0])], id="non-finite"),
+            pytest.param(["i", "r", "l", "b"], [np.arange(-2, 2), range(4), [7, 8, 9, 10], np.array([True, False, True, False])], id="integers"),
+            pytest.param(["a", "f32"], [["1", "2"], np.array([0.1, 3.0], dtype=np.float32)], id="float32"),
+            pytest.param(["s", "n"], [np.array(["a", "b,c"]), [None, 1.5]], id="string-array-and-none"),
+            pytest.param(["s", "x"], [["a"] * 300 + ["b,c"] + ["d"] * 300, np.arange(601.0)], id="quote-in-a-later-block"),
+            pytest.param(["date"], [], id="zero-columns"),
+            pytest.param([], [], id="no-header"),
+        ],
+    )
+    def test_same_bytes_as_csv_writer(self, tmp_path, header, columns):
+        write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_text(header, columns).encode("utf-8")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_csv_writer_on_drawn_tables(self, data):
+        n = data.draw(st.integers(0, 5))
+        texts = st.lists(st.text(alphabet=' ab,"\r\n\t', max_size=4), min_size=n, max_size=n)
+        floats = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n).map(np.array)
+        ints = st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)
+        columns = data.draw(st.lists(st.one_of(texts, floats, ints), max_size=4))
+        header = data.draw(st.lists(st.text(alphabet='ab,"\n ', max_size=3), min_size=len(columns), max_size=len(columns)))
+        buf = io.StringIO()
+        with mock.patch.object(market_data, "open", create=True) as fake_open:
+            fake_open.return_value.__enter__.return_value = buf
+            write_csv("t.csv", header, columns)
+        assert buf.getvalue() == _csv_writer_text(header, columns)
 
 
 class TestRebase:
