@@ -145,10 +145,12 @@ class RunConfig:
             raise ConfigError("data must be a non-empty object mapping symbols to CSV paths")
         for symbol, path in self.data.items():
             # a symbol names its output directories, so it must be one path component
-            if not isinstance(symbol, str) or symbol in ("", ".", "..") or {"/", "\\"} & set(symbol):
+            if not isinstance(symbol, str) or symbol in ("", ".", "..") or {"/", "\\", "\0"} & set(symbol):
                 raise ConfigError(f"data contains an invalid symbol key: {symbol!r}")
             if not isinstance(path, str) or not path:
                 raise ConfigError(f"data.{symbol} must be a non-empty path string")
+            if "\0" in path:
+                raise ConfigError(f"data.{symbol} must not contain a NUL character")
         if not isinstance(self.features, (list, tuple)) or not self.features:
             raise ConfigError("features must be a non-empty list")
         self.features = tuple(self.features)
@@ -168,6 +170,8 @@ class RunConfig:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
+        if "\0" in self.output_dir:
+            raise ConfigError("output_dir must not contain a NUL character")
 
     def to_dict(self) -> dict:
         """JSON-form snapshot (uses the external key spellings, e.g. gbt.lambda)."""

@@ -127,6 +127,8 @@ def init_params(input_size: int, hidden_size: int, rng: Rng) -> LstmParams:
             f"input and hidden sizes must be at least 1, got d={input_size}, k={hidden_size}"
         )
     k, width = hidden_size, hidden_size + input_size
+    if k * width > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"hidden size {k} needs {k}x{width} weight matrices, more than numpy can index")
     scale = 1.0 / math.sqrt(width)
     weights = {name: rng.uniform(k, width, scale) for name in _WEIGHTS}
     return LstmParams(

@@ -8,13 +8,13 @@ validated on the way in: parse failures, duplicate dates, negative values
 and OHLC ordering violations all raise naming the first offending line
 (1-based).
 
-A file is read by one of two paths that give the same series. numpy's C
-reader (``np.loadtxt``) reads the data rows and whole columns are checked at
-once; any file it refuses, or that fails a check, goes to the row-by-row pass
-over ``csv`` records, which names the first faulty line. Both convert numbers
-with ``PyOS_string_to_double``, the function ``float()`` calls, so the values
-are the same bits. Output rows are written with ``csv.writer`` only where a
-cell may need quoting; every other row is one ``",".join``.
+A file's fields are those ``csv`` reads. A plain file, one that csv would
+read the same way, is split with one ``str.split`` on line ends and commas;
+any other file is read as ``csv`` records. Either way each number goes
+through ``float()`` and whole columns are checked at once. Only when a check
+fails does a row-by-row pass run, to name the first faulty line. Output rows
+are written with ``csv.writer`` only where a cell may need quoting; every
+other row is one ``",".join``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from datetime import date, datetime
-from itertools import compress, count
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -132,62 +132,48 @@ def _sorted_if_valid(days: list, values: np.ndarray):
     return (tuple(map(days.__getitem__, order.tolist())), values[order]) if valid else None
 
 
-# Longest date text the C reader keeps; a longer one goes to the row pass.
-_DATE_CHARS = 32
-# Characters the C reader treats differently from csv or float(): NUL ends a
-# numpy string, and float() does not strip the separators U+001C-U+001F.
-_ROW_PASS_CHARS = ("\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+def _split_cells(body: str, width: int, date_col: int):
+    """The fields of the data rows in ``body``, the text after the header, row
+    after row, split with ``str.split`` on line ends and commas; or None when
+    csv might read them differently: a quote, a NUL (which csv refuses before
+    Python 3.11), a CR outside CRLF, a line without exactly ``width`` fields or
+    one longer than csv's field size limit. A blank date field also gives None:
+    its row is blank, which csv's reading skips, or faulty. Reading a plain
+    file as csv records instead takes close to half as long again."""
+    if '"' in body or "\0" in body:
+        return None
+    if "\r" in body:
+        if body.count("\r") != body.count("\r\n"):
+            return None
+        body = body.replace("\r\n", "\n")
+    body = body.rstrip("\n")  # csv skips empty lines at the end too
+    lines = body.split("\n")
+    if set(map(str.count, lines, repeat(","))) != {width - 1} or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    del lines
+    cells = body.replace("\n", ",").split(",")
+    return cells if all(map(str.strip, cells[date_col::width])) else None
 
 
-def _columns_if_valid(buf, text: str, width: int, cols: dict):
-    """Read the data rows from ``buf`` with numpy's C reader and check them a
-    whole column at a time.
-
-    Returns the dates and the (n, 6) value matrix sorted by date, or None when
-    the reader refuses a row, a row fails a check, or csv might read the rows
-    differently (a field past csv's size limit, a bare CR line end, a row with
-    more or fewer fields than the header); the row pass then reads them.
-    """
-    body = buf.tell()
-    if not any(map(str.strip, buf)):  # numpy warns when it finds no row
-        return None
-    buf.seek(body)
-    limit = csv.field_size_limit()
-    if (
-        any(ch in text for ch in _ROW_PASS_CHARS)
-        # csv ends a line at a bare CR; numpy may not
-        or ("\r" in text and text.count("\r") != text.count("\r\n"))
-        # no field is longer than its line unless a quoted field spans lines
-        or (len(text) > limit and ('"' in text or max(map(len, buf)) > limit))
-    ):
-        return None
-    buf.seek(body)
-    kinds = ["U1"] * width
-    kinds[cols["date"]] = f"U{_DATE_CHARS}"
-    for field in PRICE_FIELDS:
-        kinds[cols[field]] = "f8"
-    dtype = np.dtype([(f"c{i}", kind) for i, kind in enumerate(kinds)])
-    try:
-        table = np.loadtxt(buf, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-    except ValueError:
-        return None
-    stamps = table[f"c{cols['date']}"].tolist()
-    if max(map(len, stamps), default=_DATE_CHARS) >= _DATE_CHARS:  # may have been cut short
-        return None
-    days = list(map(_parse_day, stamps))
+def _series_if_valid(cells: list, width: int, cols: dict):
+    """The dates and (n, 6) value matrix sorted by date from the fields of n rows
+    of ``width`` each, or None when a date or number does not parse or a row
+    fails a check. numpy converts each number with ``float()``."""
+    days = list(map(_parse_day, cells[cols["date"] :: width]))
     if None in days:
         return None
-    values = np.column_stack([table[f"c{cols[field]}"] for field in PRICE_FIELDS])
+    try:
+        values = np.array([cells[cols[field] :: width] for field in PRICE_FIELDS], dtype=np.float64).T
+    except ValueError:
+        return None
     return _sorted_if_valid(days, values)
 
 
-def _rows_checked(numbered, width: int, cols: dict):
-    """Check each data row in turn and return the dates and value matrix sorted
-    by date; the first offending line raises. Within a line the checks run in
-    the order: field count, date, duplicate, each field's parse and finiteness,
-    negatives, OHLC order."""
+def _raise_first_fault(numbered, width: int, cols: dict) -> None:
+    """Check each data row in turn and raise naming the first offending line.
+    Within a line the checks run in the order: field count, date, duplicate,
+    each field's parse and finiteness, negatives, OHLC order."""
     first_line: dict[date, int] = {}
-    rows = []
     for line_no, row in numbered:
         if len(row) < width:
             raise ValidationError(f"line {line_no}: expected {width} fields, got {len(row)}")
@@ -210,8 +196,6 @@ def _rows_checked(numbered, width: int, cols: dict):
                     line_no, v["open"], v["high"], v["low"], v["close"]
                 )
             )
-        rows.append(list(v.values()))
-    return _sorted_if_valid(list(first_line), np.array(rows, dtype=np.float64))
 
 
 def _data_rows(records):
@@ -241,23 +225,24 @@ def parse_csv(source) -> PriceSeries:
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
 
-    body = buf.tell()
-    parsed = _columns_if_valid(buf, text, len(header), cols)
-    buf.seek(body)
-    numbered = _data_rows(records)
-    if parsed is None:
-        numbered = list(numbered)
+    width = len(header)
+    cells = _split_cells(text[buf.tell() :], width, cols["date"])
+    numbered = None
+    if cells is None:
+        numbered = list(_data_rows(records))
         if not numbered:
             raise ValidationError("file contains a header but no data rows")
-        parsed = _rows_checked(numbered, len(header), cols)
+        if all(len(row) >= width for _, row in numbered):
+            cells = [cell for _, row in numbered for cell in row[:width]]
+    parsed = None if cells is None else _series_if_valid(cells, width, cols)
+    if parsed is None:
+        _raise_first_fault(_data_rows(records) if numbered is None else numbered, width, cols)
     days, values = parsed
     # symbol and name come from the first row that names a symbol, else the last row
-    for _, row in numbered:
-        if row[cols["symbol"]].strip():
-            break
-    return PriceSeries(
-        symbol=row[cols["symbol"]].strip(), name=row[cols["name"]].strip(), days=days, values=values
-    )
+    symbols = cells[cols["symbol"] :: width]
+    first = next(compress(count(), map(str.strip, symbols)), len(symbols) - 1)
+    name = cells[first * width + cols["name"]]
+    return PriceSeries(symbol=symbols[first].strip(), name=name.strip(), days=days, values=values)
 
 
 def load_csv(path) -> PriceSeries:

@@ -134,8 +134,8 @@ def fit_horizon_boosters(
     step of ``Y``; returns each matrix's boosters in step order.
 
     The fits run in up to one forked worker process per usable CPU, widest
-    matrix first so that the longest fits do not trail; with one usable CPU,
-    or no ``fork``, they run in this process. Either way the boosters are the
+    matrix first so that the longest fits do not trail; with one usable CPU
+    they run in this process. Either way the boosters are the
     same bits, and the error of the first failing fit in (matrix, step) order
     is raised as the fit raised it. A worker that dies raises WorkerError.
     """
@@ -162,17 +162,17 @@ def _fit_all(jobs, tree_params, n_rounds) -> list[Booster]:
         from concurrent.futures.process import BrokenProcessPool
 
         # fork, not spawn: a worker starts with the parent's imports instead of
-        # re-importing numpy, and fits call no BLAS, whose threads a fork would not carry
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                widest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].shape[1])
-                futures = {i: pool.submit(_fit, *jobs[i], tree_params, n_rounds) for i in widest_first}
-                return [futures[i].result() for i in range(len(jobs))]
-            except BrokenProcessPool:
-                raise WorkerError("a worker process fitting boosters died before returning") from None
-            finally:
-                pool.shutdown(cancel_futures=True)
+        # re-importing numpy, and fits call no BLAS, whose threads a fork would not
+        # carry. Every platform with sched_getaffinity has fork.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            widest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].shape[1])
+            futures = {i: pool.submit(_fit, *jobs[i], tree_params, n_rounds) for i in widest_first}
+            return [futures[i].result() for i in range(len(jobs))]
+        except BrokenProcessPool:
+            raise WorkerError("a worker process fitting boosters died before returning") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [_fit(F, y, tree_params, n_rounds) for F, y in jobs]
 
 

@@ -144,6 +144,7 @@ BAD_INPUTS = [
     pytest.param("backtest", "btc.csv", lambda raw: raw.replace(b",Btc,", b"," + b"N" * 200_000 + b",", 1), id="csv-field-past-csv-limit"),
     # asks numpy for about 29 TiB of LSTM weights, which fails at once
     pytest.param("train", "config.json", json_edit(lambda c: c["lstm"].update(hidden_size=2_000_000)), id="lstm-too-large-to-allocate"),
+    pytest.param("train", "config.json", json_edit(lambda c: c["lstm"].update(hidden_size=4_000_000_000)), id="lstm-hidden-size-past-numpy-index"),
     pytest.param("analyze", "config.json", json_edit(lambda c: c.update(analysis={"histogram_bins": 10**30})), id="histogram-bins-past-numpy-index"),
     # from the largest float, the first close above the first one overflows the curves
     pytest.param("backtest", "config.json", json_edit(lambda c: c.update(analysis={"initial_capital": sys.float_info.max})), id="backtest-equity-overflows"),

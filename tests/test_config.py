@@ -108,6 +108,10 @@ INVALID_TREES = [
     ({"data": {".": "a.csv"}}, "data contains an invalid symbol key: '.'"),
     # clipping is always on
     ({**MINIMAL, "lstm": {"clip_norm": None}}, "lstm.clip_norm must be a number, got None"),
+    # a NUL cannot be in a file name
+    ({"data": {"BTC": "btc\0.csv"}}, "data.BTC must not contain a NUL character"),
+    ({"data": {"B\0TC": "btc.csv"}}, "data contains an invalid symbol key: 'B\\x00TC'"),
+    ({**MINIMAL, "output_dir": "out\0"}, "output_dir must not contain a NUL character"),
 ]
 
 # A section built directly, as a library caller does, meets the same type rules.

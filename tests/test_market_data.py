@@ -2,7 +2,6 @@ import csv
 import io
 import math
 import sys
-import warnings
 from contextlib import nullcontext
 from datetime import date
 from pathlib import Path
@@ -260,13 +259,12 @@ class TestParseCsv:
         assert str(info.value) == message
 
 
-def _outcome(text: str, c_reader: bool = True):
+def _outcome(text: str, split: bool = True):
     """What parse_csv makes of ``text``: the series' symbol, name, days and value
-    bits, or the error's type and message. ``c_reader=False`` sends every file to
-    the row pass."""
-    row_pass_only = mock.patch.object(market_data, "_columns_if_valid", return_value=None)
-    with nullcontext() if c_reader else row_pass_only, warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy warns on a file with no rows
+    bits, or the error's type and message. ``split=False`` makes every file take
+    the csv tokenisation."""
+    csv_only = mock.patch.object(market_data, "_split_cells", return_value=None)
+    with nullcontext() if split else csv_only:
         try:
             series = parse_csv(text)
         except (SchemaError, ValidationError) as exc:
@@ -274,27 +272,27 @@ def _outcome(text: str, c_reader: bool = True):
     return series.symbol, series.name, series.days, series.values.dtype, series.values.tobytes()
 
 
-def _takes_c_reader(text: str) -> bool:
+def _takes_split_path(text: str) -> bool:
     results = []
-    real = market_data._columns_if_valid
+    real = market_data._split_cells
 
     def spy(*args):
         results.append(real(*args))
         return results[-1]
 
-    with mock.patch.object(market_data, "_columns_if_valid", spy):
+    with mock.patch.object(market_data, "_split_cells", spy):
         parse_csv(text)
     return results[0] is not None
 
 
-# Field texts that each path must read the same way, chosen to hit the places
-# where numpy's reader, csv and float() could part. Each pair is (texts a valid
-# file may hold, texts that make a file faulty or send it to the row pass).
-_NAMES = (("Coin", '"Coin, Inc"', '"Say ""hi"""', '"two\nlines"', '"two\r\nlines"', " spaced ", 'a"b', '"a"b', ""), ())
+# Field texts that each tokenisation must read the same way, chosen to hit the
+# places where str.split, csv and float() could part. Each pair is (texts a valid
+# file may hold, texts that only a faulty file may hold).
+_NAMES = (("Coin", '"Coin, Inc"', '"Say ""hi"""', '"two\nlines"', '"two\r\nlines"', " spaced ", 'a"b', '"a"b', "a\x00b", ""), ())
 _STAMPS = (("{}", "{} 23:59:59", " {} ", "{}T12:00"), ("{}" + " " * 30, "{}" + " " * 25 + "junk", "{}\x00", "{}x"))
 # in a valid file these replace Volume or Marketcap only, so OHLC order holds
 _NUMBERS = (("1_000", "+1e3", " 1.5 ", '"2.5"', "\xa01.5", "1e3\t"), ("nan", "1e500", "-1", "x", "", '"1,5"', "1\x1c", "0x10"))
-_LAYOUTS = (("row", "row", "row", "empty"), ("spaces", "commas"))
+_LAYOUTS = (("row", "row", "row", "empty", "blank-fields"), ("spaces", "commas"))
 _ENDS = (("\n", "\r\n"), ("\r",))
 
 
@@ -317,7 +315,8 @@ def csv_texts(draw):
     for sno, offset in enumerate(offsets, start=1):
         layout = pick(_LAYOUTS)
         if layout != "row":
-            lines.append({"empty": "", "spaces": "   ", "commas": ",,,"}[layout])
+            blank_fields = " ," * (len(header) + len(extra) - 1)
+            lines.append({"empty": "", "spaces": "   ", "commas": ",,,", "blank-fields": blank_fields}[layout])
             continue
         price = draw(st.floats(0.001, 1e6))
         fields = [
@@ -338,12 +337,13 @@ def csv_texts(draw):
 
 
 class TestParsePaths:
-    """The C reader and the row pass give the same series, or the same error."""
+    """The str.split and csv tokenisations give the same series, or the same
+    error. The tests' "C reader" is the str.split tokenisation."""
 
     @settings(max_examples=400, deadline=None)
     @given(csv_texts())
     def test_both_paths_agree(self, text):
-        assert _outcome(text) == _outcome(text, c_reader=False)
+        assert _outcome(text) == _outcome(text, split=False)
 
     @pytest.mark.parametrize(
         "text",
@@ -351,33 +351,38 @@ class TestParsePaths:
             pytest.param(GOOD_CSV, id="datetime-stamps"),
             pytest.param(GOOD_CSV.replace("\n", "\r\n"), id="crlf"),
             pytest.param("﻿" + GOOD_CSV, id="bom"),
-            pytest.param(GOOD_CSV.replace("Bitcoin", '"Bitcoin, ""the"" coin\nof coins"'), id="quoted-comma-quote-newline"),
             pytest.param(GOOD_CSV.replace("Marketcap\n", "Marketcap,Close\n").replace("000\n", "000,7\n"), id="duplicate-header"),
             pytest.param(GOOD_CSV + "\n\n", id="empty-lines"),
             pytest.param(GOOD_CSV.replace("1041.0", "+1041e0").replace("990.0", " 990.0 "), id="signs-exponents-spaces"),
+            pytest.param(GOOD_CSV.replace("500000", "500_000"), id="underscore-number"),
+            pytest.param(GOOD_CSV.replace("2017-01-03", "2017-01-03" + " " * 40), id="date-past-field-width"),
         ],
     )
     def test_clean_files_take_the_c_reader(self, text):
-        assert _takes_c_reader(text)
-        assert _outcome(text) == _outcome(text, c_reader=False)
+        assert _takes_split_path(text)
+        assert _outcome(text) == _outcome(text, split=False)
+        assert len(parse_csv(text)) == 3
 
     @pytest.mark.parametrize(
         "text",
         [
-            pytest.param(GOOD_CSV.replace("500000", "500_000"), id="underscore-number"),
             pytest.param(GOOD_CSV + "   \n", id="whitespace-only-row"),
             pytest.param(GOOD_CSV.replace("\n", "\r"), id="bare-cr"),
-            pytest.param(GOOD_CSV.replace("2017-01-03", "2017-01-03" + " " * 40), id="date-past-field-width"),
             pytest.param(GOOD_CSV.replace("BTC,2017", "BTC,2017", 1).replace("16000000000", "16000000000,extra"), id="longer-row"),
+            pytest.param(GOOD_CSV.replace("Bitcoin", '"Bitcoin, ""the"" coin\nof coins"'), id="quoted-comma-quote-newline"),
+            pytest.param(GOOD_CSV.replace("Bitcoin", '"' + "B" * 50_000 + '"'), id="quoted-name-in-a-long-file"),
+            pytest.param(GOOD_CSV.replace("\n2,", "\n\n2,"), id="interior-blank-line"),
+            pytest.param(GOOD_CSV + " ,\t," + " ," * 7 + "\n", id="trailing-row-of-blank-fields"),
+            pytest.param(GOOD_CSV.replace("Bitcoin", "Bit\x00coin"), id="nul-in-name"),
         ],
     )
     def test_files_the_c_reader_refuses_parse_by_rows(self, text):
-        assert not _takes_c_reader(text)
-        assert _outcome(text) == _outcome(text, c_reader=False)
+        assert not _takes_split_path(text)
+        assert _outcome(text) == _outcome(text, split=False)
         assert len(parse_csv(text)) == 3
 
     def test_date_past_the_field_width_is_never_cut_short(self):
-        # the first 32 characters are a date; the whole field is not
+        # the field starts with a date, but the whole field is not one
         text = GOOD_CSV.replace("2017-01-03", "2017-01-03" + " " * 25 + "junk")
         with pytest.raises(ValidationError, match="line 4: cannot parse date"):
             parse_csv(text)
@@ -386,7 +391,7 @@ class TestParsePaths:
     def test_every_generated_bench_file_takes_the_c_reader(self, seed):
         for index in range(8):
             for days in (400, 2000):
-                assert _takes_c_reader(ohlcv_csv(seed, index, days).decode("ascii"))
+                assert _takes_split_path(ohlcv_csv(seed, index, days).decode("ascii"))
 
 
 def _csv_writer_text(header, columns) -> str:

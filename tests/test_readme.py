@@ -7,6 +7,7 @@ from pathlib import Path
 
 from conftest import random_walk_rows, rows_to_csv_text
 from coincast.config import RunConfig
+from coincast.pipeline import MODEL_VERSION
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +37,8 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     lines = out.getvalue().split()
     assert lines[0] == "model,test_mape,test_minmax_rmse"
     assert [line.split(",")[0] for line in lines[1:]] == ["hybrid", "lstm-only", "gbt-lags"]
+
+
+def test_exit_codes_name_the_model_version_that_is_read():
+    text = README.read_text(encoding="utf-8")
+    assert re.search(r"a manifest whose `version` is not (\d+);", text).group(1) == str(MODEL_VERSION)
