@@ -196,7 +196,7 @@ def apply_override(tree: dict, assignment: str) -> None:
         raise ConfigError(f"override {assignment!r} has an empty key")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # invalid JSON, or an integer past Python's digit limit
         value = raw
     keys = dotted.split(".")
     node = tree
@@ -219,7 +219,7 @@ def load_config(path, overrides=(), env=None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         tree = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(tree, dict):
         raise ConfigError("top-level config must be a JSON object")

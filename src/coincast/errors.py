@@ -9,7 +9,7 @@ TrainingError -> 4.
 from __future__ import annotations
 
 import functools
-import math
+import sys
 import typing
 from dataclasses import fields
 
@@ -63,8 +63,9 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 def check_field_kinds(obj, names=None) -> None:
     """Raise DomainError unless each field of dataclass ``obj`` annotated ``int``,
-    ``float`` or ``bool`` holds a value of that kind, and a float is finite.
-    ``names`` maps a field to the name the message gives it."""
+    ``float`` or ``bool`` holds a value of that kind, and each ``float`` field is
+    finite: at most the largest float in magnitude, which an ``int`` such as
+    ``10**400`` can exceed. ``names`` maps a field to the name the message gives it."""
     hints = _type_hints(type(obj))
     for f in fields(obj):
         if hints[f.name] not in _KINDS:
@@ -74,5 +75,5 @@ def check_field_kinds(obj, names=None) -> None:
         value = getattr(obj, f.name)
         if not admits(value):
             raise DomainError(f"{name} must be {what}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if hints[f.name] is float and not abs(value) <= sys.float_info.max:
             raise DomainError(f"{name} must be finite, got {value!r}")

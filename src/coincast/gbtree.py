@@ -357,14 +357,6 @@ def _grow_tree(cols: _ColumnBlocks, g, h, params: TreeParams) -> RegTree:
     )
 
 
-def _number(box: dict, key: str, kind: type):
-    """``box[key]`` if a JSON integer or, for a float ``kind``, a finite number; else SchemaError."""
-    value = box[key]
-    if type(value) is not int and (kind is int or type(value) is not float or not np.isfinite(value)):
-        raise SchemaError(f"booster {key} must be a finite {kind.__name__}, got {value!r}")
-    return value
-
-
 @dataclass
 class Booster:
     """Additive tree ensemble: prediction = base_score + eta * sum of trees."""
@@ -373,6 +365,9 @@ class Booster:
     base_score: float = 0.0
     params: TreeParams = field(default_factory=TreeParams)
     n_features: int = 0
+
+    def __post_init__(self):
+        check_field_kinds(self)
 
     def predict(self, X) -> np.ndarray:
         M = np.asarray(X, dtype=np.float64)
@@ -405,14 +400,17 @@ class Booster:
     def from_dict(cls, payload: dict) -> "Booster":
         """Inverse of :meth:`to_dict`; raises SchemaError for a malformed booster."""
         try:
-            for f in fields(TreeParams):  # each present, of its default's type
-                _number(payload["params"], f.name, type(f.default))
+            for f in fields(TreeParams):  # a missing field must not take its default
+                if f.name not in payload["params"]:
+                    raise KeyError(f"params.{f.name}")
             booster = cls(
                 trees=[RegTree.from_dict(t) for t in payload["trees"]],
-                base_score=_number(payload, "base_score", float),
+                base_score=payload["base_score"],
                 params=TreeParams(**payload["params"]),
-                n_features=_number(payload, "n_features", int),
+                n_features=payload["n_features"],
             )
+        except DomainError as exc:
+            raise SchemaError(f"malformed booster: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed booster: {exc!r}") from None
         for tree in booster.trees:

@@ -437,19 +437,6 @@ def train_window_count(n_windows: int, train_fraction: float) -> int:
     return n_train
 
 
-def chrono_split(dataset: WindowedDataset, train_fraction: float):
-    """Split windows chronologically at :func:`train_window_count`."""
-    n_train = train_window_count(dataset.n_samples, train_fraction)
-    train = replace(dataset, X=dataset.X[:n_train], Y=dataset.Y[:n_train])
-    test = replace(dataset, X=dataset.X[n_train:], Y=dataset.Y[n_train:])
-    return train, test
-
-
-def train_row_count(n_train_windows: int, n_steps_in: int, n_steps_out: int) -> int:
-    """Number of leading raw rows touched by the first ``n_train_windows`` windows."""
-    return n_train_windows + n_steps_in + n_steps_out - 1
-
-
 # Characters that make csv.writer quote a cell.
 _QUOTED_CHARS = (",", '"', "\r", "\n")
 # Rows converted to text at a time, so a table's cells are never all alive at once.

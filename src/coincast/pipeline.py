@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +35,9 @@ from .market_data import (
     MinMaxScaler,
     PriceSeries,
     WindowedDataset,
-    chrono_split,
     json_text,
     make_windows,
     series_to_features,
-    train_row_count,
     train_window_count,
     write_csv,
 )
@@ -57,12 +55,13 @@ def prepare_datasets(
     train_fraction: float,
     scaler: MinMaxScaler | None = None,
 ):
-    """Scale a series and cut it into chronological train/test windows.
+    """Scale a series and cut it into chronological train/test windows: the
+    first :func:`train_window_count` windows train, the rest test.
 
     When no scaler is given, one is fit on exactly the rows the training
-    windows touch, so no information from the test period leaks into the
-    scaling. Pass a fitted scaler (e.g. from a saved model) to reproduce the
-    training-time transformation.
+    windows touch. With ``n_steps_out`` h > 1 those include the first test
+    window's first h - 1 target rows. Pass a fitted scaler (e.g. from a saved
+    model) to reproduce the training-time transformation.
     """
     names = tuple(feature_names)
     if target not in names:
@@ -76,12 +75,14 @@ def prepare_datasets(
         )
     n_train = train_window_count(T - n_steps_in - n_steps_out + 1, train_fraction)
     if scaler is None:
-        scaler = MinMaxScaler.fit(mat[: train_row_count(n_train, n_steps_in, n_steps_out)])
+        scaler = MinMaxScaler.fit(mat[: n_train + n_steps_in + n_steps_out - 1])
     scaled = scaler.apply(mat)
     dataset = make_windows(
         scaled, target_col, n_steps_in, n_steps_out, feature_names=names, scaler=scaler
     )
-    return chrono_split(dataset, train_fraction)
+    train = replace(dataset, X=dataset.X[:n_train], Y=dataset.Y[:n_train])
+    test = replace(dataset, X=dataset.X[n_train:], Y=dataset.Y[n_train:])
+    return train, test
 
 
 def _invert_target(scaler: MinMaxScaler | None, target_col: int, values: np.ndarray) -> np.ndarray:
@@ -274,9 +275,10 @@ class TrainedBundle:
     data_hash: str = ""
 
 
-def _booster_files(kind: str, count: int) -> list[str]:
-    """The fixed file name of each of ``count`` boosters of one model, in step order."""
-    return [f"{kind}_booster_{i:02d}.json" for i in range(count)]
+def _booster_files(kind: str, count: int):
+    """The fixed file name of each of ``count`` boosters of one model, in step order,
+    made as it is read, so a loader stops at the first missing file."""
+    return (f"{kind}_booster_{i:02d}.json" for i in range(count))
 
 
 def _load_json(path: Path):

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_walk_rows, rows_to_csv_text
 import coincast
-from coincast import pipeline
+from coincast import analysis, pipeline
 from coincast.cli import _EXIT_CODES, _Stage, entry, main
 from coincast.errors import (
     ConfigError,
@@ -25,6 +25,7 @@ from coincast.errors import (
     ValidationError,
     WorkerError,
 )
+from coincast.market_data import align_on_dates, parse_csv
 
 FAST_SECTIONS = {
     "n_steps_in": 8,
@@ -118,6 +119,8 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"][0]["left"].__setitem__(0, 10**30)), id="tree-id-overflows"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p.update(n_features=1e999)), id="booster-n_features-overflows"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["params"].update(learning_rate=True)), id="booster-learning_rate-boolean"),
+    pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(lambda p: p.update(base_score=10**400)), id="booster-base_score-past-float"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["params"].update(lam=10**400)), id="booster-lambda-past-float"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: first_number("threshold", True)(p["trees"][0])), id="tree-threshold-boolean"),
     pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(lambda p: first_number("weight", "0.5")(p["trees"][0])), id="tree-weight-string"),
     pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
@@ -125,6 +128,8 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=1)), id="manifest-version-1"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=2)), id="manifest-version-2"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"].update(n_steps_out=2)), id="manifest-more-steps-than-boosters"),
+    # stops at the first missing booster file instead of naming 2**63 of them
+    pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"].update(n_steps_out=2**63)), id="manifest-horizon-2-63"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"]["lstm"].update(epoch=3)), id="manifest-config-unknown-key"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(config=[m["config"]])), id="manifest-config-not-object"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.pop("b_o")), id="lstm-no-b_o"),
@@ -257,6 +262,22 @@ class TestAnalyze:
         assert corr == [["symbol", "SOL"], ["SOL", "1.0"]]
         roll = read_rows(outdir / "rolling_correlation.csv")
         assert roll == [["date"]]
+
+    @pytest.mark.parametrize("basis, first", [("returns", 20), ("prices", 19)])
+    def test_rolling_correlation_on_either_basis(self, workspace, tmp_path, basis, first):
+        # a window ending at returns index j spans aligned dates up to j + 1
+        root, cfg = workspace
+        out = tmp_path / "out"
+        sets = [f"analysis.correlation_basis={basis}", "analysis.correlation_window=20", f'output_dir="{out}"']
+        assert main(["analyze", "--config", str(cfg), *(f"--set={s}" for s in sets)]) == 0
+        dates, aligned = align_on_dates([parse_csv((root / f"{s}.csv").read_bytes()) for s in ("btc", "eth")])
+        closes = [s.column("close") for s in aligned]
+        series = [analysis.daily_returns(c) for c in closes] if basis == "returns" else closes
+        expected = analysis.rolling_correlation(*series, 20)
+        rows = read_rows(out / "analysis" / "rolling_correlation.csv")
+        assert rows[0] == ["date", "BTC_ETH"]
+        assert [r[0] for r in rows[1:]] == [d.isoformat() for d in dates[first:]]
+        assert [float(r[1]) for r in rows[1:]] == expected.tolist()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_workspace(tmp_path)
@@ -497,6 +518,27 @@ class TestFailureModes:
         assert "gbt.lambda must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert not list(tmp_path.glob(".stage-*"))
+
+    @pytest.mark.parametrize("field", ["lstm.learning_rate", "analysis.initial_capital"])
+    def test_integer_past_the_largest_float_is_a_config_error(self, tmp_path, capsys, field):
+        # refused with the config: the data file is gone and no command reads it
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
+        (tmp_path / "btc.csv").unlink()
+        for command in ("analyze", "train", "evaluate", "backtest"):
+            assert main([command, "--config", str(cfg), "--set", f"{field}={10**400}"]) == 2, command
+            assert f"error: {field} must be finite, got 1000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_past_pythons_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        huge = "1" + "0" * 5000
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
+        # an override that is no JSON Python converts is the literal string
+        assert main(["train", "--config", str(cfg), "--set", f"gbt.lambda={huge}"]) == 2
+        assert f"error: gbt.lambda must be a number, got '{huge}'" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text().replace('"n_steps_in": 8', f'"train_fraction": {huge}, "n_steps_in": 8'))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg} is not valid JSON: ")
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_data_leaves_no_partial_artifacts(self, tmp_path, capsys):
         # first symbol is fine, second is corrupt: nothing may be committed

@@ -101,6 +101,15 @@ INVALID_TREES = [
     ({**MINIMAL, "gbt": {"lambda": float("inf")}}, "gbt.lambda must be finite, got inf"),
     ({**MINIMAL, "analysis": {"initial_capital": float("inf")}}, "analysis.initial_capital must be finite, got inf"),
     ({**MINIMAL, "lstm": {"clip_norm": float("inf")}}, "lstm.clip_norm must be finite, got inf"),
+    # an integer past the largest float is no more finite than inf
+    ({**MINIMAL, "train_fraction": 10**400}, f"train_fraction must be finite, got {10**400}"),
+    ({**MINIMAL, "lstm": {"learning_rate": 10**400}}, f"lstm.learning_rate must be finite, got {10**400}"),
+    ({**MINIMAL, "lstm": {"clip_norm": 10**400}}, f"lstm.clip_norm must be finite, got {10**400}"),
+    ({**MINIMAL, "gbt": {"lambda": 10**400}}, f"gbt.lambda must be finite, got {10**400}"),
+    ({**MINIMAL, "gbt": {"gamma": 10**400}}, f"gbt.gamma must be finite, got {10**400}"),
+    ({**MINIMAL, "gbt": {"learning_rate": 10**400}}, f"gbt.learning_rate must be finite, got {10**400}"),
+    ({**MINIMAL, "analysis": {"initial_capital": 10**400}}, f"analysis.initial_capital must be finite, got {10**400}"),
+    ({**MINIMAL, "analysis": {"cost_rate": 10**400}}, f"analysis.cost_rate must be finite, got {10**400}"),
     # a symbol key must be one path component
     ({"data": {"../../evil2": "a.csv"}}, "data contains an invalid symbol key: '../../evil2'"),
     ({"data": {"a\\b": "a.csv"}}, "data contains an invalid symbol key: 'a\\\\b'"),

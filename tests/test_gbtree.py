@@ -480,6 +480,8 @@ class TestLoadValidation:
             ("params.max_depth", 2.5),
             ("params.min_samples_leaf", False),
             ("params.lam", float("inf")),
+            pytest.param("params.lam", 10**400, id="params.lam-10**400"),  # an int past the largest float
+            pytest.param("base_score", 10**400, id="base_score-10**400"),  # predict raised OverflowError
             ("params.gamma", "0"),
             ("params.gamma", None),
             ("params.lam", "missing"),              # default 1.0 was filled in

@@ -19,13 +19,11 @@ from coincast.market_data import (
     PRICE_FIELDS,
     MinMaxScaler,
     align_on_dates,
-    chrono_split,
     json_floats,
     make_windows,
     parse_csv,
     rebase_to_100,
     series_to_features,
-    train_row_count,
     train_window_count,
     windows_to_csv,
     write_csv,
@@ -597,35 +595,12 @@ class TestWindows:
         with pytest.raises(SizingError):
             make_windows(np.ones((10, 2)), 0, 0, 1)
 
-    def test_chrono_split_floor(self):
-        mat = np.arange(28.0).reshape(14, 2)
-        ds = make_windows(mat, 0, 3, 2)  # N = 10
-        train, test = chrono_split(ds, 0.8)
-        assert train.n_samples == 8
-        assert test.n_samples == 2
-        npt.assert_array_equal(np.vstack([train.X, test.X]), ds.X)
-        npt.assert_array_equal(np.vstack([train.Y, test.Y]), ds.Y)
-
-    def test_chrono_split_empty_side(self):
-        ds = make_windows(np.arange(10.0).reshape(5, 2), 0, 2, 1)  # N = 3
-        with pytest.raises(SizingError):
-            chrono_split(ds, 0.1)
-
-    def test_chrono_split_fraction_domain(self):
-        ds = make_windows(np.arange(20.0).reshape(10, 2), 0, 2, 1)
-        with pytest.raises(DomainError):
-            chrono_split(ds, 1.0)
-
     def test_train_window_count(self):
         assert train_window_count(10, 0.8) == 8
         with pytest.raises(DomainError, match=r"must be in \(0, 1\), got 0.0"):
             train_window_count(10, 0.0)
         with pytest.raises(SizingError, match=r"leaves an empty split for 3 window\(s\)"):
             train_window_count(3, 0.1)
-
-    def test_train_row_count(self):
-        # 8 train windows of (3 in, 2 out) touch rows 0..11
-        assert train_row_count(8, 3, 2) == 12
 
     def test_windows_csv_dump(self, tmp_path):
         values = np.arange(12.0).reshape(6, 2) / 3.0

@@ -14,7 +14,7 @@ from coincast.config import RunConfig
 from coincast.errors import DomainError, SchemaError, ShapeError, SizingError
 from coincast.gbtree import TreeParams, train_booster
 from coincast.lstm import TrainConfig
-from coincast.market_data import MinMaxScaler, series_to_features
+from coincast.market_data import MinMaxScaler, make_windows, series_to_features
 from coincast.pipeline import (
     Forecaster,
     TrainedBundle,
@@ -65,6 +65,15 @@ class TestPrepareDatasets:
         # 120 rows, 10 in, 1 out -> 110 windows; floor(110 * 0.8) = 88
         assert train_ds.n_samples == 88
         assert test_ds.n_samples == 22
+
+    def test_train_then_test_windows_are_all_windows(self):
+        series = rows_to_series(random_walk_rows(T=40, seed=26))
+        train_ds, test_ds = prepare_datasets(series, FEATURES, "close", 5, 3, 0.8)
+        scaled = train_ds.scaler.apply(series_to_features(series, FEATURES))
+        every = make_windows(scaled, FEATURES.index("close"), 5, 3)  # 33 windows, 26 train
+        assert (train_ds.n_samples, test_ds.n_samples) == (26, 7)
+        npt.assert_array_equal(np.vstack([train_ds.X, test_ds.X]), every.X)
+        npt.assert_array_equal(np.vstack([train_ds.Y, test_ds.Y]), every.Y)
 
     def test_scaler_sees_only_training_rows(self):
         # strictly increasing close: the fitted max must equal the last row
