@@ -8,8 +8,9 @@ the configured output directory only when the whole command has succeeded,
 so a failed run never leaves partial files behind.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data/input error, a
-failed allocation or a booster worker process that died, 4 numeric training
-failure.
+failed allocation or a worker process that died, 4 numeric training failure,
+130 and 143 interrupted by SIGINT and SIGTERM (which the command turns into
+an exception while it runs, as Python does SIGINT).
 """
 from __future__ import annotations
 
@@ -228,30 +229,39 @@ def _write_backtest_curves(stage: _Stage, relative: str, iso_dates, result) -> N
 
 
 def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
+    prepared = []  # (symbol, data hash, train windows, test windows)
+    failure = None
     for symbol, path in cfg.data.items():
-        raw = _read_bytes(symbol, path)
-        series = parse_csv(raw)
-        train_ds, test_ds = pipeline.prepare_datasets(
-            series,
-            cfg.features,
-            cfg.target,
-            cfg.n_steps_in,
-            cfg.n_steps_out,
-            cfg.train_fraction,
-        )
-        models, loss_history = pipeline.train_models(train_ds, cfg.lstm, cfg.gbt, cfg.gbt.n_rounds)
+        try:
+            raw = _read_bytes(symbol, path)
+            train_ds, test_ds = pipeline.prepare_datasets(
+                parse_csv(raw),
+                cfg.features,
+                cfg.target,
+                cfg.n_steps_in,
+                cfg.n_steps_out,
+                cfg.train_fraction,
+            )
+        except Exception as exc:  # raised once every symbol before it is trained and saved
+            failure = exc
+            break
+        prepared.append((symbol, hashlib.sha256(raw).hexdigest(), train_ds, test_ds))
+
+    def save(i, models, loss_history):
+        symbol, data_hash, train_ds, test_ds = prepared[i]
         bundle = pipeline.TrainedBundle(
-            *models,
-            train_ds.scaler,
-            cfg,
-            loss_history=loss_history,
-            data_hash=hashlib.sha256(raw).hexdigest(),
+            *models, train_ds.scaler, cfg, loss_history=loss_history, data_hash=data_hash
         )
         model_dir = stage.path(f"model/{symbol}/manifest.json").parent
         pipeline.save_bundle(model_dir, bundle)
         if cfg.pipeline.dump_windows:
             windows_to_csv(train_ds, model_dir / "windows_train.csv")
             windows_to_csv(test_ds, model_dir / "windows_test.csv")
+
+    train_sets = [train_ds for _, _, train_ds, _ in prepared]
+    pipeline.train_symbols(train_sets, cfg.lstm, cfg.gbt, cfg.gbt.n_rounds, save)
+    if failure is not None:
+        raise failure
 
 
 def cmd_evaluate(cfg: RunConfig, stage: _Stage, model_root: str | None) -> None:
@@ -333,8 +343,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as SIGINT raises KeyboardInterrupt."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    import signal
+
+    try:
+        caller_handler = signal.signal(signal.SIGTERM, _raise_terminated)
+    except ValueError:  # not the main thread, which alone can set handlers
+        return _run(args)
+    try:
+        return _run(args)
+    finally:
+        signal.signal(signal.SIGTERM, caller_handler)
+
+
+def _run(args) -> int:
     stage = None
     try:
         cfg = load_config(args.config, args.overrides, os.environ)
@@ -353,6 +384,10 @@ def main(argv=None) -> int:
         if code is None:
             raise
         print(f"error: {exc}", file=sys.stderr)
+        return code
+    except (KeyboardInterrupt, _Terminated) as exc:
+        name, code = ("SIGTERM", 143) if isinstance(exc, _Terminated) else ("SIGINT", 130)
+        print(f"error: interrupted ({name})", file=sys.stderr)
         return code
     finally:
         if stage is not None:

@@ -18,7 +18,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, SizingError, check_field_kinds
+from .errors import ConfigError, DomainError, SizingError, check_field_kinds, shown
 from .gbtree import TreeParams
 from .lstm import TrainConfig
 from .market_data import DEFAULT_FEATURES, PRICE_FIELDS
@@ -43,7 +43,7 @@ def _build(cls, section: str, payload):
     for key, value in payload.items():
         where = f"{section}.{key}" if section else key
         if key not in names:
-            raise ConfigError(f"unknown config key {where!r}")
+            raise ConfigError(f"unknown config key {shown(where)}")
         hint = hints[names[key]]
         if is_dataclass(hint):
             value = _build(hint, key, value)
@@ -58,12 +58,12 @@ def _at_least(obj, **minimums) -> None:
     for name, minimum in minimums.items():
         value = getattr(obj, name)
         if value < minimum:
-            raise DomainError(f"{name} must be at least {minimum}, got {value}")
+            raise DomainError(f"{name} must be at least {minimum}, got {shown(value)}")
 
 
 def _check_choice(name: str, value, choices) -> None:
     if value not in choices:
-        raise DomainError(f"{name} must be one of {sorted(choices)}, got {value!r}")
+        raise DomainError(f"{name} must be one of {sorted(choices)}, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class AnalysisSection:
         if not self.initial_capital > 0:
             raise DomainError(f"initial_capital must be positive, got {self.initial_capital}")
         if not 0.0 <= self.cost_rate < 1.0:
-            raise DomainError(f"cost_rate must be in [0, 1), got {self.cost_rate}")
+            raise DomainError(f"cost_rate must be in [0, 1), got {shown(self.cost_rate)}")
         _check_choice("correlation_basis", self.correlation_basis, ("returns", "prices"))
 
 
@@ -146,7 +146,7 @@ class RunConfig:
         for symbol, path in self.data.items():
             # a symbol names its output directories, so it must be one path component
             if not isinstance(symbol, str) or symbol in ("", ".", "..") or {"/", "\\", "\0"} & set(symbol):
-                raise ConfigError(f"data contains an invalid symbol key: {symbol!r}")
+                raise ConfigError(f"data contains an invalid symbol key: {shown(symbol)}")
             if not isinstance(path, str) or not path:
                 raise ConfigError(f"data.{symbol} must be a non-empty path string")
             if "\0" in path:
@@ -158,16 +158,16 @@ class RunConfig:
         for name in self.features:
             if name not in PRICE_FIELDS:
                 raise ConfigError(
-                    f"unknown feature {name!r}; expected a subset of {list(PRICE_FIELDS)}"
+                    f"unknown feature {shown(name)}; expected a subset of {list(PRICE_FIELDS)}"
                 )
             if name in seen:
                 raise ConfigError(f"duplicate feature {name!r}")
             seen.add(name)
         if self.target not in self.features:
-            raise ConfigError(f"target {self.target!r} must be one of the features")
+            raise ConfigError(f"target {shown(self.target)} must be one of the features")
         _at_least(self, n_steps_in=1, n_steps_out=1)
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise ConfigError(f"train_fraction must be in (0, 1), got {shown(self.train_fraction)}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
         if "\0" in self.output_dir:
@@ -189,11 +189,11 @@ def apply_override(tree: dict, assignment: str) -> None:
     strings) and fall back to the literal string otherwise.
     """
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key=value")
+        raise ConfigError(f"override {shown(assignment)} is not of the form key=value")
     dotted, raw = assignment.split("=", 1)
     dotted = dotted.strip()
     if not dotted:
-        raise ConfigError(f"override {assignment!r} has an empty key")
+        raise ConfigError(f"override {shown(assignment)} has an empty key")
     try:
         value = json.loads(raw)
     except ValueError:  # invalid JSON, or an integer past Python's digit limit
@@ -205,7 +205,7 @@ def apply_override(tree: dict, assignment: str) -> None:
         if child is None:
             child = node[key] = {}
         if not isinstance(child, dict):
-            raise ConfigError(f"cannot set {dotted!r}: {key!r} is not a config section")
+            raise ConfigError(f"cannot set {shown(dotted)}: {shown(key)} is not a config section")
         node = child
     node[keys[-1]] = value
 
@@ -228,7 +228,7 @@ def load_config(path, overrides=(), env=None) -> RunConfig:
         try:
             seed = int(raw)
         except (TypeError, ValueError):
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+            raise ConfigError(f"{ENV_SEED} must be an integer, got {shown(raw)}") from None
         apply_override(tree, f"lstm.seed={seed}")
     for assignment in overrides:
         apply_override(tree, assignment)

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the toolkit, and the one check of a
-field's type that every settings dataclass runs.
+"""Exception taxonomy shared across the toolkit, the one check of a field's
+type that every settings dataclass runs, and how a message shows a value.
 
 The CLI maps these onto exit codes: ConfigError -> 2, input/data errors
 (SchemaError, ValidationError, SizingError, DomainError, ShapeError), a
@@ -61,6 +61,19 @@ _KINDS = {
 _type_hints = functools.cache(typing.get_type_hints)
 
 
+def shown(value, limit: int = 40) -> str:
+    """``repr(value)`` for an error message: cut to its first ``limit``
+    characters, with its length, when longer, so a huge value cannot flood
+    the line."""
+    try:
+        text = repr(value)
+    except ValueError:  # an integer past Python's digit limit for str()
+        return f"an integer of {value.bit_length()} bits"
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def check_field_kinds(obj, names=None) -> None:
     """Raise DomainError unless each field of dataclass ``obj`` annotated ``int``,
     ``float`` or ``bool`` holds a value of that kind, and each ``float`` field is
@@ -74,6 +87,6 @@ def check_field_kinds(obj, names=None) -> None:
         name = (names or {}).get(f.name, f.name)
         value = getattr(obj, f.name)
         if not admits(value):
-            raise DomainError(f"{name} must be {what}, got {value!r}")
+            raise DomainError(f"{name} must be {what}, got {shown(value)}")
         if hints[f.name] is float and not abs(value) <= sys.float_info.max:
-            raise DomainError(f"{name} must be finite, got {value!r}")
+            raise DomainError(f"{name} must be finite, got {shown(value)}")

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError, check_field_kinds
 from .market_data import WindowedDataset, json_floats
-from .numkernel import Rng, sigmoid
+from .numkernel import Rng, one_blas_thread, sigmoid
 
 _WEIGHTS = ("W_f", "W_i", "W_C", "W_o")
 _BIASES = ("b_f", "b_i", "b_C", "b_o")
@@ -397,7 +397,8 @@ def train(dataset: WindowedDataset, config: TrainConfig):
     clipped to global norm ``config.clip_norm``. Returns (params, head,
     loss_history) where loss_history[e] is the mean squared error over the
     whole dataset of the parameters at the start of epoch e. Deterministic
-    for a fixed seed.
+    for a fixed seed: the epochs run with BLAS on one thread where its
+    thread count can be set, so the bits do not depend on the core count.
     """
     N = dataset.n_samples
     if N < 1:
@@ -416,8 +417,8 @@ def train(dataset: WindowedDataset, config: TrainConfig):
     optimizer = _Adam(config.learning_rate, tensors)
     history: list[float] = []
     # overflow during a diverging run is reported via TrainingError below,
-    # not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # not as a numpy warning; one BLAS thread keeps the bits machine-independent
+    with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
         for epoch in range(config.epochs):
             Hn, steps = _forward(params, X3)
             err = Hn @ head.W.T + head.b - Y

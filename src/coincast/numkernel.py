@@ -1,4 +1,5 @@
-"""Numeric kernels: the logistic activation and seeded random draws.
+"""Numeric kernels: the logistic activation, seeded random draws and the
+BLAS thread count.
 
 Randomness always goes through :class:`Rng`, which wraps a PCG64 stream so
 that a given seed yields the same draw sequence on every platform.
@@ -56,4 +57,63 @@ class Rng:
         if not scale > 0:
             raise DomainError(f"scale must be positive, got {scale}")
         return self._gen.uniform(-scale, scale, size=(rows, cols))
+
+
+def _blas_thread_calls():
+    """The (get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None when no mapped library exports them.
+
+    OpenBLAS builds name them ``openblas_{get,set}_num_threads``, numpy's
+    wheels with a ``scipy_`` prefix and, for 64-bit integers, a ``64_`` suffix.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            # the path is the sixth field; an anonymous mapping has five
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1]):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                try:
+                    get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class one_blas_thread:
+    """Context manager holding BLAS at one thread inside and restoring the
+    caller's thread count on exit.
+
+    Matrix products then round the same whatever the machine's core count:
+    a multi-threaded BLAS splits a large product into blocks summed in
+    another order. ``pinned`` is False when the loaded BLAS exposes no way to
+    set its thread count; the block then runs on whatever BLAS uses.
+    """
+
+    def __init__(self):
+        self._calls = _blas_thread_calls()
+        self.pinned = self._calls is not None
+
+    def __enter__(self):
+        if self.pinned:
+            get, set_ = self._calls
+            self._caller = get()
+            set_(1)
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pinned:
+            self._calls[1](self._caller)
 

@@ -7,11 +7,14 @@ the training windows. Two baselines ride along for every run: the LSTM with
 its linear head used directly, and boosters fit on flattened raw windows.
 All three are one :class:`Forecaster`: a readout on per-window features.
 
-A symbol's boosters (both kinds, every horizon step) are independent fits
-that call no BLAS, so they run in up to one forked worker process per usable
-CPU; the artifacts are byte-identical whatever the CPU count. Symbols stay
-sequential: their LSTM training runs on BLAS, whose thread count this
-package cannot set, and parallel symbols oversubscribe the cores.
+Training is a set of independent jobs: each dataset's LSTM (training plus
+the training windows' latents) and each booster (both kinds, every horizon
+step). They run on one pool of up to one forked worker process per usable
+CPU per call. Boosters call no BLAS, and an LSTM trains with BLAS held at one
+thread (:class:`~coincast.numkernel.one_blas_thread`), so parallel jobs do
+not oversubscribe the cores. Where BLAS's thread count cannot be set, or only
+one LSTM can run at a time, the LSTMs run in this process one after another
+with the workers idle. The artifacts are byte-identical on every schedule.
 
 All model quality numbers are computed in original price units after
 inverting the fitted min-max scaler.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -141,8 +144,12 @@ def fit_horizon_boosters(
     is raised as the fit raised it. A worker that dies raises WorkerError.
     """
     n_steps = Y.shape[1]
-    jobs = [(F, Y[:, step]) for F in features for step in range(n_steps)]
-    boosters = _fit_all(jobs, tree_params, n_rounds)
+    jobs = [
+        _Job(_fit, (F, Y[:, step], tree_params, n_rounds), F.shape[1])
+        for F in features
+        for step in range(n_steps)
+    ]
+    boosters = _run(jobs)
     return [boosters[i * n_steps : (i + 1) * n_steps] for i in range(len(features))]
 
 
@@ -152,29 +159,78 @@ def _fit(F, y, tree_params, n_rounds) -> Booster:
     return train_booster(F, y, tree_params, n_rounds)
 
 
-def _fit_all(jobs, tree_params, n_rounds) -> list[Booster]:
-    """The booster of every ``(features, target)`` job, in job order."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(jobs), cpus)
-    if workers > 1:
-        # imported here: the pool's modules cost every other command ~20 ms
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+def _train_lstm(train_ds: WindowedDataset, lstm_config: lstm_mod.TrainConfig):
+    """Stage 1 of one dataset: the LSTM, its head, its loss history and the
+    training windows' latents, on which the hybrid's boosters are fit."""
+    params, head, history = lstm_mod.train(train_ds, lstm_config)
+    return params, head, history, lstm_mod.extract_latents(params, train_ds)
 
-        # fork, not spawn: a worker starts with the parent's imports instead of
-        # re-importing numpy, and fits call no BLAS, whose threads a fork would not
-        # carry. Every platform with sched_getaffinity has fork.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            widest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].shape[1])
-            futures = {i: pool.submit(_fit, *jobs[i], tree_params, n_rounds) for i in widest_first}
-            return [futures[i].result() for i in range(len(jobs))]
-        except BrokenProcessPool:
-            raise WorkerError("a worker process fitting boosters died before returning") from None
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return [_fit(F, y, tree_params, n_rounds) for F, y in jobs]
+
+@dataclass
+class _Job:
+    """``fn(*args)``, one unit of training. A hybrid booster is fit on the
+    latents its dataset's LSTM job returns: ``after`` is that job's index, and
+    the latents go before ``args`` once it has returned."""
+
+    fn: Callable
+    args: tuple
+    width: int = 0  # feature columns of a booster fit
+    group: int = 0  # the dataset the job belongs to
+    after: int | None = None
+    lstm: bool = False
+
+
+def train_symbols(
+    train_sets: Sequence[WindowedDataset],
+    lstm_config: lstm_mod.TrainConfig,
+    tree_params: TreeParams,
+    n_rounds: int,
+    on_trained: Callable | None = None,
+) -> list[tuple[tuple[Forecaster, ...], tuple[float, ...]]]:
+    """Fit the hybrid and both baselines on each dataset's training windows.
+
+    Returns each dataset's models ``(hybrid, lstm-only, gbt-lags)`` and LSTM
+    loss history, in order. ``on_trained(i, models, loss_history)``, if given,
+    is called in this process for dataset i as soon as it and every dataset
+    before it are fitted, so a caller can save them while later ones train.
+
+    Each dataset's LSTM is one job and each booster is one job, all on one
+    worker pool. ``gbt-lags`` boosters are ready at once and hybrid boosters
+    when their LSTM returns; ready jobs go LSTMs first, then widest features
+    first. LSTMs train in parallel workers with BLAS held at one thread. Where
+    BLAS's thread count cannot be set, or fewer than two LSTMs or CPUs can run
+    at once, they train in this process one after another while the workers
+    idle, as unpinned parallel LSTMs would oversubscribe the cores.
+
+    The models are the same bits on every schedule. Errors come in dataset
+    order: the first dataset whose LSTM, boosters or ``on_trained`` call fails
+    decides the error, raised as the job raised it; the workers are then
+    ended, running or not. A worker that dies raises WorkerError.
+    """
+    from .numkernel import one_blas_thread
+
+    jobs = []
+    k = lstm_config.hidden_size
+    for group, ds in enumerate(train_sets):
+        lstm_job = len(jobs)
+        jobs.append(_Job(_train_lstm, (ds, lstm_config), group=group, lstm=True))
+        steps = range(ds.n_steps_out)
+        jobs += [_Job(_fit, (ds.Y[:, s], tree_params, n_rounds), k, group, lstm_job) for s in steps]
+        lags = ds.X.reshape(ds.n_samples, -1)
+        jobs += [_Job(_fit, (lags, ds.Y[:, s], tree_params, n_rounds), lags.shape[1], group) for s in steps]
+
+    fitted = []
+
+    def assemble(group, results):
+        (params, head, history, _), *boosters = results
+        n_steps = len(boosters) // 2
+        fitted.append((_models(params, head, boosters[:n_steps], boosters[n_steps:]), tuple(history)))
+        if on_trained is not None:
+            on_trained(group, *fitted[-1])
+
+    with one_blas_thread() as blas:
+        _run(jobs, assemble, parallel_lstm=blas.pinned)
+    return fitted
 
 
 def train_models(
@@ -183,19 +239,193 @@ def train_models(
     tree_params: TreeParams,
     n_rounds: int,
 ) -> tuple[tuple[Forecaster, ...], tuple[float, ...]]:
-    """Fit the hybrid and both baselines on the training windows.
+    """Fit the hybrid and both baselines on the training windows: one
+    dataset of :func:`train_symbols`.
 
     The LSTM is fit once: the hybrid's boosters read its latents and the
     ``lstm-only`` baseline keeps its pre-training head. Returns the models
     ``(hybrid, lstm-only, gbt-lags)`` and the LSTM's per-epoch loss history.
     """
-    params, head, history = lstm_mod.train(train_ds, lstm_config)
-    models = _models(params, head, [], [])
-    hybrid, _, gbt_lags = models
-    hybrid.readout, gbt_lags.readout = fit_horizon_boosters(
-        [hybrid.features(train_ds), gbt_lags.features(train_ds)], train_ds.Y, tree_params, n_rounds
-    )
-    return models, tuple(history)
+    return train_symbols([train_ds], lstm_config, tree_params, n_rounds)[0]
+
+
+class _Schedule:
+    """Which jobs of one run are waiting, done or failed, and which groups'
+    results have been handed on."""
+
+    def __init__(self, jobs, on_group):
+        self.jobs = jobs
+        self.on_group = on_group
+        self.waiting = list(range(len(jobs)))
+        self.results = {}
+        self.first_failure = len(jobs)
+        self.error = None
+        self.handed_on = 0  # jobs before this index went to on_group
+
+    def ready(self) -> list[int]:
+        """Waiting jobs whose inputs exist, in job order; none after a failure,
+        since an earlier error or this one will be raised instead."""
+        return [
+            i
+            for i in self.waiting
+            if i < self.first_failure and (self.jobs[i].after is None or self.jobs[i].after in self.results)
+        ]
+
+    def start(self, i):
+        """Job i's function and arguments, its dependency's latents filled in."""
+        self.waiting.remove(i)
+        job = self.jobs[i]
+        args = job.args if job.after is None else (self.results[job.after][-1], *job.args)
+        return job.fn, args
+
+    def finish(self, i, ok, value) -> None:
+        """Record job i; hand on the groups now complete in order, and raise
+        the first failure once every job before it has returned."""
+        if ok:
+            self.results[i] = value
+        elif i < self.first_failure:
+            self.first_failure, self.error = i, value
+        jobs = self.jobs
+        while self.handed_on < len(jobs):
+            first, group = self.handed_on, jobs[self.handed_on].group
+            end = next((j for j in range(first, len(jobs)) if jobs[j].group != group), len(jobs))
+            if not all(j in self.results for j in range(first, end)):
+                break
+            if self.on_group is not None:
+                self.on_group(group, [self.results[j] for j in range(first, end)])
+            self.handed_on = end
+        if self.error is not None and all(j in self.results for j in range(self.first_failure)):
+            raise self.error
+
+    @property
+    def done(self) -> bool:
+        return self.handed_on == len(self.jobs)
+
+
+def _run(jobs: list[_Job], on_group=None, parallel_lstm: bool = False) -> list:
+    """The result of every job, in job order; ``on_group(group, results)`` is
+    called for each group as in :func:`train_symbols`.
+
+    Jobs run in up to one forked worker per usable CPU, ready ones by
+    priority. LSTM jobs run there only with ``parallel_lstm`` and when two can
+    run at once; otherwise this process runs each one when it is the first
+    ready job in job order and no worker is busy. With one usable CPU, or
+    work for fewer than two workers, this process runs every job in job order.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lstm_in_pool = parallel_lstm and min(cpus, sum(job.lstm for job in jobs)) >= 2
+    in_pool = [lstm_in_pool or not job.lstm for job in jobs]
+    size = min(cpus, sum(in_pool))
+    if size < 2:
+        size, in_pool = 0, [False] * len(jobs)
+    schedule = _Schedule(jobs, on_group)
+    with _Pool(size) as pool:
+        while not schedule.done:
+            ready = schedule.ready()
+            if ready and not in_pool[ready[0]]:
+                if not pool.running:
+                    fn, args = schedule.start(ready[0])
+                    try:
+                        ok, value = True, fn(*args)
+                    except Exception as exc:  # raised by finish in job order
+                        ok, value = False, exc
+                    schedule.finish(ready[0], ok, value)
+                    continue
+            else:
+                # LSTMs first, as hybrid boosters wait on them; then the widest
+                # fits, so that the longest do not trail
+                pooled = [i for i in ready if in_pool[i]]
+                for i in sorted(pooled, key=lambda i: (not jobs[i].lstm, -jobs[i].width, i)):
+                    if len(pool.running) == size:
+                        break
+                    pool.send(i, *schedule.start(i))
+            schedule.finish(*pool.receive())
+    return [schedule.results[i] for i in range(len(jobs))]
+
+
+def _serve(conn) -> None:
+    """A worker's loop: run each ``(fn, args)`` the parent sends and send back
+    ``(True, result)`` or ``(False, exception)``."""
+    import signal
+
+    # The parent reports an interrupt and then ends its workers; until this
+    # point the parent's handlers are in force, with the signals blocked.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGINT, signal.SIGTERM))
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        try:
+            reply = True, fn(*args)
+        except Exception as exc:  # the parent raises it in job order
+            reply = False, exc
+        conn.send(reply)
+
+
+class _Pool:
+    """``size`` forked worker processes, each running one job at a time; the
+    ``with`` block's exit kills them, running or not."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.workers = []  # (process, connection)
+        self.running = {}  # connection -> index of the job it runs
+
+    def __enter__(self):
+        if not self.size:
+            return self
+        # imported here: the pool's modules cost every other command time
+        import multiprocessing
+        import signal
+
+        # fork, not spawn: a worker starts with the parent's imports instead of
+        # re-importing numpy, and with its BLAS thread count. Every platform
+        # with sched_getaffinity has fork.
+        context = multiprocessing.get_context("fork")
+        # a signal during the forks waits until the children have set their own handlers
+        signals = (signal.SIGINT, signal.SIGTERM)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signals)
+        try:
+            for _ in range(self.size):
+                conn, child_conn = context.Pipe()
+                process = context.Process(target=_serve, args=(child_conn,))
+                process.start()
+                child_conn.close()
+                self.workers.append((process, conn))
+        except BaseException:
+            self.__exit__()
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return self
+
+    def send(self, i: int, fn, args) -> None:
+        conn = next(c for _, c in self.workers if c not in self.running)
+        conn.send((fn, args))
+        self.running[conn] = i
+
+    def receive(self):
+        """``(job index, ok, value)`` of the next job a worker returns."""
+        from multiprocessing.connection import wait
+
+        ready = wait([*self.running, *(process.sentinel for process, _ in self.workers)])
+        for conn in self.running:
+            if conn in ready:
+                try:
+                    return (self.running.pop(conn), *conn.recv())
+                except EOFError:
+                    break
+        raise WorkerError("a worker process training models died before returning")
+
+    def __exit__(self, *exc_info):
+        for process, _ in self.workers:
+            process.kill()
+        for process, conn in self.workers:
+            process.join()
+            conn.close()
 
 
 def _models(params, head, hybrid_boosters, gbt_boosters) -> tuple[Forecaster, ...]:

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -12,7 +14,8 @@ import pytest
 
 from conftest import random_walk_rows, rows_to_csv_text
 import coincast
-from coincast import analysis, pipeline
+from coincast import analysis, numkernel, pipeline
+from coincast import lstm as lstm_mod
 from coincast.cli import _EXIT_CODES, _Stage, entry, main
 from coincast.errors import (
     ConfigError,
@@ -64,14 +67,17 @@ def write_workspace(root: Path, symbols=("BTC", "ETH"), T=240, extra=None) -> Pa
     return cfg
 
 
+def checkout_env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(coincast.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_module(module: str, *args: str) -> subprocess.CompletedProcess:
     """``python -m module args`` on this checkout, bounded by a timeout."""
-    src = str(Path(coincast.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-m", module, *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=checkout_env(), timeout=60,
     )
 
 
@@ -526,7 +532,9 @@ class TestFailureModes:
         (tmp_path / "btc.csv").unlink()
         for command in ("analyze", "train", "evaluate", "backtest"):
             assert main([command, "--config", str(cfg), "--set", f"{field}={10**400}"]) == 2, command
-            assert f"error: {field} must be finite, got 1000" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err == f"error: {field} must be finite, got {str(10**400)[:40]}... (401 characters)\n"
+            assert len(err) < 200
         assert not (tmp_path / "out").exists()
 
     def test_integer_past_pythons_digit_limit_is_a_config_error(self, tmp_path, capsys):
@@ -534,7 +542,9 @@ class TestFailureModes:
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
         # an override that is no JSON Python converts is the literal string
         assert main(["train", "--config", str(cfg), "--set", f"gbt.lambda={huge}"]) == 2
-        assert f"error: gbt.lambda must be a number, got '{huge}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: gbt.lambda must be a number, got '{huge[:39]}... (5003 characters)\n"
+        assert len(err) < 200
         cfg.write_text(cfg.read_text().replace('"n_steps_in": 8', f'"train_fraction": {huge}, "n_steps_in": 8'))
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: config file {cfg} is not valid JSON: ")
@@ -656,8 +666,149 @@ class TestBoosterWorkers:
         monkeypatch.setattr(pipeline, "train_booster", dying)
         code, err = self.train(tmp_path, capsys)
         assert code == 3
-        assert err == "error: a worker process fitting boosters died before returning\n"
+        assert err == "error: a worker process training models died before returning\n"
         assert not (tmp_path / "out").exists()
+
+
+def tree_hashes(root: Path) -> dict:
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def schedule(name, monkeypatch):
+    """Train in this process as with one usable CPU, on the pool, or on the
+    pool with a BLAS whose thread count cannot be set."""
+    if name == "in-process":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif name == "pool-unpinned":
+        monkeypatch.setattr(numkernel, "_blas_thread_calls", lambda: None)
+
+
+def record_lstm_pids(monkeypatch, log: Path):
+    """Append the pid of every process that trains an LSTM to ``log``."""
+    train = lstm_mod.train
+
+    def logged(dataset, config):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return train(dataset, config)
+
+    monkeypatch.setattr(lstm_mod, "train", logged)
+
+
+@POOL
+class TestTrainSchedule:
+    @pytest.mark.parametrize("steps_out", [1, 3])
+    def test_every_schedule_writes_the_same_bytes(self, tmp_path, monkeypatch, steps_out):
+        extra = {"n_steps_out": steps_out, "pipeline": {"dump_windows": True}}
+        cfg = write_workspace(tmp_path, symbols=("BTC", "ETH", "SOL"), T=80, extra=extra)
+        hashes, lstm_pids = {}, {}
+        for name in ("in-process", "pool", "pool-unpinned"):
+            log = tmp_path / f"{name}.pids"
+            with monkeypatch.context() as patch:
+                schedule(name, patch)
+                record_lstm_pids(patch, log)
+                assert main(["train", "--config", str(cfg)]) == 0
+            assert_no_child_left()
+            hashes[name] = tree_hashes(tmp_path / "out")
+            lstm_pids[name] = set(map(int, log.read_text().split()))
+            shutil.rmtree(tmp_path / "out")
+        assert len(hashes["pool"]) == 3 * (7 + 2 * steps_out)
+        assert hashes["in-process"] == hashes["pool"] == hashes["pool-unpinned"]
+        # LSTMs train in workers only where BLAS can be held at one thread
+        assert lstm_pids["in-process"] == lstm_pids["pool-unpinned"] == {os.getpid()}
+        assert os.getpid() not in lstm_pids["pool"]
+        if numkernel.one_blas_thread().pinned:
+            assert len(lstm_pids["pool"]) == min(3, len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("name", ["in-process", "pool", "pool-unpinned"])
+    def test_first_symbols_error_wins_over_a_later_bad_csv(self, tmp_path, capsys, monkeypatch, name):
+        schedule(name, monkeypatch)
+        cfg = write_workspace(tmp_path, T=60)
+        (tmp_path / "eth.csv").write_text("not,a,price,file\n")
+        args = ["--set", "lstm.learning_rate=1e200", "--set", "lstm.epochs=6"]
+        assert main(["train", "--config", str(cfg), *args]) == 4
+        assert capsys.readouterr().err == "error: training diverged at epoch 1: loss is not finite\n"
+        assert_no_child_left()
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob(".stage-*"))
+
+    @pytest.mark.parametrize("name", ["in-process", "pool", "pool-unpinned"])
+    def test_first_symbols_booster_error_ends_the_second_lstm(self, tmp_path, capsys, monkeypatch, name):
+        # ETH's LSTM would take a minute; BTC's boosters fail at once, and no
+        # other symbol comes first, so the command ends without waiting for ETH
+        schedule(name, monkeypatch)
+        cfg = write_workspace(tmp_path, T=60)
+        (tmp_path / "eth.csv").write_text(rows_to_csv_text(random_walk_rows(T=90, seed=12), symbol="ETH"))
+        train = lstm_mod.train
+
+        def slow(dataset, config):
+            if dataset.n_samples > 50:
+                time.sleep(60)
+            return train(dataset, config)
+
+        def failing(*args):
+            raise DomainError("booster fit failed")
+
+        monkeypatch.setattr(lstm_mod, "train", slow)
+        monkeypatch.setattr(pipeline, "train_booster", failing)
+        started = time.monotonic()
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert time.monotonic() - started < 20
+        assert capsys.readouterr().err == "error: booster fit failed\n"
+        assert_no_child_left()
+        assert not list(tmp_path.glob(".stage-*"))
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+        reason="needs /proc/<pid>/task/<pid>/children to find the workers",
+    )
+    @pytest.mark.parametrize(
+        "signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_interrupted_train_leaves_no_process(self, tmp_path, signum, code):
+        # a fit that would run for days, in worker processes; SIGINT goes to
+        # the whole process group, as a terminal's Ctrl-C sends it
+        extra = {"lstm": {"hidden_size": 4, "epochs": 10**9}}
+        cfg = write_workspace(tmp_path, T=60, extra=extra)
+        command = [sys.executable, "-m", "coincast", "train", "--config", str(cfg)]
+        proc = subprocess.Popen(
+            command,
+            env=checkout_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            deadline = time.monotonic() + 20
+            while not children.read_text().split() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            workers = [int(pid) for pid in children.read_text().split()]
+            assert workers, "train started no worker"
+            time.sleep(0.3)  # the workers are fitting
+            if signum == signal.SIGINT:
+                os.killpg(proc.pid, signum)
+            else:
+                proc.send_signal(signum)
+            out, err = proc.communicate(timeout=5)
+        finally:
+            # whatever the outcome, nothing of the command outlives the test
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert proc.returncode == code
+        assert (out, err) == ("", f"error: interrupted ({signal.Signals(signum).name})\n")
+        # reaped by the command before it exited
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob(".stage-*"))
 
 
 class TestEntryPoint:

@@ -11,6 +11,10 @@ MINIMAL = {"data": {"BTC": "btc.csv"}}
 
 SUBSET = "['open', 'high', 'low', 'close', 'volume', 'marketcap']"
 
+# A message shows the first 40 characters of a value's repr and its length.
+PAST_FLOAT = "1" + "0" * 39 + "... (401 characters)"  # 10**400
+PAST_DIGIT_LIMIT = "'1" + "0" * 38 + "... (5003 characters)"  # the string of 10**5000
+
 # One fault per tree, with the exact message it must produce.
 INVALID_TREES = [
     ({}, "data must be a non-empty object mapping symbols to CSV paths"),
@@ -102,14 +106,14 @@ INVALID_TREES = [
     ({**MINIMAL, "analysis": {"initial_capital": float("inf")}}, "analysis.initial_capital must be finite, got inf"),
     ({**MINIMAL, "lstm": {"clip_norm": float("inf")}}, "lstm.clip_norm must be finite, got inf"),
     # an integer past the largest float is no more finite than inf
-    ({**MINIMAL, "train_fraction": 10**400}, f"train_fraction must be finite, got {10**400}"),
-    ({**MINIMAL, "lstm": {"learning_rate": 10**400}}, f"lstm.learning_rate must be finite, got {10**400}"),
-    ({**MINIMAL, "lstm": {"clip_norm": 10**400}}, f"lstm.clip_norm must be finite, got {10**400}"),
-    ({**MINIMAL, "gbt": {"lambda": 10**400}}, f"gbt.lambda must be finite, got {10**400}"),
-    ({**MINIMAL, "gbt": {"gamma": 10**400}}, f"gbt.gamma must be finite, got {10**400}"),
-    ({**MINIMAL, "gbt": {"learning_rate": 10**400}}, f"gbt.learning_rate must be finite, got {10**400}"),
-    ({**MINIMAL, "analysis": {"initial_capital": 10**400}}, f"analysis.initial_capital must be finite, got {10**400}"),
-    ({**MINIMAL, "analysis": {"cost_rate": 10**400}}, f"analysis.cost_rate must be finite, got {10**400}"),
+    ({**MINIMAL, "train_fraction": 10**400}, f"train_fraction must be finite, got {PAST_FLOAT}"),
+    ({**MINIMAL, "lstm": {"learning_rate": 10**400}}, f"lstm.learning_rate must be finite, got {PAST_FLOAT}"),
+    ({**MINIMAL, "lstm": {"clip_norm": 10**400}}, f"lstm.clip_norm must be finite, got {PAST_FLOAT}"),
+    ({**MINIMAL, "gbt": {"lambda": 10**400}}, f"gbt.lambda must be finite, got {PAST_FLOAT}"),
+    ({**MINIMAL, "gbt": {"gamma": 10**400}}, f"gbt.gamma must be finite, got {PAST_FLOAT}"),
+    ({**MINIMAL, "gbt": {"learning_rate": 10**400}}, f"gbt.learning_rate must be finite, got {PAST_FLOAT}"),
+    ({**MINIMAL, "analysis": {"initial_capital": 10**400}}, f"analysis.initial_capital must be finite, got {PAST_FLOAT}"),
+    ({**MINIMAL, "analysis": {"cost_rate": 10**400}}, f"analysis.cost_rate must be finite, got {PAST_FLOAT}"),
     # a symbol key must be one path component
     ({"data": {"../../evil2": "a.csv"}}, "data contains an invalid symbol key: '../../evil2'"),
     ({"data": {"a\\b": "a.csv"}}, "data contains an invalid symbol key: 'a\\\\b'"),
@@ -121,6 +125,9 @@ INVALID_TREES = [
     ({"data": {"BTC": "btc\0.csv"}}, "data.BTC must not contain a NUL character"),
     ({"data": {"B\0TC": "btc.csv"}}, "data contains an invalid symbol key: 'B\\x00TC'"),
     ({**MINIMAL, "output_dir": "out\0"}, "output_dir must not contain a NUL character"),
+    # a huge value is shown cut short: 10**5000 in an override is the literal string
+    ({**MINIMAL, "gbt": {"lambda": "1" + "0" * 5000}}, f"gbt.lambda must be a number, got {PAST_DIGIT_LIMIT}"),
+    ({**MINIMAL, "n_steps_in": -(10**400)}, f"n_steps_in must be at least 1, got -{PAST_FLOAT[:39]}... (402 characters)"),
 ]
 
 # A section built directly, as a library caller does, meets the same type rules.

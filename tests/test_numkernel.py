@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from coincast.errors import DomainError, ShapeError
-from coincast.numkernel import Rng, sigmoid
+from coincast import numkernel
+from coincast.numkernel import Rng, one_blas_thread, sigmoid
 
 
 class TestActivations:
@@ -130,3 +131,37 @@ class TestRng:
     def test_negative_shape_rejected(self):
         with pytest.raises(ShapeError):
             Rng(1).uniform(-1, 2, 1.0)
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas_threads(self):
+        calls = numkernel._blas_thread_calls()
+        if calls is None:
+            pytest.skip("the loaded BLAS exposes no thread-count entry point")
+        get, set_ = calls
+        caller = get()
+        yield get, set_
+        set_(caller)
+
+    def test_one_thread_inside_and_the_callers_count_after(self, blas_threads):
+        get, set_ = blas_threads
+        set_(3)
+        before = get()
+        with one_blas_thread() as blas:
+            assert blas.pinned
+            assert get() == 1
+        assert get() == before
+
+    def test_the_callers_count_comes_back_after_an_error(self, blas_threads):
+        get, _ = blas_threads
+        before = get()
+        with pytest.raises(ZeroDivisionError):
+            with one_blas_thread():
+                1 / 0
+        assert get() == before
+
+    def test_without_an_entry_point_the_block_runs_unpinned(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "_blas_thread_calls", lambda: None)
+        with one_blas_thread() as blas:
+            assert not blas.pinned
