@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, pipeline
-from .config import RunConfig, load_config
+from .config import AnalysisSection, RunConfig, load_config
 from .errors import (
     ConfigError,
     DomainError,
@@ -103,7 +103,9 @@ def _read_series(symbol: str, path: str):
 
 
 def _load_all(cfg: RunConfig) -> dict:
-    return {symbol: _read_series(symbol, path) for symbol, path in cfg.data.items()}
+    """Each symbol's series, one job per symbol on the worker pool."""
+    jobs = [pipeline.Job(_read_series, (symbol, path)) for symbol, path in cfg.data.items()]
+    return dict(zip(cfg.data, pipeline.run_jobs(jobs)))
 
 
 # --- analyze ----------------------------------------------------------------
@@ -116,9 +118,16 @@ def _returns_date_offset(basis: str) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
+    """Parse the symbols on the worker pool, compute every figure in this
+    process, then write each CSV as one job on the pool, largest first."""
     series_map = _load_all(cfg)
     symbols = list(series_map)
     a = cfg.analysis
+    writes = []
+
+    def queue_csv(relative, header, columns):
+        columns = list(columns)
+        writes.append(pipeline.Job(stage.write_csv, (relative, header, columns), sum(map(len, columns))))
 
     # Per-symbol figures over each asset's full history.
     hist = {"symbol": [], "left": [], "right": [], "count": []}
@@ -138,7 +147,7 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
             "skewness": moments.skewness,
             "excess_kurtosis": moments.excess_kurtosis,
         }
-    stage.write_csv(
+    queue_csv(
         "analysis/returns_histogram.csv",
         ["symbol", "bin_left", "bin_right", "count"],
         [hist["symbol"]] + [np.concatenate(hist[k]) for k in ("left", "right", "count")],
@@ -149,11 +158,11 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
     iso = [d.isoformat() for d in dates]
 
     rebased = [rebase_to_100(s) for s in aligned]
-    stage.write_csv("analysis/rebased_prices.csv", ["date"] + symbols, [iso] + rebased)
+    queue_csv("analysis/rebased_prices.csv", ["date"] + symbols, [iso] + rebased)
 
     aligned_returns = [analysis.daily_returns(s.column("close")) for s in aligned]
     vols = [analysis.rolling_volatility(r, a.volatility_window) for r in aligned_returns]
-    stage.write_csv(
+    queue_csv(
         "analysis/rolling_volatility.csv", ["date"] + symbols, [iso[a.volatility_window:]] + vols
     )
 
@@ -166,7 +175,7 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
         corr = analysis.correlation_matrix(basis_series)
     else:
         corr = np.ones((1, 1))
-    stage.write_csv(
+    queue_csv(
         "analysis/correlation_matrix.csv", ["symbol"] + symbols, [symbols] + list(corr.T)
     )
 
@@ -180,11 +189,11 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
             analysis.rolling_correlation(basis_series[i], basis_series[j], window)
             for i, j in pairs
         ]
-    stage.write_csv("analysis/rolling_correlation.csv", ["date"] + pair_names, columns)
+    queue_csv("analysis/rolling_correlation.csv", ["date"] + pair_names, columns)
 
     caps = [s.column("marketcap") for s in aligned]
     shares = analysis.market_dominance(caps)
-    stage.write_csv("analysis/market_dominance.csv", ["date"] + symbols, [iso] + list(shares))
+    queue_csv("analysis/market_dominance.csv", ["date"] + symbols, [iso] + list(shares))
 
     # Decomposition and benchmark backtest are single-asset figures; use the
     # first configured symbol, full history.
@@ -193,7 +202,7 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
     closes = lead_series.column("close")
     lead_iso = [d.isoformat() for d in lead_series.dates()]
     decomp = analysis.decompose_additive(closes, a.decomposition_period)
-    stage.write_csv(
+    queue_csv(
         "analysis/decomposition.csv",
         ["date", "observed", "trend", "seasonal", "residual"],
         [lead_iso, closes, decomp.trend, decomp.seasonal, decomp.residual],
@@ -203,7 +212,8 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
     result = analysis.sma_crossover_backtest(
         closes, a.sma_fast, a.sma_slow, a.initial_capital, a.cost_rate
     )
-    _write_backtest_curves(stage, "analysis/backtest_curves.csv", lead_iso, result)
+    curves = (stage, "analysis/backtest_curves.csv", lead_iso, result)
+    writes.append(pipeline.Job(_write_backtest_curves, curves, 3 * len(lead_iso)))
     stats_payload["backtest"] = {
         "symbol": lead,
         "fast": a.sma_fast,
@@ -214,6 +224,9 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
         "n_trades": len(result.trades),
     }
 
+    # Written once every figure is computed, so that a figure's error comes
+    # before a write's.
+    pipeline.run_jobs(writes)
     stage.write_json("analysis/distribution_stats.json", stats_payload)
 
 
@@ -289,22 +302,30 @@ def cmd_evaluate(cfg: RunConfig, stage: _Stage, model_root: str | None) -> None:
 
 
 def cmd_backtest(cfg: RunConfig, stage: _Stage) -> None:
-    a = cfg.analysis
-    for symbol, path in cfg.data.items():
-        series = _read_series(symbol, path)
-        closes = series.column("close")
-        iso = [d.isoformat() for d in series.dates()]
-        result = analysis.sma_crossover_backtest(
-            closes, a.sma_fast, a.sma_slow, a.initial_capital, a.cost_rate
-        )
-        _write_backtest_curves(stage, f"backtest/{symbol}_curves.csv", iso, result)
-        entries = [entry for entry, _ in result.trades]
-        exits = [exit_ for _, exit_ in result.trades]
-        stage.write_csv(
-            f"backtest/{symbol}_trades.csv",
-            ["entry_index", "entry_date", "exit_index", "exit_date"],
-            [entries, [iso[t] for t in entries], exits, [iso[t] for t in exits]],
-        )
+    """One job per symbol on the worker pool."""
+    jobs = [
+        pipeline.Job(_backtest_symbol, (stage, cfg.analysis, symbol, path))
+        for symbol, path in cfg.data.items()
+    ]
+    pipeline.run_jobs(jobs)
+
+
+def _backtest_symbol(stage: _Stage, a: AnalysisSection, symbol: str, path: str) -> None:
+    """Read one symbol's CSV, backtest it and write its curves and trades."""
+    series = _read_series(symbol, path)
+    closes = series.column("close")
+    iso = [d.isoformat() for d in series.dates()]
+    result = analysis.sma_crossover_backtest(
+        closes, a.sma_fast, a.sma_slow, a.initial_capital, a.cost_rate
+    )
+    _write_backtest_curves(stage, f"backtest/{symbol}_curves.csv", iso, result)
+    entries = [entry for entry, _ in result.trades]
+    exits = [exit_ for _, exit_ in result.trades]
+    stage.write_csv(
+        f"backtest/{symbol}_trades.csv",
+        ["entry_index", "entry_date", "exit_index", "exit_date"],
+        [entries, [iso[t] for t in entries], exits, [iso[t] for t in exits]],
+    )
 
 
 # --- entry point ------------------------------------------------------------

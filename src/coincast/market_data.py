@@ -28,7 +28,7 @@ from itertools import compress, count, repeat
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ShapeError, SizingError, ValidationError
+from .errors import DomainError, SchemaError, ShapeError, SizingError, ValidationError, shown
 
 REQUIRED_COLUMNS = (
     "sno", "name", "symbol", "date", "high", "low", "open", "close", "volume", "marketcap",
@@ -109,10 +109,10 @@ def _parse_number(raw: str, column: str, line_no: int) -> float:
         value = float(raw)
     except ValueError:
         raise ValidationError(
-            f"line {line_no}: cannot parse {column} value {raw!r} as a number"
+            f"line {line_no}: cannot parse {column} value {shown(raw)} as a number"
         ) from None
     if not math.isfinite(value):
-        raise ValidationError(f"line {line_no}: non-finite {column} value {raw!r}")
+        raise ValidationError(f"line {line_no}: non-finite {column} value {shown(raw)}")
     return value
 
 
@@ -179,7 +179,7 @@ def _raise_first_fault(numbered, width: int, cols: dict) -> None:
             raise ValidationError(f"line {line_no}: expected {width} fields, got {len(row)}")
         day = _parse_day(row[cols["date"]])
         if day is None:
-            raise ValidationError(f"line {line_no}: cannot parse date {row[cols['date']]!r}")
+            raise ValidationError(f"line {line_no}: cannot parse date {shown(row[cols['date']])}")
         if day in first_line:
             raise ValidationError(
                 f"duplicate date {day.isoformat()} (lines {first_line[day]} and {line_no})"

@@ -16,6 +16,10 @@ not oversubscribe the cores. Where BLAS's thread count cannot be set, or only
 one LSTM can run at a time, the LSTMs run in this process one after another
 with the workers idle. The artifacts are byte-identical on every schedule.
 
+The pool's scheduler, :func:`run_jobs`, serves three commands: ``train``
+through :func:`train_symbols`, and ``analyze`` and ``backtest``, whose jobs
+read one symbol's CSV or write one output file.
+
 All model quality numbers are computed in original price units after
 inverting the fitted min-max scaler.
 """
@@ -47,6 +51,9 @@ from .market_data import (
 
 MODEL_FORMAT = "coincast-model"
 MODEL_VERSION = 4
+
+# The error of a job whose worker process died, whichever command ran it.
+WORKER_DIED = "a worker process died before returning its job's result"
 
 
 def prepare_datasets(
@@ -131,28 +138,6 @@ class Forecaster:
         return self.predict_from_features(self.features(dataset), dataset)
 
 
-def fit_horizon_boosters(
-    features: Sequence[np.ndarray], Y: np.ndarray, tree_params: TreeParams, n_rounds: int
-) -> list[list[Booster]]:
-    """Stage 2: on each (N, p) matrix of ``features``, one booster per horizon
-    step of ``Y``; returns each matrix's boosters in step order.
-
-    The fits run in up to one forked worker process per usable CPU, widest
-    matrix first so that the longest fits do not trail; with one usable CPU
-    they run in this process. Either way the boosters are the
-    same bits, and the error of the first failing fit in (matrix, step) order
-    is raised as the fit raised it. A worker that dies raises WorkerError.
-    """
-    n_steps = Y.shape[1]
-    jobs = [
-        _Job(_fit, (F, Y[:, step], tree_params, n_rounds), F.shape[1])
-        for F in features
-        for step in range(n_steps)
-    ]
-    boosters = _run(jobs)
-    return [boosters[i * n_steps : (i + 1) * n_steps] for i in range(len(features))]
-
-
 def _fit(F, y, tree_params, n_rounds) -> Booster:
     # Looks train_booster up when called, so a forked worker runs the one
     # bound in its parent.
@@ -167,14 +152,19 @@ def _train_lstm(train_ds: WindowedDataset, lstm_config: lstm_mod.TrainConfig):
 
 
 @dataclass
-class _Job:
-    """``fn(*args)``, one unit of training. A hybrid booster is fit on the
-    latents its dataset's LSTM job returns: ``after`` is that job's index, and
-    the latents go before ``args`` once it has returned."""
+class Job:
+    """``fn(*args)``, one unit of work for :func:`run_jobs`. ``fn`` and
+    ``args`` must pickle, as a worker receives them through a pipe.
+
+    ``cost`` ranks ready jobs, largest first, so that the longest do not
+    trail: a booster fit's feature columns, a written file's cells. A hybrid
+    booster is fit on the latents its dataset's LSTM job returns: ``after`` is
+    that job's index, and the latents go before ``args`` once it has
+    returned."""
 
     fn: Callable
     args: tuple
-    width: int = 0  # feature columns of a booster fit
+    cost: int = 0
     group: int = 0  # the dataset the job belongs to
     after: int | None = None
     lstm: bool = False
@@ -213,11 +203,11 @@ def train_symbols(
     k = lstm_config.hidden_size
     for group, ds in enumerate(train_sets):
         lstm_job = len(jobs)
-        jobs.append(_Job(_train_lstm, (ds, lstm_config), group=group, lstm=True))
+        jobs.append(Job(_train_lstm, (ds, lstm_config), group=group, lstm=True))
         steps = range(ds.n_steps_out)
-        jobs += [_Job(_fit, (ds.Y[:, s], tree_params, n_rounds), k, group, lstm_job) for s in steps]
+        jobs += [Job(_fit, (ds.Y[:, s], tree_params, n_rounds), k, group, lstm_job) for s in steps]
         lags = ds.X.reshape(ds.n_samples, -1)
-        jobs += [_Job(_fit, (lags, ds.Y[:, s], tree_params, n_rounds), lags.shape[1], group) for s in steps]
+        jobs += [Job(_fit, (lags, ds.Y[:, s], tree_params, n_rounds), lags.shape[1], group) for s in steps]
 
     fitted = []
 
@@ -229,7 +219,7 @@ def train_symbols(
             on_trained(group, *fitted[-1])
 
     with one_blas_thread() as blas:
-        _run(jobs, assemble, parallel_lstm=blas.pinned)
+        run_jobs(jobs, assemble, parallel_lstm=blas.pinned)
     return fitted
 
 
@@ -302,15 +292,19 @@ class _Schedule:
         return self.handed_on == len(self.jobs)
 
 
-def _run(jobs: list[_Job], on_group=None, parallel_lstm: bool = False) -> list:
+def run_jobs(jobs: Sequence[Job], on_group=None, parallel_lstm: bool = False) -> list:
     """The result of every job, in job order; ``on_group(group, results)`` is
-    called for each group as in :func:`train_symbols`.
+    called for each group as in :func:`train_symbols`. The scheduler of
+    ``train``, ``analyze`` and ``backtest``.
 
     Jobs run in up to one forked worker per usable CPU, ready ones by
-    priority. LSTM jobs run there only with ``parallel_lstm`` and when two can
-    run at once; otherwise this process runs each one when it is the first
-    ready job in job order and no worker is busy. With one usable CPU, or
-    work for fewer than two workers, this process runs every job in job order.
+    priority: LSTMs first, then largest ``cost`` first. LSTM jobs run there only with ``parallel_lstm`` and when
+    two can run at once; otherwise this process runs each one when it is the
+    first ready job in job order and no worker is busy. With one usable CPU,
+    or work for fewer than two workers, this process runs every job in job
+    order. The error of the first failing job in job order is raised, as the
+    job raised it, once every job before it has returned; the workers are
+    then ended, running or not. A worker that dies raises WorkerError.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     lstm_in_pool = parallel_lstm and min(cpus, sum(job.lstm for job in jobs)) >= 2
@@ -332,10 +326,10 @@ def _run(jobs: list[_Job], on_group=None, parallel_lstm: bool = False) -> list:
                     schedule.finish(ready[0], ok, value)
                     continue
             else:
-                # LSTMs first, as hybrid boosters wait on them; then the widest
-                # fits, so that the longest do not trail
+                # LSTMs first, as hybrid boosters wait on them; then the largest
+                # jobs, so that the longest do not trail
                 pooled = [i for i in ready if in_pool[i]]
-                for i in sorted(pooled, key=lambda i: (not jobs[i].lstm, -jobs[i].width, i)):
+                for i in sorted(pooled, key=lambda i: (not jobs[i].lstm, -jobs[i].cost, i)):
                     if len(pool.running) == size:
                         break
                     pool.send(i, *schedule.start(i))
@@ -418,7 +412,7 @@ class _Pool:
                     return (self.running.pop(conn), *conn.recv())
                 except EOFError:
                     break
-        raise WorkerError("a worker process training models died before returning")
+        raise WorkerError(WORKER_DIED)
 
     def __exit__(self, *exc_info):
         for process, _ in self.workers:

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import random_walk_rows, rows_to_csv_text
 import coincast
-from coincast import analysis, numkernel, pipeline
+from coincast import analysis, cli, numkernel, pipeline
 from coincast import lstm as lstm_mod
 from coincast.cli import _EXIT_CODES, _Stage, entry, main
 from coincast.errors import (
@@ -115,10 +115,22 @@ def fractional_root(payload):
     root["feature"][0], root["left"][0] = 0.9, 1.2
 
 
+def csv_cell(line_no, column, value: bytes):
+    """A CSV edit that sets field ``column`` of line ``line_no`` (1-based) to ``value``."""
+    def edit(raw: bytes) -> bytes:
+        lines = raw.split(b"\n")
+        cells = lines[line_no - 1].split(b",")
+        cells[column] = value
+        lines[line_no - 1] = b",".join(cells)
+        return b"\n".join(lines)
+    return edit
+
+
 NAN, INF = float("nan"), float("inf")
+CLOSE, DATE = 7, 3  # field indexes of the test CSVs' columns
 
 # (command, file under the run directory, edit of its bytes); each must end
-# in a typed error, exit code 3 and no output.
+# in a typed error of under 200 characters, exit code 3 and no output.
 BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(cyclic_root), id="cyclic-tree"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(fractional_root), id="tree-fractional-ids"),
@@ -153,6 +165,10 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("maxs", True)), id="scaler-boolean"),
     pytest.param("train", "btc.csv", lambda raw: raw.replace(b",Btc,", b",B\xfftc,", 1), id="csv-not-utf8"),
     pytest.param("backtest", "btc.csv", lambda raw: raw.replace(b",Btc,", b"," + b"N" * 200_000 + b",", 1), id="csv-field-past-csv-limit"),
+    # a huge bad cell is echoed cut short
+    pytest.param("backtest", "btc.csv", csv_cell(3, CLOSE, b"x" * 100_000), id="csv-huge-number-cell"),
+    pytest.param("analyze", "eth.csv", csv_cell(3, CLOSE, b"9" * 100_000), id="csv-huge-non-finite-cell"),
+    pytest.param("analyze", "btc.csv", csv_cell(3, DATE, b"2017-01-02" * 10_000), id="csv-huge-date-cell"),
     # asks numpy for about 29 TiB of LSTM weights, which fails at once
     pytest.param("train", "config.json", json_edit(lambda c: c["lstm"].update(hidden_size=2_000_000)), id="lstm-too-large-to-allocate"),
     pytest.param("train", "config.json", json_edit(lambda c: c["lstm"].update(hidden_size=4_000_000_000)), id="lstm-hidden-size-past-numpy-index"),
@@ -424,7 +440,8 @@ class TestEvaluate:
         extra = ("--model", str(model)) if command == "evaluate" else ()
         done = run_module("coincast", command, "--config", str(cfg), *extra)
         assert done.returncode == 3, done.stderr
-        assert "error:" in done.stderr
+        assert done.stderr.startswith("error:")
+        assert len(done.stderr) < 200, done.stderr[:400]
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "out").exists()
 
@@ -666,7 +683,7 @@ class TestBoosterWorkers:
         monkeypatch.setattr(pipeline, "train_booster", dying)
         code, err = self.train(tmp_path, capsys)
         assert code == 3
-        assert err == "error: a worker process training models died before returning\n"
+        assert err == f"error: {pipeline.WORKER_DIED}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -679,24 +696,29 @@ def tree_hashes(root: Path) -> dict:
 
 
 def schedule(name, monkeypatch):
-    """Train in this process as with one usable CPU, on the pool, or on the
-    pool with a BLAS whose thread count cannot be set."""
+    """Run a command in this process as with one usable CPU, on the pool, or
+    on the pool with a BLAS whose thread count cannot be set."""
     if name == "in-process":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif name == "pool-unpinned":
         monkeypatch.setattr(numkernel, "_blas_thread_calls", lambda: None)
 
 
-def record_lstm_pids(monkeypatch, log: Path):
-    """Append the pid of every process that trains an LSTM to ``log``."""
-    train = lstm_mod.train
+def record_pids(monkeypatch, owner, name: str, log: Path):
+    """Append the pid of every process that calls ``owner.name`` to ``log``."""
+    fn = getattr(owner, name)
 
-    def logged(dataset, config):
+    def logged(*args):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return train(dataset, config)
+        return fn(*args)
 
-    monkeypatch.setattr(lstm_mod, "train", logged)
+    monkeypatch.setattr(owner, name, logged)
+
+
+def record_lstm_pids(monkeypatch, log: Path):
+    """Append the pid of every process that trains an LSTM to ``log``."""
+    record_pids(monkeypatch, lstm_mod, "train", log)
 
 
 @POOL
@@ -807,6 +829,86 @@ class TestTrainSchedule:
         assert (out, err) == ("", f"error: interrupted ({signal.Signals(signum).name})\n")
         # reaped by the command before it exited
         assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob(".stage-*"))
+
+
+@POOL
+class TestReadSchedule:
+    """``analyze`` and ``backtest`` read and write on the worker pool."""
+
+    @pytest.mark.parametrize("command, files", [("analyze", 9), ("backtest", 6)])
+    def test_every_schedule_writes_the_same_bytes(self, tmp_path, monkeypatch, command, files):
+        cfg = write_workspace(tmp_path, symbols=("BTC", "ETH", "SOL"), T=120)
+        hashes, pids = {}, {}
+        for name in ("in-process", "pool"):
+            log = tmp_path / f"{name}.pids"
+            with monkeypatch.context() as patch:
+                schedule(name, patch)
+                # every CSV read and every CSV written
+                record_pids(patch, cli, "parse_csv", log)
+                record_pids(patch, cli, "write_csv", log)
+                assert main([command, "--config", str(cfg)]) == 0
+            assert_no_child_left()
+            hashes[name] = tree_hashes(tmp_path / "out")
+            pids[name] = set(map(int, log.read_text().split()))
+            shutil.rmtree(tmp_path / "out")
+        assert len(hashes["pool"]) == files
+        assert hashes["in-process"] == hashes["pool"]
+        assert pids["in-process"] == {os.getpid()}
+        assert os.getpid() not in pids["pool"]
+        assert len(pids["pool"]) >= 2
+
+    @pytest.mark.parametrize(
+        "command, functions", [("analyze", ["parse_csv"]), ("backtest", ["parse_csv", "write_csv"])]
+    )
+    def test_one_symbol_runs_in_process(self, tmp_path, monkeypatch, command, functions):
+        # a single job needs no worker: backtest's one symbol and analyze's one
+        # parse; analyze's eight writes are jobs of their own
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=120)
+        log = tmp_path / "pids"
+        for name in functions:
+            record_pids(monkeypatch, cli, name, log)
+        assert main([command, "--config", str(cfg)]) == 0
+        assert set(map(int, log.read_text().split())) == {os.getpid()}
+
+    @pytest.mark.parametrize("command", ["analyze", "backtest"])
+    @pytest.mark.parametrize("name", ["in-process", "pool"])
+    def test_first_symbols_bad_csv_wins(self, tmp_path, capsys, monkeypatch, command, name):
+        # BTC's fault is on its last line and its parse is slowed, so on the
+        # pool SOL's fault on its first line is found first
+        schedule(name, monkeypatch)
+        cfg = write_workspace(tmp_path, symbols=("BTC", "ETH", "SOL"), T=120)
+        btc, sol = tmp_path / "btc.csv", tmp_path / "sol.csv"
+        btc.write_bytes(csv_cell(121, CLOSE, b"-1.0")(btc.read_bytes()))
+        sol.write_bytes(csv_cell(2, DATE, b"yesterday")(sol.read_bytes()))
+        parse = cli.parse_csv
+
+        def slow_btc(raw):
+            if b",BTC," in raw:
+                time.sleep(0.3)
+            return parse(raw)
+
+        monkeypatch.setattr(cli, "parse_csv", slow_btc)
+        assert main([command, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: line 121: negative close price -1.0\n"
+        assert_no_child_left()
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob(".stage-*"))
+
+    def test_dead_worker_exits_3(self, tmp_path, capsys, monkeypatch):
+        parent, backtest = os.getpid(), analysis.sma_crossover_backtest
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return backtest(*args)
+
+        monkeypatch.setattr(analysis, "sma_crossover_backtest", dying)
+        cfg = write_workspace(tmp_path, T=60)
+        assert main(["backtest", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: {pipeline.WORKER_DIED}\n"
+        assert_no_child_left()
         assert not (tmp_path / "out").exists()
         assert not list(tmp_path.glob(".stage-*"))
 

@@ -19,7 +19,6 @@ from coincast.pipeline import (
     Forecaster,
     TrainedBundle,
     evaluate,
-    fit_horizon_boosters,
     load_bundle,
     prepare_datasets,
     save_bundle,
@@ -215,7 +214,18 @@ def three_steps():
     return [lags[:, :6], lags], train_ds.Y
 
 
+def fit_jobs(features, Y, n_rounds):
+    """One booster fit per (matrix, step) in that order, widest matrix first."""
+    return [
+        pipeline.Job(pipeline._fit, (F, Y[:, step], FAST_TREES, n_rounds), F.shape[1])
+        for F in features
+        for step in range(Y.shape[1])
+    ]
+
+
 class TestHorizonBoosters:
+    """Booster fits as jobs of ``pipeline.run_jobs``."""
+
     def test_each_booster_is_the_direct_fit(self, cpus, three_steps, monkeypatch):
         features, Y = three_steps
         fit = pipeline.train_booster
@@ -226,8 +236,9 @@ class TestHorizonBoosters:
             return booster
 
         monkeypatch.setattr(pipeline, "train_booster", tagged)
-        fitted = fit_horizon_boosters(features, Y, FAST_TREES, 4)
-        assert [len(boosters) for boosters in fitted] == [3, 3]
+        boosters = pipeline.run_jobs(fit_jobs(features, Y, 4))
+        assert len(boosters) == 6
+        fitted = [boosters[:3], boosters[3:]]
         for F, boosters in zip(features, fitted):
             for step, booster in enumerate(boosters):
                 assert booster.to_dict() == fit(F, Y[:, step], FAST_TREES, 4).to_dict()
@@ -250,7 +261,7 @@ class TestHorizonBoosters:
 
         monkeypatch.setattr(pipeline, "train_booster", failing)
         with pytest.raises(kind) as info:
-            fit_horizon_boosters(features, Y, FAST_TREES, 2)
+            pipeline.run_jobs(fit_jobs(features, Y, 2))
         assert type(info.value) is kind
         assert str(info.value) == "narrow step 1 failed"
 

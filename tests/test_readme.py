@@ -7,7 +7,7 @@ from pathlib import Path
 
 from conftest import random_walk_rows, rows_to_csv_text
 from coincast.config import RunConfig
-from coincast.pipeline import MODEL_VERSION
+from coincast.pipeline import MODEL_VERSION, WORKER_DIED
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +42,8 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
 def test_exit_codes_name_the_model_version_that_is_read():
     text = README.read_text(encoding="utf-8")
     assert re.search(r"a manifest whose `version` is not (\d+);", text).group(1) == str(MODEL_VERSION)
+
+
+def test_exit_codes_quote_the_dead_worker_message():
+    text = README.read_text(encoding="utf-8")
+    assert re.search(r"died\s+\(killed, for example\):\s+`error: ([^`]*)`", text).group(1) == WORKER_DIED
