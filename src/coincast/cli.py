@@ -103,9 +103,8 @@ def _read_series(symbol: str, path: str):
 
 
 def _load_all(cfg: RunConfig) -> dict:
-    """Each symbol's series, one job per symbol on the worker pool."""
-    jobs = [pipeline.Job(_read_series, (symbol, path)) for symbol, path in cfg.data.items()]
-    return dict(zip(cfg.data, pipeline.run_jobs(jobs)))
+    """Each symbol's series, parsed in this process in config order."""
+    return {symbol: _read_series(symbol, path) for symbol, path in cfg.data.items()}
 
 
 # --- analyze ----------------------------------------------------------------
@@ -118,8 +117,8 @@ def _returns_date_offset(basis: str) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
-    """Parse the symbols on the worker pool, compute every figure in this
-    process, then write each CSV as one job on the pool, largest first."""
+    """Parse the symbols and compute every figure in this process, then
+    write each CSV as one job on the worker pool, largest first."""
     series_map = _load_all(cfg)
     symbols = list(series_map)
     a = cfg.analysis

@@ -245,12 +245,6 @@ def parse_csv(source) -> PriceSeries:
     return PriceSeries(symbol=symbols[first].strip(), name=name.strip(), days=days, values=values)
 
 
-def load_csv(path) -> PriceSeries:
-    """Read and parse one asset CSV from disk."""
-    with open(path, "rb") as fh:
-        return parse_csv(fh)
-
-
 def series_to_features(series: PriceSeries, feature_names) -> np.ndarray:
     """Stack the named fields into a (T, d) feature matrix, column order as given."""
     names = tuple(feature_names)

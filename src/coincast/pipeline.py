@@ -12,13 +12,13 @@ the training windows' latents) and each booster (both kinds, every horizon
 step). They run on one pool of up to one forked worker process per usable
 CPU per call. Boosters call no BLAS, and an LSTM trains with BLAS held at one
 thread (:class:`~coincast.numkernel.one_blas_thread`), so parallel jobs do
-not oversubscribe the cores. Where BLAS's thread count cannot be set, or only
-one LSTM can run at a time, the LSTMs run in this process one after another
-with the workers idle. The artifacts are byte-identical on every schedule.
+not oversubscribe the cores. Where BLAS's thread count cannot be set, every
+job runs in this process, one after another. The artifacts are
+byte-identical on every schedule.
 
 The pool's scheduler, :func:`run_jobs`, serves three commands: ``train``
 through :func:`train_symbols`, and ``analyze`` and ``backtest``, whose jobs
-read one symbol's CSV or write one output file.
+run one symbol's backtest or write one output file.
 
 All model quality numbers are computed in original price units after
 inverting the fitted min-max scaler.
@@ -160,14 +160,13 @@ class Job:
     trail: a booster fit's feature columns, a written file's cells. A hybrid
     booster is fit on the latents its dataset's LSTM job returns: ``after`` is
     that job's index, and the latents go before ``args`` once it has
-    returned."""
+    returned. A job that another waits on goes before every ``cost``."""
 
     fn: Callable
     args: tuple
     cost: int = 0
     group: int = 0  # the dataset the job belongs to
     after: int | None = None
-    lstm: bool = False
 
 
 def train_symbols(
@@ -187,10 +186,9 @@ def train_symbols(
     Each dataset's LSTM is one job and each booster is one job, all on one
     worker pool. ``gbt-lags`` boosters are ready at once and hybrid boosters
     when their LSTM returns; ready jobs go LSTMs first, then widest features
-    first. LSTMs train in parallel workers with BLAS held at one thread. Where
-    BLAS's thread count cannot be set, or fewer than two LSTMs or CPUs can run
-    at once, they train in this process one after another while the workers
-    idle, as unpinned parallel LSTMs would oversubscribe the cores.
+    first. LSTMs train in workers with BLAS held at one thread. Where BLAS's
+    thread count cannot be set, every job runs in this process in job order,
+    as unpinned parallel LSTMs would oversubscribe the cores.
 
     The models are the same bits on every schedule. Errors come in dataset
     order: the first dataset whose LSTM, boosters or ``on_trained`` call fails
@@ -203,7 +201,7 @@ def train_symbols(
     k = lstm_config.hidden_size
     for group, ds in enumerate(train_sets):
         lstm_job = len(jobs)
-        jobs.append(Job(_train_lstm, (ds, lstm_config), group=group, lstm=True))
+        jobs.append(Job(_train_lstm, (ds, lstm_config), group=group))
         steps = range(ds.n_steps_out)
         jobs += [Job(_fit, (ds.Y[:, s], tree_params, n_rounds), k, group, lstm_job) for s in steps]
         lags = ds.X.reshape(ds.n_samples, -1)
@@ -219,24 +217,8 @@ def train_symbols(
             on_trained(group, *fitted[-1])
 
     with one_blas_thread() as blas:
-        run_jobs(jobs, assemble, parallel_lstm=blas.pinned)
+        run_jobs(jobs, assemble, workers=blas.pinned)
     return fitted
-
-
-def train_models(
-    train_ds: WindowedDataset,
-    lstm_config: lstm_mod.TrainConfig,
-    tree_params: TreeParams,
-    n_rounds: int,
-) -> tuple[tuple[Forecaster, ...], tuple[float, ...]]:
-    """Fit the hybrid and both baselines on the training windows: one
-    dataset of :func:`train_symbols`.
-
-    The LSTM is fit once: the hybrid's boosters read its latents and the
-    ``lstm-only`` baseline keeps its pre-training head. Returns the models
-    ``(hybrid, lstm-only, gbt-lags)`` and the LSTM's per-epoch loss history.
-    """
-    return train_symbols([train_ds], lstm_config, tree_params, n_rounds)[0]
 
 
 class _Schedule:
@@ -292,47 +274,42 @@ class _Schedule:
         return self.handed_on == len(self.jobs)
 
 
-def run_jobs(jobs: Sequence[Job], on_group=None, parallel_lstm: bool = False) -> list:
+def run_jobs(jobs: Sequence[Job], on_group=None, workers: bool = True) -> list:
     """The result of every job, in job order; ``on_group(group, results)`` is
     called for each group as in :func:`train_symbols`. The scheduler of
     ``train``, ``analyze`` and ``backtest``.
 
-    Jobs run in up to one forked worker per usable CPU, ready ones by
-    priority: LSTMs first, then largest ``cost`` first. LSTM jobs run there only with ``parallel_lstm`` and when
-    two can run at once; otherwise this process runs each one when it is the
-    first ready job in job order and no worker is busy. With one usable CPU,
-    or work for fewer than two workers, this process runs every job in job
-    order. The error of the first failing job in job order is raised, as the
-    job raised it, once every job before it has returned; the workers are
-    then ended, running or not. A worker that dies raises WorkerError.
+    With ``workers``, at least two usable CPUs and at least two jobs, jobs
+    run in up to one forked worker per usable CPU, ready ones by priority:
+    a job that another waits on first, then largest ``cost`` first.
+    Otherwise this process runs every job, in job order. The error of the
+    first failing job in job order is raised, as the job raised it, once
+    every job before it has returned; the workers are then ended, running or
+    not. A worker that dies raises WorkerError.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    lstm_in_pool = parallel_lstm and min(cpus, sum(job.lstm for job in jobs)) >= 2
-    in_pool = [lstm_in_pool or not job.lstm for job in jobs]
-    size = min(cpus, sum(in_pool))
+    size = min(cpus, len(jobs)) if workers else 0
     if size < 2:
-        size, in_pool = 0, [False] * len(jobs)
+        size = 0
+    waited_on = {job.after for job in jobs}
     schedule = _Schedule(jobs, on_group)
     with _Pool(size) as pool:
         while not schedule.done:
             ready = schedule.ready()
-            if ready and not in_pool[ready[0]]:
-                if not pool.running:
-                    fn, args = schedule.start(ready[0])
-                    try:
-                        ok, value = True, fn(*args)
-                    except Exception as exc:  # raised by finish in job order
-                        ok, value = False, exc
-                    schedule.finish(ready[0], ok, value)
-                    continue
-            else:
-                # LSTMs first, as hybrid boosters wait on them; then the largest
-                # jobs, so that the longest do not trail
-                pooled = [i for i in ready if in_pool[i]]
-                for i in sorted(pooled, key=lambda i: (not jobs[i].lstm, -jobs[i].cost, i)):
-                    if len(pool.running) == size:
-                        break
-                    pool.send(i, *schedule.start(i))
+            if not size:
+                fn, args = schedule.start(ready[0])
+                try:
+                    ok, value = True, fn(*args)
+                except Exception as exc:  # raised by finish in job order
+                    ok, value = False, exc
+                schedule.finish(ready[0], ok, value)
+                continue
+            # jobs others wait on (LSTMs) first; then the largest, so that the
+            # longest do not trail
+            for i in sorted(ready, key=lambda i: (i not in waited_on, -jobs[i].cost, i)):
+                if len(pool.running) == size:
+                    break
+                pool.send(i, *schedule.start(i))
             schedule.finish(*pool.receive())
     return [schedule.results[i] for i in range(len(jobs))]
 

@@ -1,12 +1,23 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 import csv
 import io
+import os
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from coincast.market_data import PRICE_FIELDS, PriceSeries
+from coincast.numkernel import one_blas_thread
+
+# Tests that need worker processes. Without them every job of every command
+# runs in the main process: with one usable CPU, and, for ``train``, with a
+# BLAS whose thread count cannot be set.
+POOL = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 or not one_blas_thread().pinned,
+    reason="jobs run in worker processes only with at least 2 usable CPUs,"
+    " and train's only where BLAS's thread count can be set",
+)
 
 HEADER = ["SNo", "Name", "Symbol", "Date", "High", "Low", "Open", "Close", "Volume", "Marketcap"]
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_walk_rows, rows_to_csv_text
+from conftest import POOL, random_walk_rows, rows_to_csv_text
 import coincast
 from coincast import analysis, cli, numkernel, pipeline
 from coincast import lstm as lstm_mod
@@ -630,12 +630,6 @@ class TestFailureModes:
         assert main(["train", "--config", str(cfg)]) == 3
 
 
-POOL = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2,
-    reason="boosters are fit in worker processes only with at least 2 usable CPUs",
-)
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -716,9 +710,23 @@ def record_pids(monkeypatch, owner, name: str, log: Path):
     monkeypatch.setattr(owner, name, logged)
 
 
-def record_lstm_pids(monkeypatch, log: Path):
-    """Append the pid of every process that trains an LSTM to ``log``."""
-    record_pids(monkeypatch, lstm_mod, "train", log)
+def run_schedules(tmp_path, monkeypatch, argv, names, traced):
+    """Run ``main(argv)`` on each named :func:`schedule`. Returns each
+    schedule's output hashes, and the pids that called each traced
+    ``(owner, name)`` by name."""
+    hashes, pids = {}, {}
+    for name in names:
+        logs = {fn: tmp_path / f"{name}.{fn}.pids" for _, fn in traced}
+        with monkeypatch.context() as patch:
+            schedule(name, patch)
+            for owner, fn in traced:
+                record_pids(patch, owner, fn, logs[fn])
+            assert main(argv) == 0
+        assert_no_child_left()
+        hashes[name] = tree_hashes(tmp_path / "out")
+        pids[name] = {fn: set(map(int, log.read_text().split())) for fn, log in logs.items()}
+        shutil.rmtree(tmp_path / "out")
+    return hashes, pids
 
 
 @POOL
@@ -727,24 +735,28 @@ class TestTrainSchedule:
     def test_every_schedule_writes_the_same_bytes(self, tmp_path, monkeypatch, steps_out):
         extra = {"n_steps_out": steps_out, "pipeline": {"dump_windows": True}}
         cfg = write_workspace(tmp_path, symbols=("BTC", "ETH", "SOL"), T=80, extra=extra)
-        hashes, lstm_pids = {}, {}
-        for name in ("in-process", "pool", "pool-unpinned"):
-            log = tmp_path / f"{name}.pids"
-            with monkeypatch.context() as patch:
-                schedule(name, patch)
-                record_lstm_pids(patch, log)
-                assert main(["train", "--config", str(cfg)]) == 0
-            assert_no_child_left()
-            hashes[name] = tree_hashes(tmp_path / "out")
-            lstm_pids[name] = set(map(int, log.read_text().split()))
-            shutil.rmtree(tmp_path / "out")
+        names = ("in-process", "pool", "pool-unpinned")
+        traced = [(lstm_mod, "train"), (pipeline, "train_booster")]
+        hashes, pids = run_schedules(tmp_path, monkeypatch, ["train", "--config", str(cfg)], names, traced)
         assert len(hashes["pool"]) == 3 * (7 + 2 * steps_out)
         assert hashes["in-process"] == hashes["pool"] == hashes["pool-unpinned"]
-        # LSTMs train in workers only where BLAS can be held at one thread
-        assert lstm_pids["in-process"] == lstm_pids["pool-unpinned"] == {os.getpid()}
-        assert os.getpid() not in lstm_pids["pool"]
-        if numkernel.one_blas_thread().pinned:
-            assert len(lstm_pids["pool"]) == min(3, len(os.sched_getaffinity(0)))
+        # jobs run in workers only where BLAS can be held at one thread
+        parent = {os.getpid()}
+        assert pids["in-process"] == pids["pool-unpinned"] == {"train": parent, "train_booster": parent}
+        assert parent.isdisjoint(pids["pool"]["train"] | pids["pool"]["train_booster"])
+        assert len(pids["pool"]["train"]) == min(3, len(os.sched_getaffinity(0)))
+
+    def test_one_symbol_trains_its_lstm_in_a_worker(self, tmp_path, monkeypatch):
+        extra = {"n_steps_out": 3, "pipeline": {"dump_windows": True}}
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=80, extra=extra)
+        names = ("in-process", "pool")
+        traced = [(lstm_mod, "train")]
+        hashes, pids = run_schedules(tmp_path, monkeypatch, ["train", "--config", str(cfg)], names, traced)
+        assert len(hashes["pool"]) == 7 + 2 * 3
+        assert hashes["in-process"] == hashes["pool"]
+        assert pids["in-process"]["train"] == {os.getpid()}
+        assert len(pids["pool"]["train"]) == 1
+        assert os.getpid() not in pids["pool"]["train"]
 
     @pytest.mark.parametrize("name", ["in-process", "pool", "pool-unpinned"])
     def test_first_symbols_error_wins_over_a_later_bad_csv(self, tmp_path, capsys, monkeypatch, name):
@@ -835,36 +847,32 @@ class TestTrainSchedule:
 
 @POOL
 class TestReadSchedule:
-    """``analyze`` and ``backtest`` read and write on the worker pool."""
+    """``backtest`` reads and writes on the worker pool, ``analyze`` writes there."""
 
     @pytest.mark.parametrize("command, files", [("analyze", 9), ("backtest", 6)])
     def test_every_schedule_writes_the_same_bytes(self, tmp_path, monkeypatch, command, files):
         cfg = write_workspace(tmp_path, symbols=("BTC", "ETH", "SOL"), T=120)
-        hashes, pids = {}, {}
-        for name in ("in-process", "pool"):
-            log = tmp_path / f"{name}.pids"
-            with monkeypatch.context() as patch:
-                schedule(name, patch)
-                # every CSV read and every CSV written
-                record_pids(patch, cli, "parse_csv", log)
-                record_pids(patch, cli, "write_csv", log)
-                assert main([command, "--config", str(cfg)]) == 0
-            assert_no_child_left()
-            hashes[name] = tree_hashes(tmp_path / "out")
-            pids[name] = set(map(int, log.read_text().split()))
-            shutil.rmtree(tmp_path / "out")
+        # every CSV read and every CSV written
+        traced = [(cli, "parse_csv"), (cli, "write_csv")]
+        argv = [command, "--config", str(cfg)]
+        hashes, pids = run_schedules(tmp_path, monkeypatch, argv, ("in-process", "pool"), traced)
         assert len(hashes["pool"]) == files
         assert hashes["in-process"] == hashes["pool"]
-        assert pids["in-process"] == {os.getpid()}
-        assert os.getpid() not in pids["pool"]
-        assert len(pids["pool"]) >= 2
+        parent = {os.getpid()}
+        assert pids["in-process"] == {"parse_csv": parent, "write_csv": parent}
+        pooled = {"write_csv"} if command == "analyze" else {"parse_csv", "write_csv"}
+        for fn, called in pids["pool"].items():
+            if fn in pooled:
+                assert parent.isdisjoint(called) and len(called) >= 2
+            else:
+                assert called == parent
 
     @pytest.mark.parametrize(
         "command, functions", [("analyze", ["parse_csv"]), ("backtest", ["parse_csv", "write_csv"])]
     )
     def test_one_symbol_runs_in_process(self, tmp_path, monkeypatch, command, functions):
-        # a single job needs no worker: backtest's one symbol and analyze's one
-        # parse; analyze's eight writes are jobs of their own
+        # a single job needs no worker: backtest's one symbol; analyze parses
+        # in this process whatever the symbol count
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=120)
         log = tmp_path / "pids"
         for name in functions:
@@ -875,8 +883,9 @@ class TestReadSchedule:
     @pytest.mark.parametrize("command", ["analyze", "backtest"])
     @pytest.mark.parametrize("name", ["in-process", "pool"])
     def test_first_symbols_bad_csv_wins(self, tmp_path, capsys, monkeypatch, command, name):
-        # BTC's fault is on its last line and its parse is slowed, so on the
-        # pool SOL's fault on its first line is found first
+        # BTC's fault is on its last line and its parse is slowed, so where
+        # parses run on the pool (backtest) SOL's fault on its first line is
+        # found first
         schedule(name, monkeypatch)
         cfg = write_workspace(tmp_path, symbols=("BTC", "ETH", "SOL"), T=120)
         btc, sol = tmp_path / "btc.csv", tmp_path / "sol.csv"

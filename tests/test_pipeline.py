@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_walk_rows, rows_to_series
+from conftest import POOL, random_walk_rows, rows_to_series
 from coincast import lstm as lstm_mod
 from coincast import metrics as metrics_mod
 from coincast import pipeline
@@ -22,7 +22,7 @@ from coincast.pipeline import (
     load_bundle,
     prepare_datasets,
     save_bundle,
-    train_models,
+    train_symbols,
 )
 
 FEATURES = ("open", "high", "low", "close", "volume")
@@ -41,7 +41,7 @@ def splits():
 @pytest.fixture(scope="module")
 def fitted(splits):
     train_ds, _ = splits
-    return train_models(train_ds, TrainConfig(**FAST_LSTM), FAST_TREES, n_rounds=5)
+    return train_symbols([train_ds], TrainConfig(**FAST_LSTM), FAST_TREES, n_rounds=5)[0]
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def bundle_of(models, train_ds, **kwargs):
 
 
 def hybrid_of(train_ds, cfg, n_rounds):
-    (hybrid, _, _), _ = train_models(train_ds, cfg, FAST_TREES, n_rounds)
+    (hybrid, _, _), _ = train_symbols([train_ds], cfg, FAST_TREES, n_rounds)[0]
     return hybrid
 
 
@@ -156,7 +156,7 @@ class TestModels:
 
         ds = make_windows(rows, target_col=1, n_steps_in=5, n_steps_out=1)
         cfg = TrainConfig(hidden_size=3, epochs=2, learning_rate=0.01, seed=1)
-        for model in train_models(ds, cfg, FAST_TREES, n_rounds=3)[0]:
+        for model in train_symbols([ds], cfg, FAST_TREES, n_rounds=3)[0][0]:
             preds = model.predict_prices(ds)
             assert preds.shape == (ds.n_samples, 1)
 
@@ -190,12 +190,6 @@ class TestMultiStep:
             short = Forecaster("hybrid", hybrid.lstm, hybrid.readout[:count])
             with pytest.raises(ShapeError, match=rf"{count} booster\(s\) for a 3-step horizon"):
                 short.predict_prices(test_ds)
-
-
-POOL = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2,
-    reason="boosters are fit in worker processes only with at least 2 usable CPUs",
-)
 
 
 @pytest.fixture(params=[pytest.param("pool", marks=POOL), "in-process"])
@@ -384,7 +378,7 @@ class TestBundleRoundTrip:
     def test_three_step_round_trip(self, tmp_path):
         series = rows_to_series(random_walk_rows(T=100, seed=28))
         train_ds, test_ds = prepare_datasets(series, FEATURES, "close", 8, 3, 0.8)
-        models, _ = train_models(train_ds, TrainConfig(**FAST_LSTM), FAST_TREES, n_rounds=3)
+        models, _ = train_symbols([train_ds], TrainConfig(**FAST_LSTM), FAST_TREES, n_rounds=3)[0]
         config = RunConfig(data={"SYN": "syn.csv"}, features=FEATURES, n_steps_in=8, n_steps_out=3)
         save_bundle(tmp_path, TrainedBundle(*models, train_ds.scaler, config))
         assert sorted(path.name for path in tmp_path.glob("*_booster_*.json")) == [
@@ -470,22 +464,27 @@ class TestBundleRoundTrip:
 
 
 class TestSharedStageOne:
-    def test_one_lstm_fit_shared_by_hybrid_and_lstm_only(self, splits, monkeypatch):
+    def test_one_lstm_fit_shared_by_hybrid_and_lstm_only(self, splits, monkeypatch, tmp_path):
+        # the LSTM may train in a worker process, so each call goes to a file
         train_ds, test_ds = splits
         cfg = TrainConfig(**FAST_LSTM)
-        calls = []
+        log = tmp_path / "calls"
         fit = lstm_mod.train
 
         def counting(dataset, config):
-            calls.append(dataset.n_samples)
+            with open(log, "a") as fh:
+                fh.write(f"{dataset.n_samples}\n")
             return fit(dataset, config)
 
+        def calls():
+            return list(map(int, log.read_text().split()))
+
         monkeypatch.setattr(lstm_mod, "train", counting)
-        first, _ = train_models(train_ds, cfg, FAST_TREES, n_rounds=4)
-        assert calls == [train_ds.n_samples]
+        first, _ = train_symbols([train_ds], cfg, FAST_TREES, n_rounds=4)[0]
+        assert calls() == [train_ds.n_samples]
         assert first[0].lstm is first[1].lstm
         assert first[2].lstm is None
-        again, _ = train_models(train_ds, cfg, FAST_TREES, n_rounds=4)
-        assert len(calls) == 2
+        again, _ = train_symbols([train_ds], cfg, FAST_TREES, n_rounds=4)[0]
+        assert len(calls()) == 2
         for a, b in zip(first, again):
             npt.assert_array_equal(a.predict_prices(test_ds), b.predict_prices(test_ds))
