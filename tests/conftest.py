@@ -10,13 +10,18 @@ import pytest
 from coincast.market_data import PRICE_FIELDS, PriceSeries
 from coincast.numkernel import one_blas_thread
 
-# Tests that need worker processes. Without them every job of every command
-# runs in the main process: with one usable CPU, and, for ``train``, with a
-# BLAS whose thread count cannot be set.
-POOL = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2 or not one_blas_thread().pinned,
-    reason="jobs run in worker processes only with at least 2 usable CPUs,"
-    " and train's only where BLAS's thread count can be set",
+CPUS = len(os.sched_getaffinity(0))
+
+# Tests that need worker processes: with one usable CPU every job of every
+# command runs in the main process.
+POOL = pytest.mark.skipif(CPUS < 2, reason="jobs run in worker processes only with at least 2 usable CPUs")
+
+# Tests that need train's jobs in worker processes: train also runs every job
+# in the main process where BLAS's thread count cannot be set.
+TRAIN_POOL = pytest.mark.skipif(
+    CPUS < 2 or not one_blas_thread().pinned,
+    reason="train's jobs run in worker processes only with at least 2 usable CPUs"
+    " and a BLAS whose thread count can be set",
 )
 
 HEADER = ["SNo", "Name", "Symbol", "Date", "High", "Low", "Open", "Close", "Volume", "Marketcap"]
