@@ -24,6 +24,15 @@ Sorted feature values, which only mark the boundaries inside ties, are read
 with one flat ``take`` from the transposed, feature-major copy of the matrix,
 and only for the features that repeat a value. The (p, n) blocks of a node's
 search are written into scratch arrays allocated once per booster.
+
+Prediction routes all of a booster's trees at once: their nodes are
+concatenated, and an index array of (trees, rows) starts at the roots and
+moves one tree level down per numpy pass until every entry sits on a leaf.
+The leaf weights are then added to ``base_score`` one tree at a time, in tree
+order, as training adds them. A single tree is the one-tree case of the same
+routing. Loading a booster checks all of its trees' node lists in one pass;
+only when that pass finds a fault are the trees loaded one by one, so that
+the error names the first faulty tree.
 """
 from __future__ import annotations
 
@@ -31,10 +40,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ShapeError, SizingError, check_field_kinds
+from .errors import DomainError, SchemaError, ShapeError, SizingError, check_field_kinds, shown
 from .market_data import json_floats
 
 _LEAF = -1
+# Rows routed through all trees at once; bounds prediction's (trees, rows) index arrays.
+_ROWS_PER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -121,28 +132,15 @@ class RegTree:
 
     def predict(self, X) -> np.ndarray:
         """Route every row of (N, p) features to its leaf weight."""
-        M = np.asarray(X, dtype=np.float64)
-        if M.ndim != 2:
-            raise ShapeError(f"expected a 2-D feature matrix, got {M.ndim} dimension(s)")
-        idx = np.zeros(M.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            active = feat != _LEAF
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            node = idx[rows]
-            go_left = M[rows, feat[rows]] < self.threshold[node]
-            idx[rows] = np.where(go_left, self.left[node], self.right[node])
-        return self.weight[idx]
+        return _leaf_weights([self], _feature_matrix(X))[0]
 
     def to_dict(self) -> dict:
         return {
-            "feature": [int(v) for v in self.feature],
-            "threshold": [float(v) for v in self.threshold],
-            "left": [int(v) for v in self.left],
-            "right": [int(v) for v in self.right],
-            "weight": [float(v) for v in self.weight],
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "weight": self.weight.tolist(),
         }
 
     @classmethod
@@ -184,6 +182,106 @@ class RegTree:
         if np.any(tree.feature < _LEAF):
             raise SchemaError(f"negative feature index {tree.feature.min()} in tree")
         return tree
+
+
+def _feature_matrix(X) -> np.ndarray:
+    M = np.asarray(X, dtype=np.float64)
+    if M.ndim != 2:
+        raise ShapeError(f"expected a 2-D feature matrix, got {M.ndim} dimension(s)")
+    return M
+
+
+def _leaf_weights(trees: list[RegTree], M: np.ndarray) -> np.ndarray:
+    """The (trees, N) leaf weights that the rows of (N, p) ``M`` reach in ``trees``.
+
+    The trees' nodes are concatenated, child ids offset by each tree's first
+    node, and a leaf made its own child so that a step leaves it in place.
+    Rows go in blocks of ``_ROWS_PER_BLOCK``, which bounds the index array;
+    a row's route is the same in any block. A row goes left when
+    x[feature] < threshold, so a value equal to the threshold goes right.
+    """
+    n, p = M.shape
+    if not trees:
+        return np.empty((0, n))
+    sizes = [tree.n_nodes for tree in trees]
+    roots = np.cumsum([0, *sizes[:-1]])
+    feature = np.concatenate([tree.feature for tree in trees])
+    if feature.max() >= p:
+        raise ShapeError(f"a tree splits on feature {feature.max()} of a {p}-column matrix")
+    leaf = feature == _LEAF
+    first = np.repeat(roots, sizes)
+    # child[2 i] is node i's right child and child[2 i + 1] its left one
+    child = np.empty((feature.size, 2), dtype=np.int64)
+    child[:, 0] = np.concatenate([tree.right for tree in trees]) + first
+    child[:, 1] = np.concatenate([tree.left for tree in trees]) + first
+    child[leaf] = np.flatnonzero(leaf)[:, np.newaxis]
+    child = child.ravel()
+    feature[leaf] = 0  # a leaf reads any column: both its children are itself
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    weight = np.concatenate([tree.weight for tree in trees])
+    values = np.ascontiguousarray(M).ravel()
+    out = np.empty((len(trees), n))
+    for start in range(0, n, _ROWS_PER_BLOCK):
+        stop = min(start + _ROWS_PER_BLOCK, n)
+        row_starts = np.arange(start * p, stop * p, p)
+        node = np.repeat(roots[:, np.newaxis], stop - start, axis=1)
+        while not leaf[node].all():
+            go_left = values.take(row_starts + feature[node]) < threshold[node]
+            node = child[2 * node + go_left]
+        out[:, start:stop] = weight[node]
+    return out
+
+
+def _trees_if_valid(payloads: list, n_features) -> list[RegTree] | None:
+    """The trees of a booster's ``trees`` list, checked in one pass over the
+    node lists of all of them, or None when any check fails.
+
+    It accepts only what :meth:`RegTree.from_dict` accepts, each tree a dict
+    of lists, with every feature below an integer ``n_features``, and builds
+    the same arrays; on None the caller loads the trees one by one, which
+    names the first faulty tree.
+    """
+    if not all(type(t) is dict for t in payloads):
+        return None
+    if not payloads:
+        return []
+    keys = ("feature", "left", "right", "threshold", "weight")
+    lists = [[t.get(key) for t in payloads] for key in keys]
+    if type(n_features) is not int or not all(type(v) is list for column in lists for v in column):
+        return None
+    sizes = list(map(len, lists[0]))
+    if min(sizes) < 1 or any(list(map(len, column)) != sizes for column in lists[1:]):
+        return None
+    feature, left, right, threshold, weight = (
+        [v for values in column for v in values] for column in lists
+    )
+    if not set(map(type, feature + left + right)) <= {int}:  # floats and bools too
+        return None
+    if not set(map(type, threshold + weight)) <= {int, float}:
+        return None
+    try:
+        feature, left, right = np.array([feature, left, right], dtype=np.int64)
+        threshold, weight = np.array([threshold, weight], dtype=np.float64)
+    except OverflowError:
+        return None
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    n = np.repeat(sizes, sizes)  # the size of each node's tree
+    node = np.arange(stops[-1]) - np.repeat(starts, sizes)  # each node's id in its tree
+    follows = (left > node) & (left < n) & (right > node) & (right < n)
+    childless = (left == _LEAF) & (right == _LEAF)
+    if not (
+        np.isfinite(threshold).all()
+        and np.isfinite(weight).all()
+        and np.where(feature != _LEAF, follows, childless).all()
+        and feature.min() >= _LEAF
+        and feature.max() < n_features
+    ):
+        return None
+    return [
+        RegTree(feature[a:b], threshold[a:b], left[a:b], right[a:b], weight[a:b])
+        for a, b in zip(starts.tolist(), stops.tolist())
+    ]
 
 
 class _ColumnBlocks:
@@ -370,16 +468,14 @@ class Booster:
         check_field_kinds(self)
 
     def predict(self, X) -> np.ndarray:
-        M = np.asarray(X, dtype=np.float64)
-        if M.ndim != 2:
-            raise ShapeError(f"expected a 2-D feature matrix, got {M.ndim} dimension(s)")
+        M = _feature_matrix(X)
         if M.shape[1] != self.n_features:
             raise ShapeError(
                 f"booster was trained on {self.n_features} feature(s), got {M.shape[1]}"
             )
         out = np.full(M.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            out += self.params.learning_rate * tree.predict(M)
+        for weights in _leaf_weights(self.trees, M):  # added in tree order
+            out += self.params.learning_rate * weights
         return out
 
     def to_dict(self) -> dict:
@@ -398,13 +494,21 @@ class Booster:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Booster":
-        """Inverse of :meth:`to_dict`; raises SchemaError for a malformed booster."""
+        """Inverse of :meth:`to_dict`; raises SchemaError for a malformed booster.
+
+        All trees are checked in one pass; only if it fails are they loaded
+        one by one, so the first faulty tree's SchemaError is raised.
+        """
         try:
             for f in fields(TreeParams):  # a missing field must not take its default
                 if f.name not in payload["params"]:
                     raise KeyError(f"params.{f.name}")
+            if type(payload["trees"]) is not list:
+                raise SchemaError(f"booster trees must be a list, got {shown(payload['trees'])}")
+            trees = _trees_if_valid(payload["trees"], payload.get("n_features"))
+            checked = trees is not None
             booster = cls(
-                trees=[RegTree.from_dict(t) for t in payload["trees"]],
+                trees=trees if checked else [RegTree.from_dict(t) for t in payload["trees"]],
                 base_score=payload["base_score"],
                 params=TreeParams(**payload["params"]),
                 n_features=payload["n_features"],
@@ -413,12 +517,13 @@ class Booster:
             raise SchemaError(f"malformed booster: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed booster: {exc!r}") from None
-        for tree in booster.trees:
-            if tree.feature.max() >= booster.n_features:
-                raise SchemaError(
-                    f"tree splits on feature {tree.feature.max()} of a booster "
-                    f"trained on {booster.n_features}"
-                )
+        if not checked:
+            for tree in booster.trees:
+                if tree.feature.max() >= booster.n_features:
+                    raise SchemaError(
+                        f"tree splits on feature {tree.feature.max()} of a booster "
+                        f"trained on {booster.n_features}"
+                    )
         return booster
 
 

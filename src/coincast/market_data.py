@@ -330,8 +330,8 @@ class MinMaxScaler:
 
     def to_dict(self) -> dict:
         return {
-            "mins": [float(x) for x in self.mins],
-            "maxs": [float(x) for x in self.maxs],
+            "mins": self.mins.tolist(),
+            "maxs": self.maxs.tolist(),
         }
 
     @classmethod

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from coincast import gbtree
 from coincast.errors import DomainError, SchemaError, ShapeError, SizingError
 from coincast.gbtree import (
     Booster,
@@ -15,7 +16,7 @@ from coincast.gbtree import (
     split_gain,
     train_booster,
 )
-from coincast.market_data import make_windows
+from coincast.market_data import json_text, make_windows
 
 
 def sorting_best_split(X, g, h, idx, params):
@@ -419,51 +420,123 @@ def test_both_entry_points_check_their_inputs_alike(entry, fault):
             train_booster(X, vector, TreeParams(), 2)
 
 
+# (key, index, value): node ``index`` of list ``key`` set to ``value``; index
+# None sets the whole list, or for "weight" drops its last entry.
+MALFORMED_TREES = [
+    ("left", 0, 0),                   # cycle: the root is its own child
+    ("right", 0, 99),                 # child past the last node
+    ("right", 1, 1),                  # internal node 1 is its own child
+    ("left", -1, 0),                  # the last node is a leaf with a child
+    ("feature", 0, 3),                # feature the booster was not trained on
+    ("feature", 0, -2),               # negative feature
+    ("threshold", 0, float("nan")),
+    ("weight", 1, float("inf")),
+    ("weight", None, None),           # arrays of unequal length
+    ("left", None, "x"),              # not an array of ints
+    ("left", 0, 1.2),                 # a fractional id
+    ("feature", 0, 0.0),              # a float id, even a whole one
+    ("right", 0, True),               # a boolean id
+    ("threshold", 0, True),           # a boolean number
+    ("weight", 0, "0.5"),             # a numeric string
+]
+
+
+def spoil(tree: dict, key, index, value) -> None:
+    if key == "weight" and index is None:
+        tree["weight"].pop()
+    elif index is None:
+        tree[key] = value
+    else:
+        tree[key][index] = value
+
+
+def tree_alone_error(tree: dict, n_features: int) -> str:
+    """The SchemaError message for a booster whose only fault is ``tree``:
+    RegTree.from_dict's, or else the booster's feature-range message."""
+    try:
+        loaded = RegTree.from_dict(tree)
+    except SchemaError as exc:
+        return str(exc)
+    top = loaded.feature.max()
+    assert top >= n_features, "the tree has no fault"
+    return f"tree splits on feature {top} of a booster trained on {n_features}"
+
+
 class TestLoadValidation:
     @staticmethod
-    def payload():
+    def payload(rounds=2):
         rng = np.random.default_rng(39)
         X = rng.normal(size=(32, 3))
-        booster = train_booster(X, rng.normal(size=32), TreeParams(max_depth=2), 2)
+        booster = train_booster(X, rng.normal(size=32), TreeParams(max_depth=2), rounds)
         payload = json.loads(json.dumps(booster.to_dict()))
-        tree = payload["trees"][0]
-        assert tree["feature"][0] != -1 and tree["feature"][1] != -1 and tree["feature"][-1] == -1
+        for tree in payload["trees"]:
+            assert tree["feature"][0] != -1 and tree["feature"][1] != -1 and tree["feature"][-1] == -1
         return payload
 
     def test_valid_payload_loads(self):
         assert Booster.from_dict(self.payload()).n_features == 3
 
-    @pytest.mark.parametrize(
-        "key, index, value",
-        [
-            ("left", 0, 0),                   # cycle: the root is its own child
-            ("right", 0, 99),                 # child past the last node
-            ("right", 1, 1),                  # internal node 1 is its own child
-            ("left", -1, 0),                  # the last node is a leaf with a child
-            ("feature", 0, 3),                # feature the booster was not trained on
-            ("feature", 0, -2),               # negative feature
-            ("threshold", 0, float("nan")),
-            ("weight", 1, float("inf")),
-            ("weight", None, None),           # arrays of unequal length
-            ("left", None, "x"),              # not an array of ints
-            ("left", 0, 1.2),                 # a fractional id
-            ("feature", 0, 0.0),              # a float id, even a whole one
-            ("right", 0, True),               # a boolean id
-            ("threshold", 0, True),           # a boolean number
-            ("weight", 0, "0.5"),             # a numeric string
-        ],
-    )
+    def test_one_pass_builds_the_trees_that_loading_each_tree_builds(self):
+        payload = self.payload(rounds=3)
+        assert gbtree._trees_if_valid(payload["trees"], 3) is not None  # the one pass accepts it
+        loaded = Booster.from_dict(payload).trees
+        alone = [RegTree.from_dict(t) for t in payload["trees"]]
+        assert len(loaded) == len(alone) == 3
+        for a, b in zip(loaded, alone):
+            for name in ("feature", "threshold", "left", "right", "weight"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype
+                npt.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("key, index, value", MALFORMED_TREES)
     def test_malformed_tree_raises(self, key, index, value):
         payload = self.payload()
-        tree = payload["trees"][0]
-        if key == "weight" and index is None:
-            tree["weight"].pop()
-        elif index is None:
-            tree[key] = value
-        else:
-            tree[key][index] = value
+        spoil(payload["trees"][0], key, index, value)
         with pytest.raises(SchemaError):
             Booster.from_dict(payload)
+
+    @pytest.mark.parametrize("key, index, value", MALFORMED_TREES)
+    def test_a_fault_in_the_last_tree_gives_that_trees_error(self, key, index, value):
+        payload = self.payload(rounds=3)
+        spoil(payload["trees"][2], key, index, value)
+        expected = tree_alone_error(payload["trees"][2], 3)
+        with pytest.raises(SchemaError) as info:
+            Booster.from_dict(payload)
+        assert str(info.value) == expected
+
+    def test_the_first_faulty_tree_is_named(self):
+        payload = self.payload(rounds=3)
+        spoil(payload["trees"][1], "right", 0, 99)
+        spoil(payload["trees"][2], "weight", 1, float("inf"))
+        expected = tree_alone_error(payload["trees"][1], 3)
+        assert expected != tree_alone_error(payload["trees"][2], 3)
+        with pytest.raises(SchemaError) as info:
+            Booster.from_dict(payload)
+        assert str(info.value) == expected
+
+    def test_an_empty_trees_list_loads_as_base_score(self):
+        payload = self.payload()
+        payload["trees"] = []
+        booster = Booster.from_dict(payload)
+        assert booster.trees == []
+        npt.assert_array_equal(booster.predict(np.ones((2, 3))), [payload["base_score"]] * 2)
+
+    @pytest.mark.parametrize("trees", [None, 5, "abc", {}, {"feature": [-1]}, ""])
+    def test_trees_that_are_not_a_list_raise(self, trees):
+        payload = self.payload()
+        payload["trees"] = trees
+        with pytest.raises(SchemaError, match="booster trees must be a list"):
+            Booster.from_dict(payload)
+
+    @pytest.mark.parametrize("tree", [None, 5, "abc", [], [[-1]]])
+    def test_a_tree_that_is_not_a_dict_gives_that_trees_error(self, tree):
+        payload = self.payload(rounds=3)
+        payload["trees"][1] = tree
+        with pytest.raises(SchemaError) as expected:
+            RegTree.from_dict(tree)
+        with pytest.raises(SchemaError) as info:
+            Booster.from_dict(payload)
+        assert str(info.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "path, value",
@@ -535,6 +608,99 @@ class TestPredictRouting:
         assert tree.predict(np.zeros((0, 4))).size == 0
 
 
+def walked(tree: RegTree, X) -> np.ndarray:
+    """Reference routing: each row walked from the root one node at a time."""
+    out = []
+    for row in np.asarray(X, dtype=np.float64):
+        node = 0
+        while tree.feature[node] != -1:
+            go_left = row[tree.feature[node]] < tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(tree.weight[node])
+    return np.asarray(out, dtype=np.float64)
+
+
+def left_fold(booster: Booster, X) -> np.ndarray:
+    """base + lr*t0 + lr*t1 + ..., with each tree routed by ``walked``."""
+    out = np.full(len(X), booster.base_score)
+    for tree in booster.trees:
+        out = out + booster.params.learning_rate * walked(tree, X)
+    return out
+
+
+class TestForestRouting:
+    """Booster.predict routes every tree at once and must equal the tree by
+    tree sum bit for bit."""
+
+    @staticmethod
+    def forest(n_rows=40, p=4):
+        """Trees of depths 0 to 6, three rounds each, in one booster."""
+        rng = np.random.default_rng(61)
+        X = rng.normal(size=(n_rows, p))
+        y = np.sin(3.0 * X[:, 0]) + X[:, -1] ** 2 + 0.1 * rng.normal(size=n_rows)
+        trees = []
+        for depth in range(7):
+            params = TreeParams(max_depth=depth, min_samples_leaf=1)
+            trees += train_booster(X, y, params, 3).trees
+        assert {t.depth for t in trees} == set(range(7))
+        assert any(t.n_nodes == 1 for t in trees)
+        return Booster(trees=trees, base_score=0.25, params=TreeParams(learning_rate=0.3), n_features=p), X
+
+    def test_zero_trees_predict_base_score(self):
+        booster = Booster(base_score=-1.5, n_features=3)
+        npt.assert_array_equal(booster.predict(np.ones((4, 3))), np.full(4, -1.5))
+
+    @pytest.mark.parametrize("depth", range(7))  # depth 0: single-leaf trees
+    def test_each_depth(self, depth):
+        booster, X = self.forest()
+        booster.trees = [t for t in booster.trees if t.depth == depth]
+        npt.assert_array_equal(booster.predict(X), left_fold(booster, X))
+
+    def test_zero_rows(self):
+        booster, X = self.forest()
+        assert booster.predict(X[:0]).shape == (0,)
+
+    def test_rows_past_one_block_and_values_on_thresholds(self):
+        booster, _ = self.forest()
+        rng = np.random.default_rng(62)
+        X = rng.normal(size=(2 * gbtree._ROWS_PER_BLOCK + 3, 4))
+        inner = [(t.feature[i], t.threshold[i]) for t in booster.trees for i in np.flatnonzero(t.feature != -1)]
+        for row, (feat, thr) in enumerate(inner):  # a value equal to a threshold goes right
+            X[row, feat] = thr
+        npt.assert_array_equal(booster.predict(X), left_fold(booster, X))
+        fold = np.full(len(X), booster.base_score)
+        for tree in booster.trees:
+            fold = fold + booster.params.learning_rate * tree.predict(X)
+        npt.assert_array_equal(booster.predict(X), fold)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_a_rows_route_does_not_depend_on_its_block(self, monkeypatch, block):
+        booster, X = self.forest(n_rows=150)
+        expected = booster.predict(X)
+        monkeypatch.setattr(gbtree, "_ROWS_PER_BLOCK", block)
+        npt.assert_array_equal(booster.predict(X), expected)
+
+    def test_a_threshold_value_goes_right_in_a_forest(self):
+        booster, _ = self.forest(p=1)
+        hand = RegTree(
+            feature=np.array([0, -1, -1]),
+            threshold=np.array([2.0, 0.0, 0.0]),
+            left=np.array([1, -1, -1]),
+            right=np.array([2, -1, -1]),
+            weight=np.array([0.0, -1.0, 1.0]),
+        )
+        booster.trees = [booster.trees[5], hand, booster.trees[-1]]
+        X = np.array([[1.9], [2.0], [2.1]])
+        npt.assert_array_equal(booster.predict(X), left_fold(booster, X))
+        npt.assert_array_equal(hand.predict(X), [-1.0, 1.0, 1.0])
+
+    def test_a_tree_past_the_matrix_width_raises(self):
+        booster, X = self.forest()
+        tree = max(booster.trees, key=lambda t: t.feature.max())
+        with pytest.raises(ShapeError):
+            tree.predict(X[:, : tree.feature.max()])
+
+
 class TestBooster:
     def test_zero_rounds_predicts_base_score(self):
         rng = np.random.default_rng(33)
@@ -578,6 +744,23 @@ class TestBooster:
     def test_negative_rounds(self):
         with pytest.raises(DomainError):
             train_booster(np.ones((2, 1)) * [[1.0], [2.0]], [1.0, 2.0], TreeParams(), -1)
+
+    def test_model_text_is_that_of_explicit_conversions(self):
+        rng = np.random.default_rng(38)
+        X = rng.normal(size=(40, 3))
+        booster = train_booster(X, rng.normal(size=40), TreeParams(max_depth=3), 6)
+        explicit = booster.to_dict()
+        explicit["trees"] = [
+            {
+                "feature": [int(v) for v in t.feature],
+                "threshold": [float(v) for v in t.threshold],
+                "left": [int(v) for v in t.left],
+                "right": [int(v) for v in t.right],
+                "weight": [float(v) for v in t.weight],
+            }
+            for t in booster.trees
+        ]
+        assert json_text(booster.to_dict()) == json_text(explicit)
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(37)

@@ -20,6 +20,7 @@ from coincast.market_data import (
     MinMaxScaler,
     align_on_dates,
     json_floats,
+    json_text,
     make_windows,
     parse_csv,
     rebase_to_100,
@@ -539,6 +540,14 @@ class TestMinMaxScaler:
         assert sorted(scaler.to_dict()) == ["maxs", "mins"]
         clone = MinMaxScaler.from_dict(scaler.to_dict())
         npt.assert_array_equal(clone.apply(rows), scaler.apply(rows))
+
+    def test_model_text_is_that_of_explicit_conversions(self):
+        rng = np.random.default_rng(53)
+        rows = rng.normal(size=(20, 5)) * [1e-3, 1.0, 1e3, 1e9, 1e-300]
+        rows[:, 1] = -0.0  # a constant column, written as -0.0
+        scaler = MinMaxScaler.fit(rows)
+        explicit = {"mins": [float(x) for x in scaler.mins], "maxs": [float(x) for x in scaler.maxs]}
+        assert json_text(scaler.to_dict()) == json_text(explicit)
 
 
 class TestJsonFloats:
