@@ -30,9 +30,8 @@ concatenated, and an index array of (trees, rows) starts at the roots and
 moves one tree level down per numpy pass until every entry sits on a leaf.
 The leaf weights are then added to ``base_score`` one tree at a time, in tree
 order, as training adds them. A single tree is the one-tree case of the same
-routing. Loading a booster checks all of its trees' node lists in one pass;
-only when that pass finds a fault are the trees loaded one by one, so that
-the error names the first faulty tree.
+routing. Loading a booster runs each check of a tree once over the node
+lists of all of its trees, so the first check that fails decides the error.
 """
 from __future__ import annotations
 
@@ -46,6 +45,9 @@ from .market_data import json_floats
 _LEAF = -1
 # Rows routed through all trees at once; bounds prediction's (trees, rows) index arrays.
 _ROWS_PER_BLOCK = 1024
+# A tree's node lists, in the order ids and then numbers are checked on load.
+_TREE_KEYS = ("feature", "left", "right", "threshold", "weight")
+_UNEVEN_TREE = "tree arrays must be one-dimensional, non-empty and of equal length"
 
 
 @dataclass(frozen=True)
@@ -135,53 +137,7 @@ class RegTree:
         return _leaf_weights([self], _feature_matrix(X))[0]
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "weight": self.weight.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RegTree":
-        """Inverse of :meth:`to_dict`; raises SchemaError for a malformed tree.
-
-        Children must have larger ids than their parent, as the depth-first
-        grower numbers them, so routing a row always ends at a leaf.
-        """
-        try:
-            for key in ("feature", "left", "right"):
-                bad = [v for v in payload[key] if type(v) is not int]  # floats and bools too
-                if bad:
-                    raise SchemaError(f"tree {key} ids must be integers, got {bad[0]!r}")
-            tree = cls(
-                feature=np.asarray(payload["feature"], dtype=np.int64),
-                threshold=json_floats(payload["threshold"], "tree threshold"),
-                left=np.asarray(payload["left"], dtype=np.int64),
-                right=np.asarray(payload["right"], dtype=np.int64),
-                weight=json_floats(payload["weight"], "tree weight"),
-            )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed tree: {exc!r}") from None
-        n = tree.n_nodes
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.weight)
-        if n < 1 or any(a.shape != (n,) for a in arrays):
-            raise SchemaError("tree arrays must be one-dimensional, non-empty and of equal length")
-        nodes = np.arange(n)
-        inner = tree.feature != _LEAF
-        follows = (tree.left > nodes) & (tree.left < n) & (tree.right > nodes) & (tree.right < n)
-        childless = (tree.left == _LEAF) & (tree.right == _LEAF)
-        bad = np.flatnonzero(~np.where(inner, follows, childless))
-        if bad.size:
-            node = bad[0]
-            raise SchemaError(
-                f"tree node {node} of {n} has children ({tree.left[node]}, {tree.right[node]}); "
-                "an internal node's must follow it and a leaf has none"
-            )
-        if np.any(tree.feature < _LEAF):
-            raise SchemaError(f"negative feature index {tree.feature.min()} in tree")
-        return tree
+        return {key: getattr(self, key).tolist() for key in _TREE_KEYS}
 
 
 def _feature_matrix(X) -> np.ndarray:
@@ -232,52 +188,63 @@ def _leaf_weights(trees: list[RegTree], M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trees_if_valid(payloads: list, n_features) -> list[RegTree] | None:
-    """The trees of a booster's ``trees`` list, checked in one pass over the
-    node lists of all of them, or None when any check fails.
+def _load_trees(trees: list, n_features: int) -> list[RegTree]:
+    """The trees of a booster file's ``trees`` list; a malformed one raises SchemaError.
 
-    It accepts only what :meth:`RegTree.from_dict` accepts, each tree a dict
-    of lists, with every feature below an integer ``n_features``, and builds
-    the same arrays; on None the caller loads the trees one by one, which
-    names the first faulty tree.
+    Each check runs once over the node lists of all trees, in this order: each
+    tree is an object of five lists of one non-empty length; ids are JSON
+    integers within int64; thresholds and weights pass :func:`json_floats`; an
+    internal node's children follow it, as the depth-first grower numbers
+    them, so routing a row always ends at a leaf, and a leaf has none; every
+    feature is in [-1, ``n_features``). The first check that fails decides
+    the error.
     """
-    if not all(type(t) is dict for t in payloads):
-        return None
-    if not payloads:
+    if not trees:
         return []
-    keys = ("feature", "left", "right", "threshold", "weight")
-    lists = [[t.get(key) for t in payloads] for key in keys]
-    if type(n_features) is not int or not all(type(v) is list for column in lists for v in column):
-        return None
-    sizes = list(map(len, lists[0]))
-    if min(sizes) < 1 or any(list(map(len, column)) != sizes for column in lists[1:]):
-        return None
-    feature, left, right, threshold, weight = (
-        [v for values in column for v in values] for column in lists
-    )
-    if not set(map(type, feature + left + right)) <= {int}:  # floats and bools too
-        return None
-    if not set(map(type, threshold + weight)) <= {int, float}:
-        return None
+    for tree in trees:
+        if type(tree) is not dict:
+            raise SchemaError(f"a booster tree must be an object of five lists, got {shown(tree)}")
     try:
-        feature, left, right = np.array([feature, left, right], dtype=np.int64)
-        threshold, weight = np.array([threshold, weight], dtype=np.float64)
-    except OverflowError:
-        return None
+        columns = [[tree[key] for tree in trees] for key in _TREE_KEYS]
+    except KeyError as exc:
+        raise SchemaError(f"malformed tree: {exc!r}") from None
+    sizes, *others = ([len(v) if type(v) is list else 0 for v in column] for column in columns)
+    if min(sizes) < 1 or any(other != sizes for other in others):
+        raise SchemaError(_UNEVEN_TREE)
+    feature, left, right, threshold, weight = (
+        [v for values in column for v in values] for column in columns
+    )
+    ids = []
+    for key, values in zip(_TREE_KEYS, (feature, left, right)):
+        if not set(map(type, values)) <= {int}:  # floats and bools too
+            bad = next(v for v in values if type(v) is not int)
+            raise SchemaError(f"tree {key} ids must be integers, got {shown(bad)}")
+        try:
+            ids.append(np.array(values, dtype=np.int64))
+        except OverflowError as exc:
+            raise SchemaError(f"malformed tree: {exc!r}") from None
+    feature, left, right = ids
+    threshold = json_floats(threshold, "tree threshold")
+    weight = json_floats(weight, "tree weight")
+    if threshold.shape != feature.shape or weight.shape != feature.shape:  # every entry was a list
+        raise SchemaError(_UNEVEN_TREE)
     stops = np.cumsum(sizes)
     starts = stops - sizes
     n = np.repeat(sizes, sizes)  # the size of each node's tree
     node = np.arange(stops[-1]) - np.repeat(starts, sizes)  # each node's id in its tree
     follows = (left > node) & (left < n) & (right > node) & (right < n)
     childless = (left == _LEAF) & (right == _LEAF)
-    if not (
-        np.isfinite(threshold).all()
-        and np.isfinite(weight).all()
-        and np.where(feature != _LEAF, follows, childless).all()
-        and feature.min() >= _LEAF
-        and feature.max() < n_features
-    ):
-        return None
+    bad = np.flatnonzero(~np.where(feature != _LEAF, follows, childless))
+    if bad.size:
+        i = bad[0]
+        raise SchemaError(
+            f"tree node {node[i]} of {n[i]} has children ({left[i]}, {right[i]}); "
+            "an internal node's must follow it and a leaf has none"
+        )
+    if feature.min() < _LEAF:
+        raise SchemaError(f"negative feature index {feature.min()} in tree")
+    if feature.max() >= n_features:
+        raise SchemaError(f"tree splits on feature {feature.max()} of a booster trained on {n_features}")
     return [
         RegTree(feature[a:b], threshold[a:b], left[a:b], right[a:b], weight[a:b])
         for a, b in zip(starts.tolist(), stops.tolist())
@@ -374,10 +341,8 @@ def _check_training_arrays(X, *vectors):
     Raises ShapeError unless ``X`` is 2-D with one row per vector entry,
     SizingError for zero rows and DomainError for a non-finite value.
     """
-    M = np.asarray(X, dtype=np.float64)
+    M = _feature_matrix(X)
     flat = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
-    if M.ndim != 2:
-        raise ShapeError(f"expected a 2-D feature matrix, got {M.ndim} dimension(s)")
     lengths = [v.size for v in flat]
     if any(size != M.shape[0] for size in lengths):
         raise ShapeError(f"{M.shape[0]} rows but per-row vectors of lengths {lengths}")
@@ -482,33 +447,24 @@ class Booster:
         return {
             "base_score": float(self.base_score),
             "n_features": int(self.n_features),
-            "params": {
-                "lam": self.params.lam,
-                "gamma": self.params.gamma,
-                "max_depth": self.params.max_depth,
-                "min_samples_leaf": self.params.min_samples_leaf,
-                "learning_rate": self.params.learning_rate,
-            },
+            # TreeParams' fields: a trained booster's GbtSection also holds n_rounds
+            "params": {f.name: getattr(self.params, f.name) for f in fields(TreeParams)},
             "trees": [t.to_dict() for t in self.trees],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Booster":
-        """Inverse of :meth:`to_dict`; raises SchemaError for a malformed booster.
-
-        All trees are checked in one pass; only if it fails are they loaded
-        one by one, so the first faulty tree's SchemaError is raised.
-        """
+        """Inverse of :meth:`to_dict`; raises SchemaError for a malformed booster."""
         try:
-            for f in fields(TreeParams):  # a missing field must not take its default
-                if f.name not in payload["params"]:
-                    raise KeyError(f"params.{f.name}")
-            if type(payload["trees"]) is not list:
-                raise SchemaError(f"booster trees must be a list, got {shown(payload['trees'])}")
-            trees = _trees_if_valid(payload["trees"], payload.get("n_features"))
-            checked = trees is not None
+            names = [f.name for f in fields(TreeParams)]
+            for name in names:  # a missing field must not take its default
+                if name not in payload["params"]:
+                    raise KeyError(f"params.{name}")
+            for name in payload["params"]:
+                if name not in names:
+                    raise SchemaError(f"unknown booster params key {shown(name)}")
+            trees = payload["trees"]
             booster = cls(
-                trees=trees if checked else [RegTree.from_dict(t) for t in payload["trees"]],
                 base_score=payload["base_score"],
                 params=TreeParams(**payload["params"]),
                 n_features=payload["n_features"],
@@ -517,13 +473,9 @@ class Booster:
             raise SchemaError(f"malformed booster: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed booster: {exc!r}") from None
-        if not checked:
-            for tree in booster.trees:
-                if tree.feature.max() >= booster.n_features:
-                    raise SchemaError(
-                        f"tree splits on feature {tree.feature.max()} of a booster "
-                        f"trained on {booster.n_features}"
-                    )
+        if type(trees) is not list:
+            raise SchemaError(f"booster trees must be a list, got {shown(trees)}")
+        booster.trees = _load_trees(trees, booster.n_features)
         return booster
 
 

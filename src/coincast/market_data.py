@@ -493,20 +493,24 @@ def json_floats(value, what: str, dtype=np.float64) -> np.ndarray:
     try:
         with np.errstate(over="ignore"):  # overflow to inf is refused below
             array = np.asarray(value, dtype=dtype)
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
         raise SchemaError(f"{what} is not a numeric array: {exc}") from None
+    except ValueError:  # numpy's message repeats the array's shape
+        raise SchemaError(f"{what} is not a numeric array: its nesting is ragged") from None
     if not np.all(np.isfinite(array)):
         raise SchemaError(f"{what} has non-finite values")
     return array
 
 
 def _leaf_types(value) -> set:
-    """The types of the entries of nested lists that are not lists."""
+    """The types of the entries of nested lists that are not lists; a list that
+    mixes lists with other entries adds ``list``, wherever its first list sits."""
     if type(value) is not list:
         return {type(value)}
-    if value and type(value[0]) is list:
+    types = set(map(type, value))
+    if types == {list}:
         return set().union(*map(_leaf_types, value))
-    return set(map(type, value))
+    return types
 
 
 def windows_to_csv(dataset: WindowedDataset, path) -> None:

@@ -36,7 +36,7 @@ import numpy as np
 from . import lstm as lstm_mod
 from . import metrics as metrics_mod
 from .config import RunConfig
-from .errors import ConfigError, DomainError, SchemaError, ShapeError, SizingError, WorkerError
+from .errors import ConfigError, DomainError, SchemaError, ShapeError, SizingError, WorkerError, shown
 from .gbtree import Booster, TreeParams, train_booster
 from .market_data import (
     MinMaxScaler,
@@ -531,7 +531,7 @@ def load_bundle(directory) -> TrainedBundle:
         raise DomainError(f"{manifest_path} is not a recognized model manifest")
     if manifest.get("version") != MODEL_VERSION:
         raise SchemaError(
-            f"{manifest_path} is model format version {manifest.get('version')!r};"
+            f"{manifest_path} is model format version {shown(manifest.get('version'))};"
             f" only version {MODEL_VERSION} is read, so retrain the model"
         )
     try:

@@ -105,13 +105,13 @@ def first_number(key, value):
     return change
 
 
-def cyclic_root(payload):
-    root = payload["trees"][0]
+def cyclic_root(payload, tree=0):
+    root = payload["trees"][tree]
     root["feature"][0], root["left"][0], root["right"][0] = 0, 0, 0
 
 
-def fractional_root(payload):
-    root = payload["trees"][0]
+def fractional_root(payload, tree=0):
+    root = payload["trees"][tree]
     root["feature"][0], root["left"][0] = 0.9, 1.2
 
 
@@ -140,6 +140,13 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(lambda p: p.update(base_score=10**400)), id="booster-base_score-past-float"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["params"].update(lam=10**400)), id="booster-lambda-past-float"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: first_number("threshold", True)(p["trees"][0])), id="tree-threshold-boolean"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: cyclic_root(p, -1)), id="last-tree-cyclic"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: fractional_root(p, -1)), id="last-tree-fractional-ids"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: first_number("threshold", True)(p["trees"][-1])), id="last-tree-threshold-boolean"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"][-1].pop("weight")), id="last-tree-no-weight"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"].__setitem__(-1, [[-1]])), id="last-tree-not-object"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"][-1]["left"].__setitem__(0, "x" * 100_000)), id="last-tree-huge-string-id"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["params"].update({"k" * 100_000: 0.3})), id="booster-huge-params-key"),
     pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(lambda p: first_number("weight", "0.5")(p["trees"][0])), id="tree-weight-string"),
     pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=99)), id="manifest-version-99"),

@@ -1,10 +1,14 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coincast import gbtree
+from coincast.config import GbtSection
 from coincast.errors import DomainError, SchemaError, ShapeError, SizingError
 from coincast.gbtree import (
     Booster,
@@ -420,29 +424,46 @@ def test_both_entry_points_check_their_inputs_alike(entry, fault):
             train_booster(X, vector, TreeParams(), 2)
 
 
-# (key, index, value): node ``index`` of list ``key`` set to ``value``; index
-# None sets the whole list, or for "weight" drops its last entry.
+# (key, index, value, message): node ``index`` of list ``key`` set to
+# ``value``; index None sets the whole list, or for "weight" drops its last
+# entry, and "del" deletes the key. ``message`` is the SchemaError's text for
+# a booster with that one fault in any of its trees, which are all laid out as
+# TestLoadValidation.payload checks.
+CHILDREN = "an internal node's must follow it and a leaf has none"
+UNEVEN = "tree arrays must be one-dimensional, non-empty and of equal length"
+PAST_INT64 = "malformed tree: OverflowError('Python int too large to convert to C long')"
 MALFORMED_TREES = [
-    ("left", 0, 0),                   # cycle: the root is its own child
-    ("right", 0, 99),                 # child past the last node
-    ("right", 1, 1),                  # internal node 1 is its own child
-    ("left", -1, 0),                  # the last node is a leaf with a child
-    ("feature", 0, 3),                # feature the booster was not trained on
-    ("feature", 0, -2),               # negative feature
-    ("threshold", 0, float("nan")),
-    ("weight", 1, float("inf")),
-    ("weight", None, None),           # arrays of unequal length
-    ("left", None, "x"),              # not an array of ints
-    ("left", 0, 1.2),                 # a fractional id
-    ("feature", 0, 0.0),              # a float id, even a whole one
-    ("right", 0, True),               # a boolean id
-    ("threshold", 0, True),           # a boolean number
-    ("weight", 0, "0.5"),             # a numeric string
+    ("left", 0, 0, f"tree node 0 of 7 has children (0, 4); {CHILDREN}"),  # cycle: the root is its own child
+    ("right", 0, 99, f"tree node 0 of 7 has children (1, 99); {CHILDREN}"),  # child past the last node
+    ("right", 1, 1, f"tree node 1 of 7 has children (2, 1); {CHILDREN}"),  # internal node 1 is its own child
+    ("left", -1, 0, f"tree node 6 of 7 has children (0, -1); {CHILDREN}"),  # the last node is a leaf with a child
+    ("feature", 0, 3, "tree splits on feature 3 of a booster trained on 3"),  # feature the booster was not trained on
+    ("feature", 0, -2, "negative feature index -2 in tree"),
+    ("threshold", 0, float("nan"), "tree threshold has non-finite values"),
+    ("weight", 1, float("inf"), "tree weight has non-finite values"),
+    ("weight", None, None, UNEVEN),  # arrays of unequal length
+    ("left", None, "x", UNEVEN),  # not an array of ints
+    ("left", None, 5, UNEVEN),  # a number in place of a list
+    ("weight", "del", None, "malformed tree: KeyError('weight')"),
+    ("left", 0, 1.2, "tree left ids must be integers, got 1.2"),  # a fractional id
+    ("feature", 0, 0.0, "tree feature ids must be integers, got 0.0"),  # a float id, even a whole one
+    ("right", 0, True, "tree right ids must be integers, got True"),  # a boolean id
+    ("left", 0, 2**63, PAST_INT64),
+    ("right", 0, -2**63 - 1, PAST_INT64),
+    ("threshold", 0, True, "tree threshold must hold JSON numbers only"),  # a boolean number
+    ("weight", 0, "0.5", "tree weight must hold JSON numbers only"),  # a numeric string
+    ("threshold", 0, 10**400, "tree threshold is not a numeric array: int too large to convert to float"),
+    ("weight", 0, -10**400, "tree weight is not a numeric array: int too large to convert to float"),
+    ("threshold", 0, [0.5], "tree threshold must hold JSON numbers only"),
 ]
+# pytest's own ids, cut short for the integers past any float
+CASE_IDS = ["-".join(map(str, case[:3]))[:40] for case in MALFORMED_TREES]
 
 
 def spoil(tree: dict, key, index, value) -> None:
-    if key == "weight" and index is None:
+    if index == "del":
+        del tree[key]
+    elif key == "weight" and index is None:
         tree["weight"].pop()
     elif index is None:
         tree[key] = value
@@ -450,69 +471,93 @@ def spoil(tree: dict, key, index, value) -> None:
         tree[key][index] = value
 
 
-def tree_alone_error(tree: dict, n_features: int) -> str:
-    """The SchemaError message for a booster whose only fault is ``tree``:
-    RegTree.from_dict's, or else the booster's feature-range message."""
-    try:
-        loaded = RegTree.from_dict(tree)
-    except SchemaError as exc:
-        return str(exc)
-    top = loaded.feature.max()
-    assert top >= n_features, "the tree has no fault"
-    return f"tree splits on feature {top} of a booster trained on {n_features}"
+def refusal(payload) -> str:
+    """The message of the SchemaError that loading ``payload`` raises."""
+    with pytest.raises(SchemaError) as info:
+        Booster.from_dict(payload)
+    message = str(info.value)
+    assert len(message) < 200, message[:400]
+    return message
+
+
+def trained_booster() -> Booster:
+    rng = np.random.default_rng(39)
+    X = rng.normal(size=(32, 3))
+    return train_booster(X, rng.normal(size=32), TreeParams(max_depth=2), 3)
+
+
+BOOSTER_FILE = json.dumps(trained_booster().to_dict())
+
+
+# JSON values that a model file may hold in the wrong place
+LONG = "x" * 1000
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.just(LONG),
+    st.sampled_from([-1, 3, 2**63, -2**63 - 1, 10**400, -10**400, 2**20000, "", [], {}]),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 8), st.floats(), st.lists(st.floats(), max_size=2)), max_size=4),
+    st.dictionaries(st.sampled_from(["feature", "left", "weight", "lam", LONG]), st.integers(-1, 3), max_size=2),
+)
+# what a fault does at its path: put a value there, delete it, or add a key or
+# list entry beside it
+ACTIONS = st.sampled_from(["set", "delete", "add"])
+
+
+def node_paths(value, path=()):
+    """The path of every value inside ``value``, nested lists and objects included."""
+    yield path
+    keys = range(len(value)) if type(value) is list else value if type(value) is dict else ()
+    for key in keys:
+        yield from node_paths(value[key], (*path, key))
 
 
 class TestLoadValidation:
     @staticmethod
-    def payload(rounds=2):
-        rng = np.random.default_rng(39)
-        X = rng.normal(size=(32, 3))
-        booster = train_booster(X, rng.normal(size=32), TreeParams(max_depth=2), rounds)
-        payload = json.loads(json.dumps(booster.to_dict()))
+    def payload():
+        """The trained booster's file as JSON loads it; its three trees are
+        full to depth 2, as the messages of MALFORMED_TREES assume."""
+        payload = json.loads(BOOSTER_FILE)
         for tree in payload["trees"]:
-            assert tree["feature"][0] != -1 and tree["feature"][1] != -1 and tree["feature"][-1] == -1
+            assert tree["left"] == [1, 2, -1, -1, 5, -1, -1] and tree["right"] == [4, 3, -1, -1, 6, -1, -1]
         return payload
 
     def test_valid_payload_loads(self):
         assert Booster.from_dict(self.payload()).n_features == 3
 
-    def test_one_pass_builds_the_trees_that_loading_each_tree_builds(self):
-        payload = self.payload(rounds=3)
-        assert gbtree._trees_if_valid(payload["trees"], 3) is not None  # the one pass accepts it
-        loaded = Booster.from_dict(payload).trees
-        alone = [RegTree.from_dict(t) for t in payload["trees"]]
-        assert len(loaded) == len(alone) == 3
-        for a, b in zip(loaded, alone):
+    def test_a_round_trip_rebuilds_the_trained_arrays(self):
+        booster = trained_booster()
+        loaded = Booster.from_dict(json.loads(json.dumps(booster.to_dict())))
+        assert (loaded.base_score, loaded.params, loaded.n_features) == (
+            booster.base_score, booster.params, booster.n_features,
+        )
+        assert len(loaded.trees) == len(booster.trees) == 3
+        for a, b in zip(loaded.trees, booster.trees):
             for name in ("feature", "threshold", "left", "right", "weight"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype
                 npt.assert_array_equal(x, y)
 
-    @pytest.mark.parametrize("key, index, value", MALFORMED_TREES)
-    def test_malformed_tree_raises(self, key, index, value):
+    @pytest.mark.parametrize("key, index, value, message", MALFORMED_TREES, ids=CASE_IDS)
+    def test_malformed_tree_raises(self, key, index, value, message):
         payload = self.payload()
         spoil(payload["trees"][0], key, index, value)
-        with pytest.raises(SchemaError):
-            Booster.from_dict(payload)
+        assert refusal(payload) == message
 
-    @pytest.mark.parametrize("key, index, value", MALFORMED_TREES)
-    def test_a_fault_in_the_last_tree_gives_that_trees_error(self, key, index, value):
-        payload = self.payload(rounds=3)
-        spoil(payload["trees"][2], key, index, value)
-        expected = tree_alone_error(payload["trees"][2], 3)
-        with pytest.raises(SchemaError) as info:
-            Booster.from_dict(payload)
-        assert str(info.value) == expected
+    @pytest.mark.parametrize("key, index, value, message", MALFORMED_TREES, ids=CASE_IDS)
+    def test_a_fault_in_the_last_tree_gives_that_trees_error(self, key, index, value, message):
+        payload = self.payload()
+        spoil(payload["trees"][-1], key, index, value)
+        assert refusal(payload) == message
 
-    def test_the_first_faulty_tree_is_named(self):
-        payload = self.payload(rounds=3)
-        spoil(payload["trees"][1], "right", 0, 99)
+    def test_with_faults_in_two_trees_the_first_failing_check_decides(self):
+        payload = self.payload()
+        spoil(payload["trees"][1], "right", 0, 99)  # children are checked after numbers
         spoil(payload["trees"][2], "weight", 1, float("inf"))
-        expected = tree_alone_error(payload["trees"][1], 3)
-        assert expected != tree_alone_error(payload["trees"][2], 3)
-        with pytest.raises(SchemaError) as info:
-            Booster.from_dict(payload)
-        assert str(info.value) == expected
+        assert refusal(payload) == "tree weight has non-finite values"
 
     def test_an_empty_trees_list_loads_as_base_score(self):
         payload = self.payload()
@@ -525,18 +570,13 @@ class TestLoadValidation:
     def test_trees_that_are_not_a_list_raise(self, trees):
         payload = self.payload()
         payload["trees"] = trees
-        with pytest.raises(SchemaError, match="booster trees must be a list"):
-            Booster.from_dict(payload)
+        assert refusal(payload).startswith("booster trees must be a list")
 
     @pytest.mark.parametrize("tree", [None, 5, "abc", [], [[-1]]])
     def test_a_tree_that_is_not_a_dict_gives_that_trees_error(self, tree):
-        payload = self.payload(rounds=3)
+        payload = self.payload()
         payload["trees"][1] = tree
-        with pytest.raises(SchemaError) as expected:
-            RegTree.from_dict(tree)
-        with pytest.raises(SchemaError) as info:
-            Booster.from_dict(payload)
-        assert str(info.value) == str(expected.value)
+        assert refusal(payload) == f"a booster tree must be an object of five lists, got {tree!r}"
 
     @pytest.mark.parametrize(
         "path, value",
@@ -584,6 +624,50 @@ class TestLoadValidation:
         del payload[key]
         with pytest.raises(SchemaError):
             Booster.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["trees"][0]["left"].__setitem__(0, "x" * 100_000),
+             "tree left ids must be integers, got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... (100002 characters)"),
+            (lambda p: p["params"].update({"k" * 100_000: 0.3}),
+             "unknown booster params key 'kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk... (100002 characters)"),
+            (lambda p: p["params"].update(eta=0.3), "unknown booster params key 'eta'"),
+        ],
+        ids=["huge-id", "huge-params-key", "params-key"],
+    )
+    def test_a_value_in_a_message_is_cut_short(self, edit, message):
+        payload = self.payload()
+        edit(payload)
+        assert refusal(payload) == message
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_odd_values_anywhere_load_or_raise_a_short_schema_error(self, data):
+        payload = self.payload()
+        for _ in range(data.draw(st.integers(1, 3), label="faults")):
+            path = data.draw(st.sampled_from(list(node_paths(payload))), label="path")
+            value = data.draw(ODD_VALUES, label="value")
+            if not path:
+                payload = value
+                continue
+            *parents, last = path
+            box = payload
+            for key in parents:
+                box = box[key]
+            action = data.draw(ACTIONS, label="action")
+            if action == "delete":
+                del box[last]
+            elif action == "set":
+                box[last] = value
+            elif type(box) is dict:
+                box[data.draw(st.sampled_from(["x", LONG]), label="key")] = value
+            else:
+                box.append(value)
+        try:
+            Booster.from_dict(payload)
+        except SchemaError as exc:
+            assert len(str(exc)) < 200, str(exc)[:400]
 
 
 class TestPredictRouting:
@@ -761,6 +845,12 @@ class TestBooster:
             for t in booster.trees
         ]
         assert json_text(booster.to_dict()) == json_text(explicit)
+
+    def test_a_trained_booster_writes_only_tree_params(self):
+        # pipeline trains on a GbtSection, whose n_rounds is no booster parameter
+        rng = np.random.default_rng(40)
+        booster = train_booster(rng.normal(size=(16, 2)), rng.normal(size=16), GbtSection(n_rounds=2), 2)
+        assert booster.to_dict()["params"] == asdict(TreeParams())
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(37)

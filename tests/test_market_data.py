@@ -569,6 +569,8 @@ class TestJsonFloats:
             ([10**400], "w is not a numeric array"),
             ([[1.0], [float("nan")]], "w has non-finite values"),
             ([float("-inf")], "w has non-finite values"),
+            ([[2.0], 1.0], "w must hold JSON numbers only"),  # a list first, not last
+            ([[1.0]] * 3 + [[2.0, 3.0]], "w is not a numeric array: its nesting is ragged$"),
         ],
     )
     def test_refuses_anything_but_finite_numbers(self, value, message):

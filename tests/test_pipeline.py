@@ -441,6 +441,19 @@ class TestBundleRoundTrip:
         with pytest.raises(SchemaError, match="has a bad config snapshot: unknown config key 'lstm.epoch'"):
             load_bundle(tmp_path)
 
+    def test_a_huge_version_is_shown_cut_short(self, tmp_path, splits, trained, monkeypatch):
+        save_bundle(tmp_path, bundle_of(trained, splits[0]))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["version"] = "v" * 100_000
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.chdir(tmp_path)  # the message names the manifest by the path given
+        with pytest.raises(SchemaError) as info:
+            load_bundle(".")
+        assert str(info.value) == (
+            f"manifest.json is model format version '{'v' * 39}... (100002 characters);"
+            " only version 4 is read, so retrain the model"
+        )
+
     @pytest.mark.parametrize(
         "history, text",
         [
