@@ -196,7 +196,7 @@ def apply_override(tree: dict, assignment: str) -> None:
         raise ConfigError(f"override {shown(assignment)} has an empty key")
     try:
         value = json.loads(raw)
-    except ValueError:  # invalid JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError):  # invalid JSON, an integer past Python's digit limit, or too deep
         value = raw
     keys = dotted.split(".")
     node = tree
@@ -221,6 +221,8 @@ def load_config(path, overrides=(), env=None) -> RunConfig:
         tree = json.loads(text)
     except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests JSON too deeply to read") from None
     if not isinstance(tree, dict):
         raise ConfigError("top-level config must be a JSON object")
     if ENV_SEED in env:

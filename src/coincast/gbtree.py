@@ -30,8 +30,9 @@ concatenated, and an index array of (trees, rows) starts at the roots and
 moves one tree level down per numpy pass until every entry sits on a leaf.
 The leaf weights are then added to ``base_score`` one tree at a time, in tree
 order, as training adds them. A single tree is the one-tree case of the same
-routing. Loading a booster runs each check of a tree once over the node
-lists of all of its trees, so the first check that fails decides the error.
+routing. A booster file stores each node array of all its trees concatenated,
+plus each tree's node count; loading runs each check once over the nodes of
+all trees, so the first check that fails decides the error.
 """
 from __future__ import annotations
 
@@ -40,14 +41,17 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError, SchemaError, ShapeError, SizingError, check_field_kinds, shown
-from .market_data import json_floats
+from .market_data import array_from_json, array_json
 
 _LEAF = -1
 # Rows routed through all trees at once; bounds prediction's (trees, rows) index arrays.
 _ROWS_PER_BLOCK = 1024
-# A tree's node lists, in the order ids and then numbers are checked on load.
-_TREE_KEYS = ("feature", "left", "right", "threshold", "weight")
-_UNEVEN_TREE = "tree arrays must be one-dimensional, non-empty and of equal length"
+# A booster file's ``trees`` object, in the order it is checked on load: each
+# node array of all trees concatenated in tree order, with the dtype it is
+# stored in, then each tree's node count.
+_TREE_ARRAYS = {
+    "feature": "<i8", "left": "<i8", "right": "<i8", "threshold": "<f8", "weight": "<f8", "n_nodes": "<i8",
+}
 
 
 @dataclass(frozen=True)
@@ -136,9 +140,6 @@ class RegTree:
         """Route every row of (N, p) features to its leaf weight."""
         return _leaf_weights([self], _feature_matrix(X))[0]
 
-    def to_dict(self) -> dict:
-        return {key: getattr(self, key).tolist() for key in _TREE_KEYS}
-
 
 def _feature_matrix(X) -> np.ndarray:
     M = np.asarray(X, dtype=np.float64)
@@ -188,50 +189,32 @@ def _leaf_weights(trees: list[RegTree], M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _load_trees(trees: list, n_features: int) -> list[RegTree]:
-    """The trees of a booster file's ``trees`` list; a malformed one raises SchemaError.
+def _load_trees(trees, n_features: int) -> list[RegTree]:
+    """The trees of a booster file's ``trees`` object; a malformed one raises SchemaError.
 
-    Each check runs once over the node lists of all trees, in this order: each
-    tree is an object of five lists of one non-empty length; ids are JSON
-    integers within int64; thresholds and weights pass :func:`json_floats`; an
-    internal node's children follow it, as the depth-first grower numbers
-    them, so routing a row always ends at a leaf, and a leaf has none; every
-    feature is in [-1, ``n_features``). The first check that fails decides
-    the error.
+    The checks run in this order, each once over the nodes of all trees: the
+    object holds exactly the arrays of ``_TREE_ARRAYS``, each read by
+    :func:`array_from_json` in that order; the node arrays are of one length,
+    the sum of the node counts, each at least 1; an internal node's children
+    follow it in its tree, as the depth-first grower numbers them, so routing
+    a row always ends at a leaf, and a leaf has none; every feature is in
+    [-1, ``n_features``). The first check that fails decides the error.
     """
-    if not trees:
-        return []
-    for tree in trees:
-        if type(tree) is not dict:
-            raise SchemaError(f"a booster tree must be an object of five lists, got {shown(tree)}")
-    try:
-        columns = [[tree[key] for tree in trees] for key in _TREE_KEYS]
-    except KeyError as exc:
-        raise SchemaError(f"malformed tree: {exc!r}") from None
-    sizes, *others = ([len(v) if type(v) is list else 0 for v in column] for column in columns)
-    if min(sizes) < 1 or any(other != sizes for other in others):
-        raise SchemaError(_UNEVEN_TREE)
-    feature, left, right, threshold, weight = (
-        [v for values in column for v in values] for column in columns
+    if type(trees) is not dict or trees.keys() != _TREE_ARRAYS.keys():
+        got = list(trees) if type(trees) is dict else trees
+        names = ", ".join(_TREE_ARRAYS)
+        raise SchemaError(f"booster trees must be an object of the arrays {names}, got {shown(got)}")
+    feature, left, right, threshold, weight, sizes = (
+        array_from_json(trees[key], f"tree {key}", dtype, 1) for key, dtype in _TREE_ARRAYS.items()
     )
-    ids = []
-    for key, values in zip(_TREE_KEYS, (feature, left, right)):
-        if not set(map(type, values)) <= {int}:  # floats and bools too
-            bad = next(v for v in values if type(v) is not int)
-            raise SchemaError(f"tree {key} ids must be integers, got {shown(bad)}")
-        try:
-            ids.append(np.array(values, dtype=np.int64))
-        except OverflowError as exc:
-            raise SchemaError(f"malformed tree: {exc!r}") from None
-    feature, left, right = ids
-    threshold = json_floats(threshold, "tree threshold")
-    weight = json_floats(weight, "tree weight")
-    if threshold.shape != feature.shape or weight.shape != feature.shape:  # every entry was a list
-        raise SchemaError(_UNEVEN_TREE)
+    if {left.size, right.size, threshold.size, weight.size} != {feature.size} or (
+        sizes.min(initial=1) < 1 or sum(sizes.tolist()) != feature.size
+    ):
+        raise SchemaError("tree node arrays must be of one length, the sum of the trees' n_nodes, each at least 1")
     stops = np.cumsum(sizes)
     starts = stops - sizes
     n = np.repeat(sizes, sizes)  # the size of each node's tree
-    node = np.arange(stops[-1]) - np.repeat(starts, sizes)  # each node's id in its tree
+    node = np.arange(feature.size) - np.repeat(starts, sizes)  # each node's id in its tree
     follows = (left > node) & (left < n) & (right > node) & (right < n)
     childless = (left == _LEAF) & (right == _LEAF)
     bad = np.flatnonzero(~np.where(feature != _LEAF, follows, childless))
@@ -241,9 +224,9 @@ def _load_trees(trees: list, n_features: int) -> list[RegTree]:
             f"tree node {node[i]} of {n[i]} has children ({left[i]}, {right[i]}); "
             "an internal node's must follow it and a leaf has none"
         )
-    if feature.min() < _LEAF:
+    if feature.min(initial=_LEAF) < _LEAF:  # initial: a booster may have no trees
         raise SchemaError(f"negative feature index {feature.min()} in tree")
-    if feature.max() >= n_features:
+    if feature.max(initial=_LEAF) >= n_features:
         raise SchemaError(f"tree splits on feature {feature.max()} of a booster trained on {n_features}")
     return [
         RegTree(feature[a:b], threshold[a:b], left[a:b], right[a:b], weight[a:b])
@@ -449,7 +432,11 @@ class Booster:
             "n_features": int(self.n_features),
             # TreeParams' fields: a trained booster's GbtSection also holds n_rounds
             "params": {f.name: getattr(self.params, f.name) for f in fields(TreeParams)},
-            "trees": [t.to_dict() for t in self.trees],
+            # each node array of all trees in tree order, and each tree's n_nodes
+            "trees": {
+                key: array_json(np.hstack([getattr(t, key) for t in self.trees] or [[]]), dtype)
+                for key, dtype in _TREE_ARRAYS.items()
+            },
         }
 
     @classmethod
@@ -473,8 +460,6 @@ class Booster:
             raise SchemaError(f"malformed booster: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed booster: {exc!r}") from None
-        if type(trees) is not list:
-            raise SchemaError(f"booster trees must be a list, got {shown(trees)}")
         booster.trees = _load_trees(trees, booster.n_features)
         return booster
 

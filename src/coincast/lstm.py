@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError, check_field_kinds
-from .market_data import WindowedDataset, json_floats
+from .market_data import WindowedDataset, array_from_json, array_json
 from .numkernel import Rng, one_blas_thread, sigmoid
 
 _WEIGHTS = ("W_f", "W_i", "W_C", "W_o")
@@ -54,8 +54,9 @@ PARAM_FIELDS = _WEIGHTS + _BIASES
 # window's result independent of the batch it arrives in.
 TILE_ROWS = 64
 
-# What training runs in and model files load as; the kernel follows its inputs.
+# What training runs in and model files store; the kernel follows its inputs.
 DTYPE = np.float32
+_STORED = "<f4"  # DTYPE as a model file's array dtype
 
 # Adam moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
 ADAM_BETA1 = 0.9
@@ -100,13 +101,16 @@ class LstmParams:
                 raise ShapeError(f"{name} has shape {b.shape}, expected {(k,)}")
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in PARAM_FIELDS}
+        return {name: array_json(getattr(self, name), _STORED) for name in PARAM_FIELDS}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LstmParams":
-        """Inverse of :meth:`to_dict`; raises SchemaError for missing or non-finite values."""
+        """Inverse of :meth:`to_dict`; raises SchemaError for a missing or malformed array."""
         try:
-            arrays = {name: json_floats(payload[name], f"LSTM {name}", DTYPE) for name in PARAM_FIELDS}
+            arrays = {
+                name: array_from_json(payload[name], f"LSTM {name}", _STORED, 2 if name in _WEIGHTS else 1)
+                for name in PARAM_FIELDS
+            }
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed LSTM parameters: {exc!r}") from None
         params = cls(**arrays)
@@ -168,8 +172,9 @@ def _affine(concat: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _step(params: LstmParams, h: np.ndarray, C: np.ndarray, x: np.ndarray):
-    """One cell step over a batch of rows: (N, k), (N, k), (N, d) -> (h, C, cache)."""
-    concat = np.concatenate([h, x], axis=1)
+    """One cell step over a batch of rows: (..., k), (..., k), (..., d) -> (h, C, cache);
+    stacked batches make one matrix product each, as a single batch would."""
+    concat = np.concatenate([h, x], axis=-1)
     f = sigmoid(_affine(concat, params.W_f, params.b_f))
     i = sigmoid(_affine(concat, params.W_i, params.b_i))
     z_C = _affine(concat, params.W_C, params.b_C)
@@ -181,22 +186,22 @@ def _step(params: LstmParams, h: np.ndarray, C: np.ndarray, x: np.ndarray):
     return o * np.tanh(C_new), C_new, cache
 
 
-def _forward(params: LstmParams, X3: np.ndarray):
-    """Run (N, n, d) sequences from zero state; returns (H_n, per-step caches)."""
-    N, n, _ = X3.shape
-    k = params.hidden_size
-    h = np.zeros((N, k), X3.dtype)
-    C = np.zeros((N, k), X3.dtype)
+def _forward(params: LstmParams, X: np.ndarray, keep_steps: bool = True):
+    """Run (..., n, d) sequences from zero state; returns (H_n, per-step caches),
+    the caches an empty list without ``keep_steps``."""
+    h = np.zeros(X.shape[:-2] + (params.hidden_size,), X.dtype)
+    C = np.zeros_like(h)
     steps = []
-    for t in range(n):
-        h, C, cache = _step(params, h, C, X3[:, t, :])
-        steps.append(cache)
+    for t in range(X.shape[-2]):
+        h, C, cache = _step(params, h, C, X[..., t, :])
+        if keep_steps:
+            steps.append(cache)
     return h, steps
 
 
 def _tile(rows: np.ndarray) -> np.ndarray:
-    """Zero-pad up to TILE_ROWS rows along the first axis."""
-    out = np.zeros((TILE_ROWS,) + rows.shape[1:], rows.dtype)
+    """Zero-pad along the first axis up to a whole number of TILE_ROWS rows."""
+    out = np.zeros((-(-rows.shape[0] // TILE_ROWS) * TILE_ROWS,) + rows.shape[1:], rows.dtype)
     out[: rows.shape[0]] = rows
     return out
 
@@ -322,16 +327,19 @@ class LinearHead:
         return Z @ self.W.T + self.b
 
     def to_dict(self) -> dict:
-        return {"W": self.W.tolist(), "b": self.b.tolist()}
+        return {"W": array_json(self.W, _STORED), "b": array_json(self.b, _STORED)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LinearHead":
         """Inverse of :meth:`to_dict`; raises SchemaError for a malformed head."""
         try:
-            head = cls(*(json_floats(payload[key], f"linear head {key}", DTYPE) for key in ("W", "b")))
+            head = cls(
+                array_from_json(payload["W"], "linear head W", _STORED, 2),
+                array_from_json(payload["b"], "linear head b", _STORED, 1),
+            )
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed linear head: {exc!r}") from None
-        if head.W.ndim != 2 or head.b.shape != head.W.shape[:1]:
+        if head.b.shape != head.W.shape[:1]:
             raise SchemaError(f"head W {head.W.shape} and b {head.b.shape} are not (n_out, k) and (n_out,)")
         return head
 
@@ -439,20 +447,16 @@ def train(dataset: WindowedDataset, config: TrainConfig):
 def extract_latents(params: LstmParams, dataset: WindowedDataset) -> np.ndarray:
     """Final hidden state of every window, one row per sample.
 
-    Windows run through the training forward in tiles of TILE_ROWS rows, the
-    last one zero-padded. Every product then has the same shape, so row i is
-    bitwise identical to :func:`sequence_forward` on window i alone, whatever
-    other windows are extracted with it.
+    The windows, zero-padded to a whole number of tiles of TILE_ROWS rows,
+    run through the training forward together as (tiles, TILE_ROWS, n, d),
+    with no step caches kept. Every product is one tile's, of the same shape,
+    so row i is bitwise identical to :func:`sequence_forward` on window i
+    alone, whatever other windows are extracted with it.
     """
     X3 = np.asarray(dataset.X, dtype=params.dtype)
     if X3.ndim != 3 or X3.shape[2] != params.input_size:
         raise ShapeError(
             f"windows have shape {X3.shape}, params expect (N, n, {params.input_size})"
         )
-    N = X3.shape[0]
-    Z = np.zeros((N, params.hidden_size), params.dtype)
-    for start in range(0, N, TILE_ROWS):
-        rows = X3[start : start + TILE_ROWS]
-        H, _ = _forward(params, _tile(rows))
-        Z[start : start + rows.shape[0]] = H[: rows.shape[0]]
-    return Z
+    H, _ = _forward(params, _tile(X3).reshape(-1, TILE_ROWS, *X3.shape[1:]), keep_steps=False)
+    return H.reshape(-1, params.hidden_size)[: X3.shape[0]]

@@ -18,6 +18,7 @@ other row is one ``",".join``.
 """
 from __future__ import annotations
 
+import binascii
 import csv
 import io
 import json
@@ -329,19 +330,16 @@ class MinMaxScaler:
         return self.mins[col] + v * (self.maxs[col] - self.mins[col])
 
     def to_dict(self) -> dict:
-        return {
-            "mins": self.mins.tolist(),
-            "maxs": self.maxs.tolist(),
-        }
+        return {"mins": array_json(self.mins, "<f8"), "maxs": array_json(self.maxs, "<f8")}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MinMaxScaler":
         """Inverse of :meth:`to_dict`; raises SchemaError for a malformed scaler."""
         try:
-            mins, maxs = (json_floats(payload[key], f"scaler {key}") for key in ("mins", "maxs"))
+            mins, maxs = (array_from_json(payload[key], f"scaler {key}", "<f8", 1) for key in ("mins", "maxs"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed scaler: {exc!r}") from None
-        if mins.ndim != 1 or mins.shape != maxs.shape:
+        if mins.shape != maxs.shape:
             raise SchemaError(
                 f"scaler mins {mins.shape} and maxs {maxs.shape} are not vectors of one length"
             )
@@ -484,33 +482,42 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def json_floats(value, what: str, dtype=np.float64) -> np.ndarray:
-    """The ``dtype`` array of a model file's JSON list, nested for a matrix; an entry
-    that is not a JSON number finite in ``dtype``, or ragged nesting, is a SchemaError
-    naming ``what``."""
-    if not _leaf_types(value) <= {int, float}:
-        raise SchemaError(f"{what} must hold JSON numbers only")
+def array_json(array, dtype: str) -> dict:
+    """The JSON object that stores a numeric array in a model file: ``data``, the
+    base64 of the array's C-order bytes as ``dtype`` (``"<f4"``, ``"<f8"`` or
+    ``"<i8"``, little-endian), and the ``dtype`` and ``shape`` to read them back."""
+    array = np.asarray(array, dtype=dtype)
+    data = binascii.b2a_base64(array.tobytes(), newline=False).decode("ascii")
+    return {"data": data, "dtype": dtype, "shape": list(array.shape)}
+
+
+def array_from_json(value, what: str, dtype: str, ndim: int) -> np.ndarray:
+    """The writable, native-order array of an :func:`array_json` object of
+    ``dtype`` and ``ndim`` dimensions. Anything else is a SchemaError naming
+    ``what``: keys other than data, dtype and shape; another dtype; a shape not of
+    ``ndim`` non-negative integers; data other than the writer's own base64 text
+    of exactly the shape's bytes; a float that is not finite."""
+    if type(value) is not dict or value.keys() != {"data", "dtype", "shape"}:
+        raise SchemaError(f"{what} must be an object of data, dtype and shape, got {shown(value)}")
+    if value["dtype"] != dtype:
+        raise SchemaError(f"{what} dtype must be {dtype!r}, got {shown(value['dtype'])}")
+    shape = value["shape"]
+    if type(shape) is not list or len(shape) != ndim or not all(type(n) is int and n >= 0 for n in shape):
+        raise SchemaError(f"{what} shape must be a list of {ndim} non-negative integers, got {shown(shape)}")
+    text = value["data"]
     try:
-        with np.errstate(over="ignore"):  # overflow to inf is refused below
-            array = np.asarray(value, dtype=dtype)
-    except OverflowError as exc:
-        raise SchemaError(f"{what} is not a numeric array: {exc}") from None
-    except ValueError:  # numpy's message repeats the array's shape
-        raise SchemaError(f"{what} is not a numeric array: its nesting is ragged") from None
-    if not np.all(np.isfinite(array)):
+        data = binascii.a2b_base64(text)
+    except (TypeError, ValueError):  # not a string, not ASCII, or cut short
+        data = None
+    if data is None or binascii.b2a_base64(data, newline=False) != text.encode("ascii"):
+        raise SchemaError(f"{what} data must be base64 text, got {shown(text)}")
+    size = math.prod(shape) * np.dtype(dtype).itemsize  # a Python int: nothing is allocated from it
+    if len(data) != size:
+        raise SchemaError(f"{what} holds {len(data)} bytes; its shape {shown(shape)} needs {shown(size)}")
+    array = np.frombuffer(data, dtype).astype(np.dtype(dtype).newbyteorder("="))  # a writable copy
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
         raise SchemaError(f"{what} has non-finite values")
-    return array
-
-
-def _leaf_types(value) -> set:
-    """The types of the entries of nested lists that are not lists; a list that
-    mixes lists with other entries adds ``list``, wherever its first list sits."""
-    if type(value) is not list:
-        return {type(value)}
-    types = set(map(type, value))
-    if types == {list}:
-        return set().union(*map(_leaf_types, value))
-    return types
+    return array.reshape(shape)
 
 
 def windows_to_csv(dataset: WindowedDataset, path) -> None:

@@ -50,7 +50,7 @@ from .market_data import (
 )
 
 MODEL_FORMAT = "coincast-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 # The error of a job whose worker process died, whichever command ran it.
 WORKER_DIED = "a worker process died before returning its job's result"
@@ -488,6 +488,8 @@ def _load_json(path: Path):
             return json.load(fh)
     except ValueError as exc:  # invalid JSON or UTF-8
         raise SchemaError(f"{path} is not a JSON file: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests JSON too deeply to read") from None
 
 
 def save_bundle(directory, bundle: TrainedBundle) -> None:

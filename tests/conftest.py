@@ -1,4 +1,5 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
+import base64
 import csv
 import io
 import os
@@ -52,6 +53,18 @@ def random_walk_rows(T=240, seed=11, base=120.0, start=date(2017, 1, 1)):
             }
         )
     return rows
+
+
+def stored(array, dtype: str) -> dict:
+    """``array`` as a model file's array object of ``dtype``, built with the
+    standard library's base64 rather than the program's writer."""
+    values = np.asarray(array).astype(dtype)
+    return {"data": base64.b64encode(values.tobytes()).decode("ascii"), "dtype": dtype, "shape": list(values.shape)}
+
+
+def unstored(value: dict) -> np.ndarray:
+    """The array of a model file's array object, read with the standard library's base64."""
+    return np.frombuffer(base64.b64decode(value["data"], validate=True), value["dtype"]).reshape(value["shape"])
 
 
 def rows_to_series(rows, symbol="BTC", name="Bitcoin") -> PriceSeries:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CPUS, POOL, TRAIN_POOL, random_walk_rows, rows_to_csv_text
+from conftest import CPUS, POOL, TRAIN_POOL, random_walk_rows, rows_to_csv_text, stored, unstored
 import coincast
 from coincast import analysis, cli, numkernel, pipeline
 from coincast import lstm as lstm_mod
@@ -95,24 +95,50 @@ def json_edit(change):
     return edit
 
 
-def first_number(key, value):
-    """A JSON change that sets the first number under ``payload[key]``."""
-    def change(payload):
-        box, index = payload, key
-        while isinstance(box[index], list):
-            box, index = box[index], 0
-        box[index] = value
+def array_edit(*path, change):
+    """A JSON change that reads the array object at ``path`` of a model file,
+    passes the array to ``change`` and stores the array it returns, in that
+    array's own dtype."""
+    def edit(payload):
+        *parents, key = path
+        box = payload
+        for part in parents:
+            box = box[part]
+        array = change(unstored(box[key]).copy())
+        box[key] = stored(array, array.dtype.str)
+    return edit
+
+
+def put(index, value, dtype=None):
+    """An array change that sets entry ``index`` to ``value``, first converting
+    the array to ``dtype`` when given."""
+    def change(array):
+        array = array.astype(dtype or array.dtype)
+        array[index] = value
+        return array
     return change
 
 
+def tree_root(payload, tree) -> int:
+    """The index of tree ``tree``'s root in a booster file's node arrays."""
+    return int(unstored(payload["trees"]["n_nodes"])[:tree].sum()) if tree else 0
+
+
 def cyclic_root(payload, tree=0):
-    root = payload["trees"][tree]
-    root["feature"][0], root["left"][0], root["right"][0] = 0, 0, 0
+    root = tree_root(payload, tree)
+    for key in ("feature", "left", "right"):
+        array_edit("trees", key, change=put(root, 0))(payload)
 
 
 def fractional_root(payload, tree=0):
-    root = payload["trees"][tree]
-    root["feature"][0], root["left"][0] = 0.9, 1.2
+    root = tree_root(payload, tree)
+    array_edit("trees", "feature", change=put(root, 0.9, np.float64))(payload)
+    array_edit("trees", "left", change=put(root, 1.2, np.float64))(payload)
+
+
+def last_tree_cut(payload):
+    """Drop the last tree's weights, so the weight array is short of its nodes."""
+    array_edit("trees", "weight", change=lambda w: w[: tree_root(payload, -1)])(payload)
 
 
 def csv_cell(line_no, column, value: bytes):
@@ -134,20 +160,20 @@ CLOSE, DATE = 7, 3  # field indexes of the test CSVs' columns
 BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(cyclic_root), id="cyclic-tree"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(fractional_root), id="tree-fractional-ids"),
-    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"][0]["left"].__setitem__(0, 10**30)), id="tree-id-overflows"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(array_edit("trees", "left", change=put(0, 2**63, np.uint64))), id="tree-id-overflows"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p.update(n_features=1e999)), id="booster-n_features-overflows"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["params"].update(learning_rate=True)), id="booster-learning_rate-boolean"),
     pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(lambda p: p.update(base_score=10**400)), id="booster-base_score-past-float"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["params"].update(lam=10**400)), id="booster-lambda-past-float"),
-    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: first_number("threshold", True)(p["trees"][0])), id="tree-threshold-boolean"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(array_edit("trees", "threshold", change=put(0, True, bool))), id="tree-threshold-boolean"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: cyclic_root(p, -1)), id="last-tree-cyclic"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: fractional_root(p, -1)), id="last-tree-fractional-ids"),
-    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: first_number("threshold", True)(p["trees"][-1])), id="last-tree-threshold-boolean"),
-    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"][-1].pop("weight")), id="last-tree-no-weight"),
-    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"].__setitem__(-1, [[-1]])), id="last-tree-not-object"),
-    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"][-1]["left"].__setitem__(0, "x" * 100_000)), id="last-tree-huge-string-id"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: array_edit("trees", "threshold", change=put(tree_root(p, -1), True, bool))(p)), id="last-tree-threshold-boolean"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(last_tree_cut), id="last-tree-no-weight"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"].__setitem__("weight", [[-1]])), id="last-tree-not-object"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"]["left"].update(data="x" * 100_000)), id="last-tree-huge-string-id"),
     pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["params"].update({"k" * 100_000: 0.3})), id="booster-huge-params-key"),
-    pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(lambda p: first_number("weight", "0.5")(p["trees"][0])), id="tree-weight-string"),
+    pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(array_edit("trees", "weight", change=put(0, "0.5", "<U3"))), id="tree-weight-string"),
     pytest.param("evaluate", "model/BTC/manifest.json", lambda raw: raw[:-9], id="manifest-truncated"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=99)), id="manifest-version-99"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(version=1)), id="manifest-version-1"),
@@ -158,18 +184,29 @@ BAD_INPUTS = [
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m["config"]["lstm"].update(epoch=3)), id="manifest-config-unknown-key"),
     pytest.param("evaluate", "model/BTC/manifest.json", json_edit(lambda m: m.update(config=[m["config"]])), id="manifest-config-not-object"),
     pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.pop("b_o")), id="lstm-no-b_o"),
-    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p.update(W_f=p["W_f"][0])), id="lstm-W_f-1d"),
-    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(first_number("W_i", NAN)), id="lstm-nan"),
-    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(first_number("b_f", True)), id="lstm-boolean"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(array_edit("W_f", change=np.ravel)), id="lstm-W_f-1d"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(array_edit("W_i", change=put((0, 0), NAN))), id="lstm-nan"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(array_edit("b_f", change=put(0, True, bool))), id="lstm-boolean"),
     pytest.param("evaluate", "model/BTC/head.json", lambda raw: raw[:-9], id="head-truncated"),
-    pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p.update(W=p["W"][0])), id="head-W-1d"),
-    pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p["b"].append(0.0)), id="head-b-longer-than-W"),
-    pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("b", NAN)), id="head-nan"),
-    pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("b", 1e308)), id="head-inf-predictions"),
-    pytest.param("evaluate", "model/BTC/head.json", json_edit(first_number("W", "0.5")), id="head-string"),
-    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(lambda p: p["maxs"].pop()), id="scaler-unequal-lengths"),
-    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("mins", INF)), id="scaler-inf"),
-    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(first_number("maxs", True)), id="scaler-boolean"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(array_edit("W", change=np.ravel)), id="head-W-1d"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(array_edit("b", change=lambda b: np.append(b, b[:1]))), id="head-b-longer-than-W"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(array_edit("b", change=put(0, NAN))), id="head-nan"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(array_edit("b", change=put(0, INF))), id="head-inf-predictions"),
+    pytest.param("evaluate", "model/BTC/head.json", json_edit(lambda p: p["W"].update(data="0.5")), id="head-string"),
+    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(array_edit("maxs", change=lambda m: m[:-1])), id="scaler-unequal-lengths"),
+    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(array_edit("mins", change=put(0, INF))), id="scaler-inf"),
+    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(array_edit("maxs", change=put(0, True, bool))), id="scaler-boolean"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: array_edit("trees", "right", change=put(tree_root(p, -1), 99))(p)), id="last-tree-child-out-of-range"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(array_edit("trees", "n_nodes", change=lambda n: n + 1)), id="tree-n_nodes-past-arrays"),
+    pytest.param("evaluate", "model/BTC/gbt_booster_00.json", json_edit(lambda p: p["trees"]["feature"].update(shape=[10**30])), id="tree-shape-past-memory"),
+    pytest.param("evaluate", "model/BTC/hybrid_booster_00.json", json_edit(lambda p: p.update(trees=[{"feature": [-1], "left": [-1], "right": [-1], "threshold": [0.0], "weight": [0.5]}])), id="booster-version-4-trees"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(array_edit("W_o", change=lambda w: w.astype(np.float64))), id="lstm-float64-weights"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p["W_C"].update(shape=[p["W_C"]["shape"][0] + 1, p["W_C"]["shape"][1]])), id="lstm-short-buffer"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p["b_C"].update(dtype="x" * 100_000)), id="lstm-huge-dtype"),
+    pytest.param("evaluate", "model/BTC/lstm.json", json_edit(lambda p: p["b_i"].update(order="C")), id="lstm-array-extra-key"),
+    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(lambda p: p["mins"].update(data="!" + p["mins"]["data"][1:])), id="scaler-bad-base64"),
+    pytest.param("evaluate", "model/BTC/scaler.json", json_edit(lambda p: p["maxs"].update(shape=[True])), id="scaler-boolean-shape"),
+    pytest.param("evaluate", "model/BTC/head.json", lambda raw: b'{"W": ' + b"[" * 100_000, id="head-deeply-nested"),
     pytest.param("train", "btc.csv", lambda raw: raw.replace(b",Btc,", b",B\xfftc,", 1), id="csv-not-utf8"),
     pytest.param("backtest", "btc.csv", lambda raw: raw.replace(b",Btc,", b"," + b"N" * 200_000 + b",", 1), id="csv-field-past-csv-limit"),
     # a huge bad cell is echoed cut short
@@ -453,14 +490,40 @@ class TestEvaluate:
         assert not (tmp_path / "out").exists()
 
     def test_a_version_3_model_asks_to_be_retrained(self, trained, tmp_path, capsys):
-        # version 3 stored float64 LSTM weights; version 4 loads them as float32
+        # version 3 stored float64 LSTM weights; version 4 and later load them as float32
         cfg = write_workspace(tmp_path)
         model = tmp_path / "model"
         shutil.copytree(trained, model)
         manifest = model / "BTC" / "manifest.json"
         manifest.write_bytes(json_edit(lambda m: m.update(version=3))(manifest.read_bytes()))
         assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 3
-        assert "is model format version 3; only version 4 is read, so retrain the model" in capsys.readouterr().err
+        assert "is model format version 3; only version 5 is read, so retrain the model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_version_4_model_asks_to_be_retrained(self, trained, tmp_path, capsys):
+        # version 4 stored every array as nested lists of JSON numbers
+        cfg = write_workspace(tmp_path)
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        for path in (model / "BTC").glob("*.json"):
+            payload = json.loads(path.read_text())
+            if path.name == "manifest.json":
+                payload["version"] = 4
+            elif "booster" in path.name:
+                sizes = unstored(payload["trees"]["n_nodes"]).tolist()
+                arrays = {key: unstored(value).tolist() for key, value in payload["trees"].items()}
+                starts = np.cumsum([0, *sizes]).tolist()
+                payload["trees"] = [
+                    {key: arrays[key][a:b] for key in ("feature", "left", "right", "threshold", "weight")}
+                    for a, b in zip(starts, starts[1:])
+                ]
+            else:
+                payload = {key: unstored(value).tolist() for key, value in payload.items()}
+            path.write_text(json.dumps(payload))
+        assert main(["evaluate", "--config", str(cfg), "--model", str(model)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is model format version 4; only version 5 is read, so retrain the model" in err
         assert not (tmp_path / "out").exists()
 
     def test_evaluate_without_model_fails_cleanly(self, tmp_path):
@@ -486,6 +549,22 @@ class TestBacktest:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("where", ["config-file", "set-value"])
+    def test_deeply_nested_json_is_a_config_error(self, tmp_path, where):
+        # deeper than Python's recursion limit: json raised RecursionError
+        deep = "[" * 100_000
+        cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
+        extra = ()
+        if where == "config-file":
+            cfg.write_text('{"data": ' + deep, encoding="utf-8")
+        else:
+            extra = ("--set", "analysis.histogram_bins=" + deep)
+        done = run_module("coincast", "analyze", "--config", str(cfg), *extra)
+        assert done.returncode == 2, done.stderr[-400:]
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+        assert len(done.stderr) < 200 + len(str(cfg)), done.stderr[:400]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "none.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -941,6 +1020,16 @@ class TestEntryPoint:
         done = run_module("coincast.cli", "--version")
         assert done.returncode == 0
         assert done.stdout.strip() == f"coincast {coincast.__version__}"
+
+    def test_importing_the_cli_loads_neither_multiprocessing_nor_base64(self):
+        # every command pays for what importing the cli loads: the worker pool
+        # imports multiprocessing when it starts, and model files use binascii
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, coincast.cli; print(sorted({'multiprocessing', 'base64'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=checkout_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stored, unstored
 from coincast import gbtree
 from coincast.config import GbtSection
 from coincast.errors import DomainError, SchemaError, ShapeError, SizingError
@@ -55,6 +58,11 @@ def sorting_best_split(X, g, h, idx, params):
             threshold = 0.5 * (sv[boundary] + sv[boundary + 1])
             best = (gain, feat, float(threshold))
     return best
+
+
+def nodes(tree: RegTree) -> dict:
+    """A tree's node arrays as lists, which compare equal exactly when the trees do."""
+    return {key: getattr(tree, key).tolist() for key in ("feature", "left", "right", "threshold", "weight")}
 
 
 def sorting_tree(X, g, h, params) -> RegTree:
@@ -287,7 +295,7 @@ class TestBuildTree:
         preds = np.full(y.size, booster.base_score)
         for tree in booster.trees:
             g, h = grad_hess(preds, y)
-            assert build_tree(X, g, h, params).to_dict() == tree.to_dict()
+            assert nodes(build_tree(X, g, h, params)) == nodes(tree)
             preds = preds + params.learning_rate * tree.predict(X)
 
     def test_rejects_nan(self):
@@ -346,7 +354,7 @@ class TestPresortedSearch:
             max_depth=int(rng.integers(0, 6)),
             min_samples_leaf=int(rng.integers(1, 4)),
         )
-        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+        assert nodes(build_tree(X, g, h, params)) == nodes(sorting_tree(X, g, h, params))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_across_six_decades_with_negative_zero(self, seed):
@@ -357,7 +365,7 @@ class TestPresortedSearch:
         g[rng.choice(n, size=6, replace=False)] = -0.0
         h = 10.0 ** rng.uniform(-3, 3, size=n)
         params = TreeParams(lam=0.0, max_depth=4, min_samples_leaf=1)
-        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+        assert nodes(build_tree(X, g, h, params)) == nodes(sorting_tree(X, g, h, params))
 
     @pytest.mark.parametrize("h0", [0.1, 0.3, 3.3])
     @pytest.mark.parametrize("seed", [6, 7, 11, 23])
@@ -371,7 +379,7 @@ class TestPresortedSearch:
         g = rng.choice([-1.0, 1.0], size=n)
         h = np.full(n, h0)
         params = TreeParams(lam=0.0, max_depth=5, min_samples_leaf=1)
-        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+        assert nodes(build_tree(X, g, h, params)) == nodes(sorting_tree(X, g, h, params))
 
     @pytest.mark.parametrize("row", [0, 37, 79])
     def test_one_differing_hessian_takes_the_per_feature_path(self, row):
@@ -382,7 +390,7 @@ class TestPresortedSearch:
         h = np.full(n, 2.0)
         h[row] = 50.0
         params = TreeParams(lam=1.0, max_depth=4, min_samples_leaf=1)
-        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+        assert nodes(build_tree(X, g, h, params)) == nodes(sorting_tree(X, g, h, params))
 
     def test_boosters_on_a_lag_matrix_of_realistic_width(self):
         # 30 lags of 5 walk columns, as the gbt-lags baseline sees them
@@ -402,7 +410,7 @@ class TestPresortedSearch:
         g = rng.normal(size=10_000)
         h = rng.uniform(0.1, 2.0, size=10_000)
         params = TreeParams(lam=1.0, max_depth=2, min_samples_leaf=1)
-        assert build_tree(X, g, h, params).to_dict() == sorting_tree(X, g, h, params).to_dict()
+        assert nodes(build_tree(X, g, h, params)) == nodes(sorting_tree(X, g, h, params))
 
 
 _BAD_INPUTS = {
@@ -424,14 +432,16 @@ def test_both_entry_points_check_their_inputs_alike(entry, fault):
             train_booster(X, vector, TreeParams(), 2)
 
 
-# (key, index, value, message): node ``index`` of list ``key`` set to
-# ``value``; index None sets the whole list, or for "weight" drops its last
-# entry, and "del" deletes the key. ``message`` is the SchemaError's text for
-# a booster with that one fault in any of its trees, which are all laid out as
-# TestLoadValidation.payload checks.
+# (key, index, value, message): node ``index`` (within one tree) of array
+# ``key`` set to ``value``, stored as a file holding that value would store it
+# (see ``as_stored``); index None puts ``value`` in place of the whole array
+# object, or for "weight" drops the tree's last entry, and "del" deletes the
+# key. ``message`` is the SchemaError's text for a booster with that one fault
+# in any of its trees, which are all laid out as TestLoadValidation.payload
+# checks.
 CHILDREN = "an internal node's must follow it and a leaf has none"
-UNEVEN = "tree arrays must be one-dimensional, non-empty and of equal length"
-PAST_INT64 = "malformed tree: OverflowError('Python int too large to convert to C long')"
+UNEVEN = "tree node arrays must be of one length, the sum of the trees' n_nodes, each at least 1"
+NOT_OBJECT = "must be an object of data, dtype and shape, got"
 MALFORMED_TREES = [
     ("left", 0, 0, f"tree node 0 of 7 has children (0, 4); {CHILDREN}"),  # cycle: the root is its own child
     ("right", 0, 99, f"tree node 0 of 7 has children (1, 99); {CHILDREN}"),  # child past the last node
@@ -442,33 +452,65 @@ MALFORMED_TREES = [
     ("threshold", 0, float("nan"), "tree threshold has non-finite values"),
     ("weight", 1, float("inf"), "tree weight has non-finite values"),
     ("weight", None, None, UNEVEN),  # arrays of unequal length
-    ("left", None, "x", UNEVEN),  # not an array of ints
-    ("left", None, 5, UNEVEN),  # a number in place of a list
-    ("weight", "del", None, "malformed tree: KeyError('weight')"),
-    ("left", 0, 1.2, "tree left ids must be integers, got 1.2"),  # a fractional id
-    ("feature", 0, 0.0, "tree feature ids must be integers, got 0.0"),  # a float id, even a whole one
-    ("right", 0, True, "tree right ids must be integers, got True"),  # a boolean id
-    ("left", 0, 2**63, PAST_INT64),
-    ("right", 0, -2**63 - 1, PAST_INT64),
-    ("threshold", 0, True, "tree threshold must hold JSON numbers only"),  # a boolean number
-    ("weight", 0, "0.5", "tree weight must hold JSON numbers only"),  # a numeric string
-    ("threshold", 0, 10**400, "tree threshold is not a numeric array: int too large to convert to float"),
-    ("weight", 0, -10**400, "tree weight is not a numeric array: int too large to convert to float"),
-    ("threshold", 0, [0.5], "tree threshold must hold JSON numbers only"),
+    ("left", None, "x", f"tree left {NOT_OBJECT} 'x'"),  # not an array object
+    ("left", None, 5, f"tree left {NOT_OBJECT} 5"),  # a number in place of the array
+    ("weight", "del", None, "booster trees must be an object of the arrays feature, left, right, threshold,"
+     " weight, n_nodes, got ['feature', 'left', 'right', 'threshold'... (52 characters)"),
+    ("left", 0, 1.2, "tree left dtype must be '<i8', got '<f8'"),  # a fractional id
+    ("feature", 0, 0.0, "tree feature dtype must be '<i8', got '<f8'"),  # a float id, even a whole one
+    ("right", 0, True, "tree right dtype must be '<i8', got '|b1'"),  # a boolean id
+    ("left", 0, 2**63, "tree left dtype must be '<i8', got '<u8'"),
+    ("right", 0, -2**63 - 1, "tree right dtype must be '<i8', got '<f8'"),
+    ("threshold", 0, True, "tree threshold dtype must be '<f8', got '|b1'"),  # a boolean number
+    ("weight", 0, "0.5", "tree weight dtype must be '<f8', got '<U3'"),  # a numeric string
+    ("threshold", 0, 10**400, "tree threshold has non-finite values"),  # past float: infinite bits
+    ("weight", 0, -10**400, "tree weight has non-finite values"),
+    ("threshold", 0, [0.5], "tree threshold shape must be a list of 1 non-negative integers, got [21, 1]"),
 ]
 # pytest's own ids, cut short for the integers past any float
 CASE_IDS = ["-".join(map(str, case[:3]))[:40] for case in MALFORMED_TREES]
 
 
-def spoil(tree: dict, key, index, value) -> None:
+def as_stored(value, dtype: str):
+    """The dtype and value of an array holding ``value`` where one of ``dtype``
+    is due: an integer keeps ``dtype`` while int64 holds it and then takes
+    uint64, or else float64, and a float past the largest is infinite."""
+    if type(value) is bool:
+        return "|b1", value
+    if type(value) is str:
+        return f"<U{len(value)}", value
+    if type(value) is float:
+        return "<f8", value
+    if -2**63 <= value < 2**63 and dtype == "<i8":
+        return dtype, value
+    if 0 <= value < 2**64 and dtype == "<i8":
+        return "<u8", value
+    if abs(value) > sys.float_info.max:
+        return "<f8", math.inf if value > 0 else -math.inf
+    return "<f8", float(value)
+
+
+def spoil(payload, tree: int, key, index, value) -> None:
+    """Put one fault of MALFORMED_TREES into tree ``tree`` of a booster file's payload."""
+    trees = payload["trees"]
     if index == "del":
-        del tree[key]
-    elif key == "weight" and index is None:
-        tree["weight"].pop()
-    elif index is None:
-        tree[key] = value
+        del trees[key]
+        return
+    if index is None and key != "weight":
+        trees[key] = value
+        return
+    sizes = unstored(trees["n_nodes"]).tolist()
+    first, size = sum(sizes[:tree]), sizes[tree]
+    array, dtype = unstored(trees[key]), trees[key]["dtype"]
+    if index is None:
+        array = np.delete(array, first + size - 1)
+    elif type(value) is list:  # a nested entry: every entry becomes a list
+        array = array.reshape(-1, 1)
     else:
-        tree[key][index] = value
+        dtype, value = as_stored(value, dtype)
+        array = array.astype(dtype)
+        array[first + index % size] = value
+    trees[key] = stored(array, dtype)
 
 
 def refusal(payload) -> str:
@@ -489,7 +531,8 @@ def trained_booster() -> Booster:
 BOOSTER_FILE = json.dumps(trained_booster().to_dict())
 
 
-# JSON values that a model file may hold in the wrong place
+# JSON values that a model file may hold in the wrong place, among them the
+# parts of an array object: dtypes, shapes and base64 text of the wrong kind
 LONG = "x" * 1000
 ODD_VALUES = st.one_of(
     st.none(),
@@ -497,10 +540,12 @@ ODD_VALUES = st.one_of(
     st.integers(),
     st.just(LONG),
     st.sampled_from([-1, 3, 2**63, -2**63 - 1, 10**400, -10**400, 2**20000, "", [], {}]),
+    st.sampled_from(["<f8", "<i8", "<f4", ">i8", "|b1", "AAAA", "AAA=", "A===", "====", "AAAAAAAA\n", "\u00e9AAA"]),
+    st.sampled_from([[0], [1], [7], [21], [-1], [2**63], [10**30, 10**30], [True], [21, 1], [0.5]]),
     st.floats(),
     st.text(max_size=4),
     st.lists(st.one_of(st.integers(-2, 8), st.floats(), st.lists(st.floats(), max_size=2)), max_size=4),
-    st.dictionaries(st.sampled_from(["feature", "left", "weight", "lam", LONG]), st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["data", "dtype", "shape", "left", "n_nodes", LONG]), st.integers(-1, 3), max_size=2),
 )
 # what a fault does at its path: put a value there, delete it, or add a key or
 # list entry beside it
@@ -521,8 +566,10 @@ class TestLoadValidation:
         """The trained booster's file as JSON loads it; its three trees are
         full to depth 2, as the messages of MALFORMED_TREES assume."""
         payload = json.loads(BOOSTER_FILE)
-        for tree in payload["trees"]:
-            assert tree["left"] == [1, 2, -1, -1, 5, -1, -1] and tree["right"] == [4, 3, -1, -1, 6, -1, -1]
+        trees = payload["trees"]
+        assert unstored(trees["n_nodes"]).tolist() == [7, 7, 7]
+        assert unstored(trees["left"]).tolist() == [1, 2, -1, -1, 5, -1, -1] * 3
+        assert unstored(trees["right"]).tolist() == [4, 3, -1, -1, 6, -1, -1] * 3
         return payload
 
     def test_valid_payload_loads(self):
@@ -538,30 +585,49 @@ class TestLoadValidation:
         for a, b in zip(loaded.trees, booster.trees):
             for name in ("feature", "threshold", "left", "right", "weight"):
                 x, y = getattr(a, name), getattr(b, name)
-                assert x.dtype == y.dtype
+                assert x.dtype == y.dtype and x.flags.writeable
                 npt.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("key, index, value, message", MALFORMED_TREES, ids=CASE_IDS)
     def test_malformed_tree_raises(self, key, index, value, message):
         payload = self.payload()
-        spoil(payload["trees"][0], key, index, value)
+        spoil(payload, 0, key, index, value)
         assert refusal(payload) == message
 
     @pytest.mark.parametrize("key, index, value, message", MALFORMED_TREES, ids=CASE_IDS)
     def test_a_fault_in_the_last_tree_gives_that_trees_error(self, key, index, value, message):
         payload = self.payload()
-        spoil(payload["trees"][-1], key, index, value)
+        spoil(payload, -1, key, index, value)
         assert refusal(payload) == message
 
     def test_with_faults_in_two_trees_the_first_failing_check_decides(self):
         payload = self.payload()
-        spoil(payload["trees"][1], "right", 0, 99)  # children are checked after numbers
-        spoil(payload["trees"][2], "weight", 1, float("inf"))
+        spoil(payload, 1, "right", 0, 99)  # children are checked after numbers
+        spoil(payload, 2, "weight", 1, float("inf"))
         assert refusal(payload) == "tree weight has non-finite values"
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([7, 7, 8], UNEVEN),  # more nodes than the arrays hold
+            ([7, 7, 6], UNEVEN),
+            ([7, 14, 0], UNEVEN),  # the right sum, with an empty tree
+            ([7, 0, 14], UNEVEN),
+            ([14, -7, 14], UNEVEN),
+            ([2**62, 2**62, 2**62], UNEVEN),  # a sum past int64
+            ([21], f"tree node 7 of 21 has children (1, 4); {CHILDREN}"),  # one tree of all nodes
+            ([7, 7], UNEVEN),
+        ],
+    )
+    def test_node_counts_must_be_positive_and_sum_to_the_node_arrays(self, sizes, message):
+        payload = self.payload()
+        payload["trees"]["n_nodes"] = stored(sizes, "<i8")
+        assert refusal(payload) == message
 
     def test_an_empty_trees_list_loads_as_base_score(self):
         payload = self.payload()
-        payload["trees"] = []
+        payload["trees"] = Booster().to_dict()["trees"]
+        assert {key: array["shape"] for key, array in payload["trees"].items()} == dict.fromkeys(payload["trees"], [0])
         booster = Booster.from_dict(payload)
         assert booster.trees == []
         npt.assert_array_equal(booster.predict(np.ones((2, 3))), [payload["base_score"]] * 2)
@@ -570,13 +636,23 @@ class TestLoadValidation:
     def test_trees_that_are_not_a_list_raise(self, trees):
         payload = self.payload()
         payload["trees"] = trees
-        assert refusal(payload).startswith("booster trees must be a list")
+        assert refusal(payload).startswith("booster trees must be an object of the arrays feature, left,")
 
-    @pytest.mark.parametrize("tree", [None, 5, "abc", [], [[-1]]])
-    def test_a_tree_that_is_not_a_dict_gives_that_trees_error(self, tree):
+    def test_a_list_of_tree_objects_is_refused(self):
+        # the layout of model format version 4
         payload = self.payload()
-        payload["trees"][1] = tree
-        assert refusal(payload) == f"a booster tree must be an object of five lists, got {tree!r}"
+        payload["trees"] = [{key: getattr(tree, key).tolist() for key in ("feature", "left", "right", "threshold", "weight")}
+                            for tree in trained_booster().trees]
+        assert refusal(payload).startswith(
+            "booster trees must be an object of the arrays feature, left, right, threshold, weight, n_nodes,"
+            " got [{'feature': [2, 2, -1, -1, 2, -1, -1]"
+        )
+
+    @pytest.mark.parametrize("value", [None, 5, "abc", [], [[-1]]])
+    def test_an_array_that_is_not_an_array_object_is_refused(self, value):
+        payload = self.payload()
+        payload["trees"]["right"] = value
+        assert refusal(payload) == f"tree right {NOT_OBJECT} {value!r}"
 
     @pytest.mark.parametrize(
         "path, value",
@@ -628,8 +704,8 @@ class TestLoadValidation:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p["trees"][0]["left"].__setitem__(0, "x" * 100_000),
-             "tree left ids must be integers, got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... (100002 characters)"),
+            (lambda p: p["trees"]["left"].update(dtype="x" * 100_000),
+             "tree left dtype must be '<i8', got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... (100002 characters)"),
             (lambda p: p["params"].update({"k" * 100_000: 0.3}),
              "unknown booster params key 'kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk... (100002 characters)"),
             (lambda p: p["params"].update(eta=0.3), "unknown booster params key 'eta'"),
@@ -834,16 +910,11 @@ class TestBooster:
         X = rng.normal(size=(40, 3))
         booster = train_booster(X, rng.normal(size=40), TreeParams(max_depth=3), 6)
         explicit = booster.to_dict()
-        explicit["trees"] = [
-            {
-                "feature": [int(v) for v in t.feature],
-                "threshold": [float(v) for v in t.threshold],
-                "left": [int(v) for v in t.left],
-                "right": [int(v) for v in t.right],
-                "weight": [float(v) for v in t.weight],
-            }
-            for t in booster.trees
-        ]
+        explicit["trees"] = {
+            key: stored(np.concatenate([getattr(t, key) for t in booster.trees]), dtype)
+            for key, dtype in (("feature", "<i8"), ("left", "<i8"), ("right", "<i8"), ("threshold", "<f8"), ("weight", "<f8"))
+        }
+        explicit["trees"]["n_nodes"] = stored([t.feature.size for t in booster.trees], "<i8")
         assert json_text(booster.to_dict()) == json_text(explicit)
 
     def test_a_trained_booster_writes_only_tree_params(self):

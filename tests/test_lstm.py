@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import stored, unstored
 from coincast.errors import DomainError, SchemaError, ShapeError, SizingError, TrainingError
 from coincast.lstm import (
     LinearHead,
@@ -355,6 +357,17 @@ class TestLatents:
         with pytest.raises(ShapeError):
             extract_latents(params, tiny_dataset(d=2))
 
+    def test_all_tiles_at_once_give_each_windows_own_latent(self):
+        # the README's hidden size and feature count, where BLAS picks its
+        # largest kernels; 150 windows fill two tiles and part of a third
+        ds = tiny_dataset(n_samples=150, n_in=6, d=5)
+        trained, _, _ = train(ds, TrainConfig(hidden_size=64, epochs=2, seed=29))
+        latents = extract_latents(trained, ds)
+        assert latents.shape == (150, 64) and latents.dtype == np.float32
+        for row in range(ds.n_samples):
+            h_n, _ = sequence_forward(trained, ds.X[row])
+            assert same_bits(latents[row], h_n), row
+
 
 class TestSerialization:
     def test_params_round_trip(self):
@@ -362,8 +375,8 @@ class TestSerialization:
         payload = json.loads(json.dumps(params.to_dict()))
         clone = LstmParams.from_dict(payload)
         for name in PARAM_NAMES:
-            # the file holds the exact float64 widening of every float32 value
-            assert payload[name] == getattr(params, name).astype(np.float64).tolist()
+            # the file holds the float32 bytes of every value
+            assert payload[name] == stored(getattr(params, name), "<f4")
             assert same_bits(getattr(clone, name), getattr(params, name))
 
     def test_head_round_trip(self):
@@ -375,19 +388,43 @@ class TestSerialization:
         assert same_bits(clone.predict(latents), head.predict(latents))
 
     def test_a_value_past_float32_is_refused(self):
-        payload = json.loads(json.dumps(init_params(3, 4, Rng(25)).to_dict()))
-        payload["W_C"][1][2] = 1e300
-        with pytest.raises(SchemaError, match="LSTM W_C has non-finite values"):
+        # float64 weights, which can hold it, are not what the file declares
+        payload = json.loads(json.dumps(as_dtype(init_params(3, 4, Rng(25)), np.float32).to_dict()))
+        W_C = unstored(payload["W_C"]).astype(np.float64)
+        W_C[1, 2] = 1e300
+        payload["W_C"] = stored(W_C, "<f8")
+        with pytest.raises(SchemaError, match="^LSTM W_C dtype must be '<f4', got '<f8'$"):
+            LstmParams.from_dict(payload)
+        with np.errstate(over="ignore"):
+            payload["W_C"] = stored(W_C, "<f4")  # which holds it as infinity
+        with pytest.raises(SchemaError, match="^LSTM W_C has non-finite values$"):
             LstmParams.from_dict(payload)
 
     @pytest.mark.parametrize("value", [True, "0.5", None])
     def test_a_non_number_is_refused(self, value):
+        # a non-number where an array's numbers go: its base64 text
         payload = json.loads(json.dumps(init_params(3, 4, Rng(25)).to_dict()))
-        payload["b_o"][0] = value
-        with pytest.raises(SchemaError, match="LSTM b_o must hold JSON numbers only"):
+        payload["b_o"]["data"] = value
+        with pytest.raises(SchemaError, match=f"^LSTM b_o data must be base64 text, got {re.escape(repr(value))}$"):
             LstmParams.from_dict(payload)
-        with pytest.raises(SchemaError, match="linear head W must hold JSON numbers only"):
-            LinearHead.from_dict({"W": [[1.5, value]], "b": [0.25]})
+        with pytest.raises(SchemaError, match="^linear head W data must be base64 text"):
+            LinearHead.from_dict({"W": {**stored([[1.5, 2.5]], "<f4"), "data": value}, "b": stored([0.25], "<f4")})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["W_f"].update(shape=p["W_f"]["shape"][::-1]), "W_f is (7, 4); expected (k, k+d) with d >= 1"),
+            (lambda p: p.update(W_f=stored(unstored(p["W_f"]).ravel(), "<f4")), "LSTM W_f shape must be a list of 2"),
+            (lambda p: p.update(b_f=stored(unstored(p["b_f"])[:, None], "<f4")), "LSTM b_f shape must be a list of 1"),
+            (lambda p: p.pop("b_i"), "malformed LSTM parameters: KeyError('b_i')"),
+        ],
+        ids=["transposed", "flat-weights", "nested-bias", "no-bias"],
+    )
+    def test_a_malformed_array_is_refused(self, edit, message):
+        payload = json.loads(json.dumps(init_params(3, 4, Rng(25)).to_dict()))
+        edit(payload)
+        with pytest.raises((SchemaError, ShapeError), match=re.escape(message)):
+            LstmParams.from_dict(payload)
 
 
 def test_sigmoid_matches_gate_usage():

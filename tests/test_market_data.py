@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import sys
 from contextlib import nullcontext
@@ -19,7 +20,8 @@ from coincast.market_data import (
     PRICE_FIELDS,
     MinMaxScaler,
     align_on_dates,
-    json_floats,
+    array_from_json,
+    array_json,
     json_text,
     make_windows,
     parse_csv,
@@ -29,7 +31,7 @@ from coincast.market_data import (
     windows_to_csv,
     write_csv,
 )
-from conftest import random_walk_rows, rows_to_csv_text, rows_to_series
+from conftest import random_walk_rows, rows_to_csv_text, rows_to_series, stored, unstored
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from gen import ohlcv_csv  # noqa: E402
@@ -546,36 +548,104 @@ class TestMinMaxScaler:
         rows = rng.normal(size=(20, 5)) * [1e-3, 1.0, 1e3, 1e9, 1e-300]
         rows[:, 1] = -0.0  # a constant column, written as -0.0
         scaler = MinMaxScaler.fit(rows)
-        explicit = {"mins": [float(x) for x in scaler.mins], "maxs": [float(x) for x in scaler.maxs]}
+        explicit = {"mins": stored(scaler.mins, "<f8"), "maxs": stored(scaler.maxs, "<f8")}
         assert json_text(scaler.to_dict()) == json_text(explicit)
+        clone = MinMaxScaler.from_dict(scaler.to_dict())
+        assert clone.mins.tobytes() == scaler.mins.tobytes() and clone.maxs.tobytes() == scaler.maxs.tobytes()
 
 
-class TestJsonFloats:
-    def test_integers_and_nesting_load_as_floats(self):
-        array = json_floats([[1, 2.5], [0, -3]], "w")
-        assert array.dtype == np.float64
-        npt.assert_array_equal(array, [[1.0, 2.5], [0.0, -3.0]])
+DTYPES = ("<f4", "<f8", "<i8")
+
+
+def cut(value) -> str:
+    """How an error message shows a value: its repr, past 40 characters cut
+    short with its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def codec_faults(dtype: str):
+    """(what is wrong, array object, message) for every rule of array_from_json,
+    read as a ``dtype`` array of one dimension named ``w``."""
+    good = stored([1, 2, 3], dtype)
+    other = next(d for d in DTYPES if d != dtype)
+    size = np.dtype(dtype).itemsize
+    yield "a list", [1.0, 2.0], "w must be an object of data, dtype and shape, got [1.0, 2.0]"
+    yield "null", None, "w must be an object of data, dtype and shape, got None"
+    for what, value in (("no shape", {"data": good["data"], "dtype": dtype}), ("an extra key", {**good, "order": "C"})):
+        yield what, value, f"w must be an object of data, dtype and shape, got {cut(value)}"
+    yield "another dtype", {**good, "dtype": other}, f"w dtype must be {dtype!r}, got {other!r}"
+    yield "big-endian", {**good, "dtype": ">" + dtype[1:]}, f"w dtype must be {dtype!r}, got '>{dtype[1:]}'"
+    yield "a boolean dtype", {**good, "dtype": "|b1"}, f"w dtype must be {dtype!r}, got '|b1'"
+    yield "a numpy type name", {**good, "dtype": np.dtype(dtype).name}, f"w dtype must be {dtype!r}, got {np.dtype(dtype).name!r}"
+    yield "a dtype that is not text", {**good, "dtype": 8}, f"w dtype must be {dtype!r}, got 8"
+    yield "a huge dtype", {**good, "dtype": "x" * 100_000}, f"w dtype must be {dtype!r}, got '{'x' * 39}... (100002 characters)"
+    shape_rule = "w shape must be a list of 1 non-negative integers, got"
+    yield "a shape that is not a list", {**good, "shape": 3}, f"{shape_rule} 3"
+    yield "two dimensions", {**good, "shape": [3, 1]}, f"{shape_rule} [3, 1]"
+    yield "no dimension", {**good, "shape": []}, f"{shape_rule} []"
+    yield "a boolean length", {**good, "shape": [True]}, f"{shape_rule} [True]"
+    yield "a float length", {**good, "shape": [3.0]}, f"{shape_rule} [3.0]"
+    yield "a negative length", {**good, "shape": [-3]}, f"{shape_rule} [-3]"
+    yield "a string length", {**good, "shape": ["3"]}, f"{shape_rule} ['3']"
+    base64_rule = "w data must be base64 text, got"
+    yield "data that is not text", {**good, "data": 5}, f"{base64_rule} 5"
+    yield "data of numbers", {**good, "data": [1, 2, 3]}, f"{base64_rule} [1, 2, 3]"
+    yield "data that is not ASCII", {**good, "data": "\u00e9" * 4}, f"{base64_rule} '\u00e9\u00e9\u00e9\u00e9'"
+    yield "data cut short", {**good, "data": good["data"][:-1]}, f"{base64_rule} {good['data'][:-1]!r}"
+    yield "a character outside base64", {**good, "data": "!" + good["data"][1:]}, f"{base64_rule} {'!' + good['data'][1:]!r}"
+    yield "a line end", {**good, "data": good["data"] + "\n"}, f"{base64_rule} {good['data'] + chr(10)!r}"
+    yield "text after the padding", {**good, "data": "AA==AAAA"}, f"{base64_rule} 'AA==AAAA'"
+    yield "padding alone", {**good, "data": "===="}, f"{base64_rule} '===='"
+    yield "bits past the last byte", {**good, "data": "AB=="}, f"{base64_rule} 'AB=='"
+    length_rule = f"w holds {3 * size} bytes; its shape"
+    yield "a short buffer", {**good, "shape": [4]}, f"{length_rule} [4] needs {4 * size}"
+    yield "a long buffer", {**good, "shape": [2]}, f"{length_rule} [2] needs {2 * size}"
+    yield "an empty shape of full data", {**good, "shape": [0]}, f"{length_rule} [0] needs 0"
+    yield "a shape past memory", {**good, "shape": [2**64]}, f"{length_rule} [18446744073709551616] needs {2**64 * size}"
+    yield "a shape past any integer", {**good, "shape": [10**400]}, f"{length_rule} {cut([10**400])} needs {cut(10**400 * size)}"
+    yield "100,000 characters", {**good, "data": "AAAA" * 25_000}, f"w holds 75000 bytes; its shape [3] needs {3 * size}"
+    if dtype != "<i8":
+        for bad in (np.nan, np.inf, -np.inf):
+            yield f"{bad} bits", stored([1.0, bad, 3.0], dtype), "w has non-finite values"
+
+
+class TestArrayJson:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_arrays_round_trip_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(54)
+        values = rng.normal(size=(3, 4)) * 1e30 if dtype != "<i8" else rng.integers(-2**63, 2**63 - 1, size=(3, 4))
+        if dtype != "<i8":
+            values[0, :3] = (-0.0, 5e-324, np.finfo(np.float32).tiny / 2)  # signed zero, subnormals
+        array = values.astype(dtype)
+        value = json.loads(json.dumps(array_json(array, dtype)))
+        assert value == stored(array, dtype)
+        loaded = array_from_json(value, "w", dtype, 2)
+        assert loaded.dtype == np.dtype(dtype) and loaded.dtype.isnative and loaded.flags.writeable
+        assert loaded.shape == (3, 4) and loaded.tobytes() == array.tobytes()
+        assert unstored(value).tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [[0], [0, 3], [3, 0]], ids=str)
+    def test_empty_arrays_load(self, dtype, shape):
+        value = array_json(np.zeros(shape), dtype)
+        assert value == {"data": "", "dtype": dtype, "shape": shape}
+        assert array_from_json(value, "w", dtype, len(shape)).shape == tuple(shape)
+
+    def test_the_writer_stores_the_dtype_it_is_given(self):
+        value = array_json([[1, 2], [3, 4]], "<f4")
+        assert value == {"data": "AACAPwAAAEAAAEBAAACAQA==", "dtype": "<f4", "shape": [2, 2]}
 
     @pytest.mark.parametrize(
-        "value, message",
-        [
-            ([1.0, True], "w must hold JSON numbers only"),
-            ([[1.0], [False]], "w must hold JSON numbers only"),
-            ([1.0, "3"], "w must hold JSON numbers only"),
-            ([1.0, None], "w must hold JSON numbers only"),
-            ([1.0, [2.0]], "w must hold JSON numbers only"),
-            ({"a": 1.0}, "w must hold JSON numbers only"),
-            ([[1.0, 2.0], [3.0]], "w is not a numeric array"),
-            ([10**400], "w is not a numeric array"),
-            ([[1.0], [float("nan")]], "w has non-finite values"),
-            ([float("-inf")], "w has non-finite values"),
-            ([[2.0], 1.0], "w must hold JSON numbers only"),  # a list first, not last
-            ([[1.0]] * 3 + [[2.0, 3.0]], "w is not a numeric array: its nesting is ragged$"),
-        ],
+        "dtype, value, message",
+        [pytest.param(d, value, message, id=f"{what}-{d}") for d in DTYPES for what, value, message in codec_faults(d)],
     )
-    def test_refuses_anything_but_finite_numbers(self, value, message):
-        with pytest.raises(SchemaError, match=message):
-            json_floats(value, "w")
+    def test_every_rule_has_its_message(self, dtype, value, message):
+        with pytest.raises(SchemaError) as info:
+            array_from_json(value, "w", dtype, 1)
+        text = str(info.value)
+        assert len(text) < 200, text[:400]
+        assert text == message
 
 
 class TestWindows:

@@ -16,6 +16,7 @@ from coincast.gbtree import TreeParams, train_booster
 from coincast.lstm import TrainConfig
 from coincast.market_data import MinMaxScaler, make_windows, series_to_features
 from coincast.pipeline import (
+    MODEL_VERSION,
     Forecaster,
     TrainedBundle,
     evaluate,
@@ -388,6 +389,30 @@ class TestBundleRoundTrip:
         for before, after in zip(models, (loaded.hybrid, loaded.lstm_baseline, loaded.gbt_baseline)):
             npt.assert_array_equal(after.predict_prices(test_ds), before.predict_prices(test_ds))
 
+    def test_every_array_reloads_with_its_dtype_shape_and_bits(self, tmp_path, splits, trained):
+        train_ds, _ = splits
+        bundle = bundle_of(trained, train_ds)
+        save_bundle(tmp_path, bundle)
+        loaded = load_bundle(tmp_path)
+
+        def arrays(b):
+            lstm, head = b.hybrid.lstm, b.lstm_baseline.readout
+            yield from (b.scaler.mins, b.scaler.maxs, head.W, head.b)
+            yield from (getattr(lstm, name) for name in lstm_mod.PARAM_FIELDS)
+            for booster in (*b.hybrid.readout, *b.gbt_baseline.readout):
+                for tree in booster.trees:
+                    yield from (tree.feature, tree.left, tree.right, tree.threshold, tree.weight)
+
+        pairs = list(zip(arrays(bundle), arrays(loaded), strict=True))
+        assert len(pairs) == 12 + 2 * 5 * 5  # two boosters of five trees
+        for before, after in pairs:
+            assert (after.dtype, after.shape) == (before.dtype, before.shape)
+            assert after.tobytes() == before.tobytes() and after.flags.writeable
+        assert {f"{array.dtype}" for array, _ in pairs} == {"float32", "float64", "int64"}
+        for before, after in zip((*bundle.hybrid.readout, *bundle.gbt_baseline.readout),
+                                 (*loaded.hybrid.readout, *loaded.gbt_baseline.readout)):
+            assert (after.base_score, after.params, after.n_features) == (before.base_score, before.params, before.n_features)
+
     def test_directory_has_the_fixed_layout(self, tmp_path, splits, trained):
         save_bundle(tmp_path, bundle_of(trained, splits[0]))
         assert sorted(path.name for path in tmp_path.iterdir()) == [
@@ -402,7 +427,7 @@ class TestBundleRoundTrip:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest == {
             "format": "coincast-model",
-            "version": 4,
+            "version": MODEL_VERSION,
             "config": RUN_CONFIG.to_dict(),
             "data_hash": "",
         }
@@ -451,7 +476,7 @@ class TestBundleRoundTrip:
             load_bundle(".")
         assert str(info.value) == (
             f"manifest.json is model format version '{'v' * 39}... (100002 characters);"
-            " only version 4 is read, so retrain the model"
+            f" only version {MODEL_VERSION} is read, so retrain the model"
         )
 
     @pytest.mark.parametrize(
