@@ -48,10 +48,6 @@ def rolling_volatility(returns, window: int = 30) -> np.ndarray:
     return sliding_window_view(r, window).std(axis=1, ddof=1)
 
 
-def _centered(matrix: np.ndarray) -> np.ndarray:
-    return matrix - matrix.mean(axis=1, keepdims=True)
-
-
 def correlation_matrix(series_list) -> np.ndarray:
     """Pearson correlation across >= 2 equal-length series.
 
@@ -68,7 +64,7 @@ def correlation_matrix(series_list) -> np.ndarray:
     if length < 2:
         raise SizingError(f"series length must be at least 2, got {length}")
     X = np.vstack(rows)
-    Xc = _centered(X)
+    Xc = X - X.mean(axis=1, keepdims=True)
     ss = np.einsum("ij,ij->i", Xc, Xc)
     for i, s in enumerate(ss):
         if s <= 0:
@@ -91,20 +87,42 @@ def rolling_correlation(a, b, window: int = 60) -> np.ndarray:
     """
     x = _vector(a, "first series")
     y = _vector(b, "second series")
-    if x.size != y.size:
-        raise ShapeError(f"series lengths differ: {x.size} vs {y.size}")
+    return rolling_correlations([x, y], window)[0]
+
+
+def rolling_correlations(series_list, window: int = 60) -> list[np.ndarray]:
+    """:func:`rolling_correlation` of every pair i < j of equal-length
+    series, in the order (0, 1), (0, 2), ..., (1, 2), ...
+
+    Each series' window means and sums of squares are computed once, and the
+    centred windows of at most two series are held at a time. A pair's
+    figures are those of centring its two series' windows on their own, bit
+    for bit.
+    """
+    vectors = [_vector(s, f"series {i}") for i, s in enumerate(series_list)]
+    for v in vectors[1:]:
+        if v.size != vectors[0].size:
+            raise ShapeError(f"series lengths differ: {vectors[0].size} vs {v.size}")
     if window < 3:
         raise SizingError(f"correlation window must be at least 3, got {window}")
-    if x.size < window:
-        raise SizingError(f"window {window} exceeds series length {x.size}")
-    wx = _centered(sliding_window_view(x, window))
-    wy = _centered(sliding_window_view(y, window))
-    num = np.einsum("ij,ij->i", wx, wy)
-    vx = np.einsum("ij,ij->i", wx, wx)
-    vy = np.einsum("ij,ij->i", wy, wy)
-    out = np.full(num.shape, np.nan)
-    ok = (vx > 0) & (vy > 0)
-    out[ok] = num[ok] / np.sqrt(vx[ok] * vy[ok])
+    if vectors and vectors[0].size < window:
+        raise SizingError(f"window {window} exceeds series length {vectors[0].size}")
+    windows = [sliding_window_view(v, window) for v in vectors]
+    means = [w.mean(axis=1, keepdims=True) for w in windows]
+    squares = []
+    for w, mean in zip(windows, means):
+        centred = w - mean
+        squares.append(np.einsum("ij,ij->i", centred, centred))
+    out = []
+    for i in range(len(vectors)):
+        wx, vx = windows[i] - means[i], squares[i]
+        for j in range(i + 1, len(vectors)):
+            vy = squares[j]
+            num = np.einsum("ij,ij->i", wx, windows[j] - means[j])
+            corr = np.full(num.shape, np.nan)
+            ok = (vx > 0) & (vy > 0)
+            corr[ok] = num[ok] / np.sqrt(vx[ok] * vy[ok])
+            out.append(corr)
     return out
 
 

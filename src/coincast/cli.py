@@ -21,6 +21,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, astuple, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -102,9 +103,10 @@ def _read_series(symbol: str, path: str):
     return parse_csv(_read_bytes(symbol, path))
 
 
-def _load_all(cfg: RunConfig) -> dict:
-    """Each symbol's series, parsed in this process in config order."""
-    return {symbol: _read_series(symbol, path) for symbol, path in cfg.data.items()}
+def _load_all(cfg: RunConfig, pool: pipeline.Pool) -> dict:
+    """Each symbol's series in config order, each parsed as one job on ``pool``."""
+    jobs = [pipeline.Job(_read_series, (symbol, path)) for symbol, path in cfg.data.items()]
+    return dict(zip(cfg.data, pool.run(jobs)))
 
 
 # --- analyze ----------------------------------------------------------------
@@ -117,9 +119,20 @@ def _returns_date_offset(basis: str) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
-    """Parse the symbols and compute every figure in this process, then
-    write each CSV as one job on the worker pool, largest first."""
-    series_map = _load_all(cfg)
+    """Parse each symbol as one job on the worker pool, compute every figure
+    in this process, then write each CSV as one job on the same pool, largest
+    first."""
+    with pipeline.Pool() as pool:
+        writes, stats_payload = _figures(cfg, stage, _load_all(cfg, pool))
+        # Written once every figure is computed, so that a figure's error
+        # comes before a write's.
+        pool.run(writes)
+    stage.write_json("analysis/distribution_stats.json", stats_payload)
+
+
+def _figures(cfg: RunConfig, stage: _Stage, series_map: dict):
+    """The write jobs of every analysis CSV, and the payload of
+    ``distribution_stats.json``."""
     symbols = list(series_map)
     a = cfg.analysis
     writes = []
@@ -154,15 +167,14 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
 
     # Cross-asset figures on the common calendar.
     dates, aligned = align_on_dates([series_map[s] for s in symbols])
-    iso = [d.isoformat() for d in dates]
 
     rebased = [rebase_to_100(s) for s in aligned]
-    queue_csv("analysis/rebased_prices.csv", ["date"] + symbols, [iso] + rebased)
+    queue_csv("analysis/rebased_prices.csv", ["date"] + symbols, [dates] + rebased)
 
     aligned_returns = [analysis.daily_returns(s.column("close")) for s in aligned]
     vols = [analysis.rolling_volatility(r, a.volatility_window) for r in aligned_returns]
     queue_csv(
-        "analysis/rolling_volatility.csv", ["date"] + symbols, [iso[a.volatility_window:]] + vols
+        "analysis/rolling_volatility.csv", ["date"] + symbols, [dates[a.volatility_window:]] + vols
     )
 
     basis_series = (
@@ -178,41 +190,36 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
         "analysis/correlation_matrix.csv", ["symbol"] + symbols, [symbols] + list(corr.T)
     )
 
-    pairs = [(i, j) for i in range(len(symbols)) for j in range(len(symbols)) if i < j]
-    pair_names = [f"{symbols[i]}_{symbols[j]}" for i, j in pairs]
+    pair_names = [f"{x}_{y}" for x, y in combinations(symbols, 2)]
     columns = []
-    if pairs:
+    if pair_names:
         window = a.correlation_window
         offset = window - 1 + _returns_date_offset(a.correlation_basis)
-        columns = [iso[offset:]] + [
-            analysis.rolling_correlation(basis_series[i], basis_series[j], window)
-            for i, j in pairs
-        ]
+        columns = [dates[offset:]] + analysis.rolling_correlations(basis_series, window)
     queue_csv("analysis/rolling_correlation.csv", ["date"] + pair_names, columns)
 
     caps = [s.column("marketcap") for s in aligned]
     shares = analysis.market_dominance(caps)
-    queue_csv("analysis/market_dominance.csv", ["date"] + symbols, [iso] + list(shares))
+    queue_csv("analysis/market_dominance.csv", ["date"] + symbols, [dates] + list(shares))
 
     # Decomposition and benchmark backtest are single-asset figures; use the
     # first configured symbol, full history.
     lead = symbols[0]
     lead_series = series_map[lead]
     closes = lead_series.column("close")
-    lead_iso = [d.isoformat() for d in lead_series.dates()]
     decomp = analysis.decompose_additive(closes, a.decomposition_period)
     queue_csv(
         "analysis/decomposition.csv",
         ["date", "observed", "trend", "seasonal", "residual"],
-        [lead_iso, closes, decomp.trend, decomp.seasonal, decomp.residual],
+        [lead_series.days, closes, decomp.trend, decomp.seasonal, decomp.residual],
     )
     stats_payload["decomposition"] = {"symbol": lead, "period": a.decomposition_period}
 
     result = analysis.sma_crossover_backtest(
         closes, a.sma_fast, a.sma_slow, a.initial_capital, a.cost_rate
     )
-    curves = (stage, "analysis/backtest_curves.csv", lead_iso, result)
-    writes.append(pipeline.Job(_write_backtest_curves, curves, 3 * len(lead_iso)))
+    curves = (stage, "analysis/backtest_curves.csv", lead_series.days, result)
+    writes.append(pipeline.Job(_write_backtest_curves, curves, 3 * len(lead_series)))
     stats_payload["backtest"] = {
         "symbol": lead,
         "fast": a.sma_fast,
@@ -222,18 +229,14 @@ def cmd_analyze(cfg: RunConfig, stage: _Stage) -> None:
         "final_buy_and_hold": result.final_buy_and_hold,
         "n_trades": len(result.trades),
     }
-
-    # Written once every figure is computed, so that a figure's error comes
-    # before a write's.
-    pipeline.run_jobs(writes)
-    stage.write_json("analysis/distribution_stats.json", stats_payload)
+    return writes, stats_payload
 
 
-def _write_backtest_curves(stage: _Stage, relative: str, iso_dates, result) -> None:
+def _write_backtest_curves(stage: _Stage, relative: str, days, result) -> None:
     stage.write_csv(
         relative,
         ["date", "strategy", "buy_and_hold"],
-        [iso_dates, result.strategy, result.buy_and_hold],
+        [days, result.strategy, result.buy_and_hold],
     )
 
 
@@ -313,17 +316,16 @@ def _backtest_symbol(stage: _Stage, a: AnalysisSection, symbol: str, path: str) 
     """Read one symbol's CSV, backtest it and write its curves and trades."""
     series = _read_series(symbol, path)
     closes = series.column("close")
-    iso = [d.isoformat() for d in series.dates()]
     result = analysis.sma_crossover_backtest(
         closes, a.sma_fast, a.sma_slow, a.initial_capital, a.cost_rate
     )
-    _write_backtest_curves(stage, f"backtest/{symbol}_curves.csv", iso, result)
+    _write_backtest_curves(stage, f"backtest/{symbol}_curves.csv", series.days, result)
     entries = [entry for entry, _ in result.trades]
     exits = [exit_ for _, exit_ in result.trades]
     stage.write_csv(
         f"backtest/{symbol}_trades.csv",
         ["entry_index", "entry_date", "exit_index", "exit_date"],
-        [entries, [iso[t] for t in entries], exits, [iso[t] for t in exits]],
+        [entries, series.days[entries], exits, series.days[exits]],
     )
 
 

@@ -14,11 +14,10 @@ caller meets the same rules as a config file.
 from __future__ import annotations
 
 import json
-import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, SizingError, check_field_kinds, shown
+from .errors import ConfigError, DomainError, SizingError, _type_hints, check_field_kinds, shown
 from .gbtree import TreeParams
 from .lstm import TrainConfig
 from .market_data import DEFAULT_FEATURES, PRICE_FIELDS
@@ -37,7 +36,7 @@ def _build(cls, section: str, payload):
         return cls()
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     names = {_JSON_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
     kwargs = {}
     for key, value in payload.items():

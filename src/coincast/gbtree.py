@@ -220,8 +220,9 @@ def _load_trees(trees, n_features: int) -> list[RegTree]:
     bad = np.flatnonzero(~np.where(feature != _LEAF, follows, childless))
     if bad.size:
         i = bad[0]
+        tree = np.searchsorted(stops, i, side="right")
         raise SchemaError(
-            f"tree node {node[i]} of {n[i]} has children ({left[i]}, {right[i]}); "
+            f"tree {tree} of {sizes.size}: node {node[i]} of {n[i]} has children ({left[i]}, {right[i]}); "
             "an internal node's must follow it and a leaf has none"
         )
     if feature.min(initial=_LEAF) < _LEAF:  # initial: a booster may have no trees

@@ -15,6 +15,11 @@ through ``float()`` and whole columns are checked at once. Only when a check
 fails does a row-by-row pass run, to name the first faulty line. Output rows
 are written with ``csv.writer`` only where a cell may need quoting; every
 other row is one ``",".join``.
+
+A series' dates are one sorted ``datetime64[D]`` array: shared dates are
+found with numpy's set operations, a parsed series pickles as two arrays, so
+a worker process can hand one back cheaply, and a date column is written as
+ISO text by ``np.datetime_as_string``.
 """
 from __future__ import annotations
 
@@ -25,9 +30,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from datetime import date, datetime
+from functools import reduce
 from itertools import compress, count, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, SchemaError, ShapeError, SizingError, ValidationError, shown
 
@@ -45,19 +52,20 @@ DEFAULT_FEATURES = ("open", "high", "low", "close", "volume")
 class PriceSeries:
     """A single asset's daily history, strictly ascending by date.
 
-    ``values`` is a (T, 6) float64 matrix whose columns follow PRICE_FIELDS.
+    ``days`` is a (T,) ``datetime64[D]`` array and ``values`` a (T, 6)
+    float64 matrix whose columns follow PRICE_FIELDS.
     """
 
     symbol: str
     name: str
-    days: tuple[date, ...]
+    days: np.ndarray
     values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.days)
 
     def dates(self) -> list[date]:
-        return list(self.days)
+        return self.days.tolist()
 
     def column(self, field: str) -> np.ndarray:
         """A fresh float64 vector of one numeric field."""
@@ -117,9 +125,14 @@ def _parse_number(raw: str, column: str, line_no: int) -> float:
     return value
 
 
+# The ordinal of 1970-01-01, day 0 of datetime64[D].
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
 def _sorted_if_valid(days: list, values: np.ndarray):
-    """The dates and (n, 6) value matrix sorted by date, or None when a value is
-    not finite or negative, a row breaks OHLC order, or a date repeats."""
+    """The ``datetime64[D]`` dates and (n, 6) value matrix sorted by date, or
+    None when a value is not finite or negative, a row breaks OHLC order, or a
+    date repeats."""
     ordinals = np.fromiter(map(date.toordinal, days), np.int64, len(days))
     order = np.argsort(ordinals, kind="stable")
     o, h, lo, c = values[:, :4].T
@@ -130,7 +143,7 @@ def _sorted_if_valid(days: list, values: np.ndarray):
         and (h >= np.maximum(o, c)).all()
         and (np.diff(ordinals[order]) > 0).all()
     )
-    return (tuple(map(days.__getitem__, order.tolist())), values[order]) if valid else None
+    return ((ordinals[order] - _EPOCH_ORDINAL).astype("datetime64[D]"), values[order]) if valid else None
 
 
 def _split_cells(body: str, width: int, date_col: int):
@@ -265,26 +278,24 @@ def rebase_to_100(series: PriceSeries, field: str = "close") -> np.ndarray:
     return values / first * 100.0
 
 
-def align_on_dates(series_list) -> tuple[list[date], list[PriceSeries]]:
+def align_on_dates(series_list) -> tuple[np.ndarray, list[PriceSeries]]:
     """Restrict several assets to their common calendar dates.
 
-    Returns the sorted shared dates and, in input order, each series reduced
-    to exactly those dates. Raises SizingError when the intersection is empty.
+    Returns the sorted shared ``datetime64[D]`` dates and, in input order,
+    each series reduced to exactly those dates. Raises SizingError when the
+    intersection is empty.
     """
     series_list = list(series_list)
     if not series_list:
         raise SizingError("no series given")
-    common = set(series_list[0].dates())
-    for s in series_list[1:]:
-        common &= set(s.dates())
-    if not common:
+    common = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), (s.days for s in series_list))
+    if not common.size:
         raise SizingError("series share no common dates")
-    ordered = sorted(common)
     aligned = []
     for s in series_list:
-        keep = np.fromiter((d in common for d in s.days), bool, len(s))
-        aligned.append(replace(s, days=tuple(compress(s.days, keep)), values=s.values[keep]))
-    return ordered, aligned
+        keep = np.isin(s.days, common, assume_unique=True)
+        aligned.append(replace(s, days=s.days[keep], values=s.values[keep]))
+    return common, aligned
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,9 +414,8 @@ def make_windows(
             f"need at least {n_steps_in + n_steps_out} rows for one window, got {T}"
         )
     N = T - n_steps_in - n_steps_out + 1
-    X = np.stack([mat[i : i + n_steps_in] for i in range(N)])
-    target = mat[:, target_col]
-    Y = np.stack([target[i + n_steps_in : i + n_steps_in + n_steps_out] for i in range(N)])
+    X = sliding_window_view(mat, (n_steps_in, d))[:N, 0].copy()
+    Y = sliding_window_view(mat[n_steps_in:, target_col], n_steps_out).copy()
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"f{j}" for j in range(d)
     )
@@ -443,20 +453,23 @@ def _cells(column) -> list:
             for i in np.flatnonzero(~np.isfinite(column)).tolist():
                 cells[i] = ""
             return cells
+        if column.dtype.kind == "M":
+            return np.datetime_as_string(column).tolist()
         column = column.tolist()
     return ["" if cell is None else str(cell) for cell in column]
 
 
 def _numeric(column) -> bool:
-    """Whether every cell of the column is a number, which csv.writer never quotes."""
-    return isinstance(column, range) or (isinstance(column, np.ndarray) and column.dtype.kind in "biuf")
+    """Whether every cell of the column is a number or a date, which csv.writer never quotes."""
+    return isinstance(column, range) or (isinstance(column, np.ndarray) and column.dtype.kind in "biufM")
 
 
 def write_csv(path, header, columns) -> None:
     """Write one CSV from equal-length column sequences, one per header name.
 
     A float array is written with repr for full round-trip fidelity and a
-    blank cell where a value is not finite; any other column as it is. The
+    blank cell where a value is not finite, a datetime64 array as ISO 8601
+    text (``YYYY-MM-DD`` for days); any other column as it is. The
     bytes are csv.writer's; rows that need no quoting are joined directly.
     """
     columns = list(columns)

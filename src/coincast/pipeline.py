@@ -9,16 +9,19 @@ All three are one :class:`Forecaster`: a readout on per-window features.
 
 Training is a set of independent jobs: each dataset's LSTM (training plus
 the training windows' latents) and each booster (both kinds, every horizon
-step). They run on one pool of up to one forked worker process per usable
-CPU per call. Boosters call no BLAS, and an LSTM trains with BLAS held at one
+step). They run on a :class:`Pool` of up to one forked worker process per
+usable CPU. Boosters call no BLAS, and an LSTM trains with BLAS held at one
 thread (:class:`~coincast.numkernel.one_blas_thread`), so parallel jobs do
 not oversubscribe the cores. Where BLAS's thread count cannot be set, every
 job runs in this process, one after another. The artifacts are
 byte-identical on every schedule.
 
-The pool's scheduler, :func:`run_jobs`, serves three commands: ``train``
-through :func:`train_symbols`, and ``analyze`` and ``backtest``, whose jobs
-run one symbol's backtest or write one output file.
+A command opens one :class:`Pool` and runs each of its stages on it as one
+:meth:`Pool.run`; workers are forked when a stage first needs them and
+serve every later stage. ``analyze`` has two stages, parsing each symbol's
+CSV and then writing each output file; ``train`` (through
+:func:`train_symbols`) and ``backtest``, whose jobs each run one symbol's
+backtest, have one, run by :func:`run_jobs`.
 
 All model quality numbers are computed in original price units after
 inverting the fitted min-max scaler.
@@ -153,7 +156,7 @@ def _train_lstm(train_ds: WindowedDataset, lstm_config: lstm_mod.TrainConfig):
 
 @dataclass
 class Job:
-    """``fn(*args)``, one unit of work for :func:`run_jobs`. ``fn`` and
+    """``fn(*args)``, one unit of work for :meth:`Pool.run`. ``fn`` and
     ``args`` must pickle, as a worker receives them through a pipe.
 
     ``cost`` ranks ready jobs, largest first, so that the longest do not
@@ -275,43 +278,10 @@ class _Schedule:
 
 
 def run_jobs(jobs: Sequence[Job], on_group=None, workers: bool = True) -> list:
-    """The result of every job, in job order; ``on_group(group, results)`` is
-    called for each group as in :func:`train_symbols`. The scheduler of
-    ``train``, ``analyze`` and ``backtest``.
-
-    With ``workers``, at least two usable CPUs and at least two jobs, jobs
-    run in up to one forked worker per usable CPU, ready ones by priority:
-    a job that another waits on first, then largest ``cost`` first.
-    Otherwise this process runs every job, in job order. The error of the
-    first failing job in job order is raised, as the job raised it, once
-    every job before it has returned; the workers are then ended, running or
-    not. A worker that dies raises WorkerError.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    size = min(cpus, len(jobs)) if workers else 0
-    if size < 2:
-        size = 0
-    waited_on = {job.after for job in jobs}
-    schedule = _Schedule(jobs, on_group)
-    with _Pool(size) as pool:
-        while not schedule.done:
-            ready = schedule.ready()
-            if not size:
-                fn, args = schedule.start(ready[0])
-                try:
-                    ok, value = True, fn(*args)
-                except Exception as exc:  # raised by finish in job order
-                    ok, value = False, exc
-                schedule.finish(ready[0], ok, value)
-                continue
-            # jobs others wait on (LSTMs) first; then the largest, so that the
-            # longest do not trail
-            for i in sorted(ready, key=lambda i: (i not in waited_on, -jobs[i].cost, i)):
-                if len(pool.running) == size:
-                    break
-                pool.send(i, *schedule.start(i))
-            schedule.finish(*pool.receive())
-    return [schedule.results[i] for i in range(len(jobs))]
+    """:meth:`Pool.run` of ``jobs`` on a pool of its own, for a command of one
+    stage."""
+    with Pool(workers) as pool:
+        return pool.run(jobs, on_group)
 
 
 def _serve(conn) -> None:
@@ -336,18 +306,69 @@ def _serve(conn) -> None:
         conn.send(reply)
 
 
-class _Pool:
-    """``size`` forked worker processes, each running one job at a time; the
-    ``with`` block's exit kills them, running or not."""
+class Pool:
+    """The forked worker processes of one command, which runs each of its
+    stages as one :meth:`run`. A stage forks only the workers it needs that
+    the pool does not have yet, so a later stage reuses those of an earlier
+    one. Leaving the ``with`` block, or a stage's error, kills them, running
+    or not. ``workers=False`` runs every stage in this process."""
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self, workers: bool = True):
+        self.allowed = workers
         self.workers = []  # (process, connection)
         self.running = {}  # connection -> index of the job it runs
 
     def __enter__(self):
-        if not self.size:
-            return self
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def run(self, jobs: Sequence[Job], on_group=None) -> list:
+        """The result of every job, in job order; ``on_group(group, results)``
+        is called for each group as in :func:`train_symbols`. The scheduler of
+        ``train``, ``analyze`` and ``backtest``.
+
+        With the pool's ``workers``, at least two usable CPUs and at least two
+        jobs, jobs run in up to one forked worker per usable CPU, ready ones
+        by priority: a job that another waits on first, then largest ``cost``
+        first. Otherwise this process runs every job, in job order. The error of the
+        first failing job in job order is raised, as the job raised it, once
+        every job before it has returned; the workers are then ended, running
+        or not. A worker that dies raises WorkerError.
+        """
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        size = min(cpus, len(jobs)) if self.allowed else 0
+        waited_on = {job.after for job in jobs}
+        schedule = _Schedule(jobs, on_group)
+        try:
+            if size >= 2:
+                self._fork(size - len(self.workers))
+            while not schedule.done:
+                ready = schedule.ready()
+                if size < 2:
+                    fn, args = schedule.start(ready[0])
+                    try:
+                        ok, value = True, fn(*args)
+                    except Exception as exc:  # raised by finish in job order
+                        ok, value = False, exc
+                    schedule.finish(ready[0], ok, value)
+                    continue
+                # jobs others wait on (LSTMs) first; then the largest, so that
+                # the longest do not trail
+                for i in sorted(ready, key=lambda i: (i not in waited_on, -jobs[i].cost, i)):
+                    if len(self.running) == len(self.workers):
+                        break
+                    self._send(i, *schedule.start(i))
+                schedule.finish(*self._receive())
+        except BaseException:
+            self.close()
+            raise
+        return [schedule.results[i] for i in range(len(jobs))]
+
+    def _fork(self, count: int) -> None:
+        if count < 1:
+            return
         # imported here: the pool's modules cost every other command time
         import multiprocessing
         import signal
@@ -360,25 +381,21 @@ class _Pool:
         signals = (signal.SIGINT, signal.SIGTERM)
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, signals)
         try:
-            for _ in range(self.size):
+            for _ in range(count):
                 conn, child_conn = context.Pipe()
                 process = context.Process(target=_serve, args=(child_conn,))
                 process.start()
                 child_conn.close()
                 self.workers.append((process, conn))
-        except BaseException:
-            self.__exit__()
-            raise
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        return self
 
-    def send(self, i: int, fn, args) -> None:
+    def _send(self, i: int, fn, args) -> None:
         conn = next(c for _, c in self.workers if c not in self.running)
         conn.send((fn, args))
         self.running[conn] = i
 
-    def receive(self):
+    def _receive(self):
         """``(job index, ok, value)`` of the next job a worker returns."""
         from multiprocessing.connection import wait
 
@@ -391,12 +408,14 @@ class _Pool:
                     break
         raise WorkerError(WORKER_DIED)
 
-    def __exit__(self, *exc_info):
+    def close(self) -> None:
+        """Kill and reap every worker, running or not."""
         for process, _ in self.workers:
             process.kill()
         for process, conn in self.workers:
             process.join()
             conn.close()
+        self.workers, self.running = [], {}
 
 
 def _models(params, head, hybrid_boosters, gbt_boosters) -> tuple[Forecaster, ...]:

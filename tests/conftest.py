@@ -69,7 +69,8 @@ def unstored(value: dict) -> np.ndarray:
 
 def rows_to_series(rows, symbol="BTC", name="Bitcoin") -> PriceSeries:
     values = np.array([[r[field] for field in PRICE_FIELDS] for r in rows], dtype=np.float64)
-    return PriceSeries(symbol=symbol, name=name, days=tuple(r["date"] for r in rows), values=values)
+    days = np.array([r["date"] for r in rows], dtype="datetime64[D]")
+    return PriceSeries(symbol=symbol, name=name, days=days, values=values)
 
 
 def rows_to_csv_text(rows, symbol="BTC", name="Bitcoin") -> str:

@@ -10,6 +10,7 @@ from coincast.analysis import (
     market_dominance,
     returns_histogram,
     rolling_correlation,
+    rolling_correlations,
     rolling_volatility,
     sma,
     sma_crossover_backtest,
@@ -113,6 +114,45 @@ class TestRollingCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             rolling_correlation(np.ones(9), np.ones(8), 3)
+
+    def test_every_pair_has_the_bits_of_centring_that_pair_alone(self):
+        # series 2 is flat for 15 days, so every pair with it has NaN windows
+        rng = np.random.default_rng(14)
+        series = list(rng.normal(size=(5, 80)))
+        series[2][30:45] = 1.5
+        window = 12
+
+        def centred(v):
+            w = np.lib.stride_tricks.sliding_window_view(v, window)
+            return w - w.mean(axis=1, keepdims=True)
+
+        def alone(x, y):
+            wx, wy = centred(x), centred(y)
+            vx, vy = np.einsum("ij,ij->i", wx, wx), np.einsum("ij,ij->i", wy, wy)
+            out = np.full(vx.shape, np.nan)
+            ok = (vx > 0) & (vy > 0)
+            out[ok] = np.einsum("ij,ij->i", wx, wy)[ok] / np.sqrt(vx[ok] * vy[ok])
+            return out
+
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        batched = rolling_correlations(series, window)
+        assert len(batched) == len(pairs)
+        for (i, j), out in zip(pairs, batched):
+            expected = alone(series[i], series[j])
+            assert out.tobytes() == expected.tobytes()
+            assert rolling_correlation(series[i], series[j], window).tobytes() == expected.tobytes()
+            assert np.isnan(out).any() == (2 in (i, j))
+
+    def test_fewer_than_two_series_have_no_pairs(self):
+        assert rolling_correlations([], 3) == rolling_correlations([np.arange(5.0)], 3) == []
+
+    def test_batched_errors_name_the_series(self):
+        with pytest.raises(ShapeError, match="series lengths differ: 9 vs 8"):
+            rolling_correlations([np.ones(9), np.ones(9), np.ones(8)], 3)
+        with pytest.raises(ShapeError, match="series 1 must be 1-D"):
+            rolling_correlations([np.ones(9), np.ones((3, 3))], 3)
+        with pytest.raises(SizingError, match="window 10 exceeds series length 9"):
+            rolling_correlations([np.ones(9), np.ones(9)], 10)
 
 
 class TestMarketDominance:

@@ -222,6 +222,14 @@ BAD_INPUTS = [
     pytest.param("analyze", "config.json", json_edit(lambda c: c.update(analysis={"initial_capital": sys.float_info.max})), id="analyze-equity-overflows"),
 ]
 
+# The whole standard error of the BAD_INPUTS cases checked word for word: the
+# trained boosters have 3 trees of 7 nodes, and the message names the faulty one.
+CHILDREN = "an internal node's must follow it and a leaf has none"
+EXACT_ERRORS = {
+    "cyclic-tree": f"error: tree 0 of 3: node 0 of 7 has children (0, 0); {CHILDREN}\n",
+    "last-tree-cyclic": f"error: tree 2 of 3: node 0 of 7 has children (0, 0); {CHILDREN}\n",
+}
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -342,7 +350,7 @@ class TestAnalyze:
         expected = analysis.rolling_correlation(*series, 20)
         rows = read_rows(out / "analysis" / "rolling_correlation.csv")
         assert rows[0] == ["date", "BTC_ETH"]
-        assert [r[0] for r in rows[1:]] == [d.isoformat() for d in dates[first:]]
+        assert [r[0] for r in rows[1:]] == [d.isoformat() for d in dates[first:].tolist()]
         assert [float(r[1]) for r in rows[1:]] == expected.tolist()
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -473,7 +481,7 @@ class TestEvaluate:
         assert (tmp_path / "elsewhere" / "report" / "report_BTC.csv").is_file()
 
     @pytest.mark.parametrize("command, relative, edit", BAD_INPUTS)
-    def test_bad_input_exits_3(self, trained, tmp_path, command, relative, edit):
+    def test_bad_input_exits_3(self, trained, tmp_path, request, command, relative, edit):
         # a subprocess with a timeout, since a cyclic tree used to make
         # evaluate route every row forever
         cfg = write_workspace(tmp_path)
@@ -487,6 +495,7 @@ class TestEvaluate:
         assert done.stderr.startswith("error:")
         assert len(done.stderr) < 200, done.stderr[:400]
         assert "Traceback" not in done.stderr
+        assert done.stderr == EXACT_ERRORS.get(request.node.callspec.id, done.stderr)
         assert not (tmp_path / "out").exists()
 
     def test_a_version_3_model_asks_to_be_retrained(self, trained, tmp_path, capsys):
@@ -929,7 +938,7 @@ class TestTrainSchedule:
 
 @POOL
 class TestReadSchedule:
-    """``backtest`` reads and writes on the worker pool, ``analyze`` writes there."""
+    """``analyze`` and ``backtest`` read and write on one worker pool."""
 
     @pytest.mark.parametrize("command, files", [("analyze", 9), ("backtest", 6)])
     def test_every_schedule_writes_the_same_bytes(self, tmp_path, monkeypatch, command, files):
@@ -942,19 +951,17 @@ class TestReadSchedule:
         assert hashes["in-process"] == hashes["pool"]
         parent = {os.getpid()}
         assert pids["in-process"] == {"parse_csv": parent, "write_csv": parent}
-        pooled = {"write_csv"} if command == "analyze" else {"parse_csv", "write_csv"}
-        for fn, called in pids["pool"].items():
-            if fn in pooled:
-                assert parent.isdisjoint(called) and len(called) >= 2
-            else:
-                assert called == parent
+        for called in pids["pool"].values():
+            assert parent.isdisjoint(called) and len(called) >= 2
+        # reads and writes share one set of workers
+        assert len(pids["pool"]["parse_csv"] | pids["pool"]["write_csv"]) <= CPUS
 
     @pytest.mark.parametrize(
         "command, functions", [("analyze", ["parse_csv"]), ("backtest", ["parse_csv", "write_csv"])]
     )
     def test_one_symbol_runs_in_process(self, tmp_path, monkeypatch, command, functions):
-        # a single job needs no worker: backtest's one symbol; analyze parses
-        # in this process whatever the symbol count
+        # a single job needs no worker: backtest's one symbol, analyze's one
+        # parse
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=120)
         log = tmp_path / "pids"
         for name in functions:
@@ -966,8 +973,7 @@ class TestReadSchedule:
     @pytest.mark.parametrize("name", ["in-process", "pool"])
     def test_first_symbols_bad_csv_wins(self, tmp_path, capsys, monkeypatch, command, name):
         # BTC's fault is on its last line and its parse is slowed, so where
-        # parses run on the pool (backtest) SOL's fault on its first line is
-        # found first
+        # parses run on the pool SOL's fault on its first line is found first
         schedule(name, monkeypatch)
         cfg = write_workspace(tmp_path, symbols=("BTC", "ETH", "SOL"), T=120)
         btc, sol = tmp_path / "btc.csv", tmp_path / "sol.csv"
@@ -988,16 +994,24 @@ class TestReadSchedule:
         assert not list(tmp_path.glob(".stage-*"))
 
     def test_dead_worker_exits_3(self, tmp_path, capsys, monkeypatch):
-        parent, backtest = os.getpid(), analysis.sma_crossover_backtest
+        self.assert_dead_worker_exits_3(tmp_path, capsys, monkeypatch, "backtest", analysis, "sma_crossover_backtest")
+
+    @pytest.mark.parametrize("name", ["parse_csv", "write_csv"])
+    def test_a_worker_dying_in_analyze_exits_3(self, tmp_path, capsys, monkeypatch, name):
+        self.assert_dead_worker_exits_3(tmp_path, capsys, monkeypatch, "analyze", cli, name)
+
+    @staticmethod
+    def assert_dead_worker_exits_3(tmp_path, capsys, monkeypatch, command, owner, name):
+        parent, fn = os.getpid(), getattr(owner, name)
 
         def dying(*args):
             if os.getpid() != parent:
                 os._exit(1)
-            return backtest(*args)
+            return fn(*args)
 
-        monkeypatch.setattr(analysis, "sma_crossover_backtest", dying)
-        cfg = write_workspace(tmp_path, T=60)
-        assert main(["backtest", "--config", str(cfg)]) == 3
+        monkeypatch.setattr(owner, name, dying)
+        cfg = write_workspace(tmp_path, T=120)  # analyze's correlation window is 60 days
+        assert main([command, "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: {pipeline.WORKER_DIED}\n"
         assert_no_child_left()
         assert not (tmp_path / "out").exists()

@@ -438,15 +438,15 @@ def test_both_entry_points_check_their_inputs_alike(entry, fault):
 # object, or for "weight" drops the tree's last entry, and "del" deletes the
 # key. ``message`` is the SchemaError's text for a booster with that one fault
 # in any of its trees, which are all laid out as TestLoadValidation.payload
-# checks.
+# checks, with ``{tree}`` the faulty tree's index.
 CHILDREN = "an internal node's must follow it and a leaf has none"
 UNEVEN = "tree node arrays must be of one length, the sum of the trees' n_nodes, each at least 1"
 NOT_OBJECT = "must be an object of data, dtype and shape, got"
 MALFORMED_TREES = [
-    ("left", 0, 0, f"tree node 0 of 7 has children (0, 4); {CHILDREN}"),  # cycle: the root is its own child
-    ("right", 0, 99, f"tree node 0 of 7 has children (1, 99); {CHILDREN}"),  # child past the last node
-    ("right", 1, 1, f"tree node 1 of 7 has children (2, 1); {CHILDREN}"),  # internal node 1 is its own child
-    ("left", -1, 0, f"tree node 6 of 7 has children (0, -1); {CHILDREN}"),  # the last node is a leaf with a child
+    ("left", 0, 0, f"tree {{tree}} of 3: node 0 of 7 has children (0, 4); {CHILDREN}"),  # cycle: the root is its own child
+    ("right", 0, 99, f"tree {{tree}} of 3: node 0 of 7 has children (1, 99); {CHILDREN}"),  # child past the last node
+    ("right", 1, 1, f"tree {{tree}} of 3: node 1 of 7 has children (2, 1); {CHILDREN}"),  # internal node 1 is its own child
+    ("left", -1, 0, f"tree {{tree}} of 3: node 6 of 7 has children (0, -1); {CHILDREN}"),  # the last node is a leaf with a child
     ("feature", 0, 3, "tree splits on feature 3 of a booster trained on 3"),  # feature the booster was not trained on
     ("feature", 0, -2, "negative feature index -2 in tree"),
     ("threshold", 0, float("nan"), "tree threshold has non-finite values"),
@@ -592,13 +592,13 @@ class TestLoadValidation:
     def test_malformed_tree_raises(self, key, index, value, message):
         payload = self.payload()
         spoil(payload, 0, key, index, value)
-        assert refusal(payload) == message
+        assert refusal(payload) == message.format(tree=0)
 
     @pytest.mark.parametrize("key, index, value, message", MALFORMED_TREES, ids=CASE_IDS)
     def test_a_fault_in_the_last_tree_gives_that_trees_error(self, key, index, value, message):
         payload = self.payload()
         spoil(payload, -1, key, index, value)
-        assert refusal(payload) == message
+        assert refusal(payload) == message.format(tree=2)
 
     def test_with_faults_in_two_trees_the_first_failing_check_decides(self):
         payload = self.payload()
@@ -615,7 +615,7 @@ class TestLoadValidation:
             ([7, 0, 14], UNEVEN),
             ([14, -7, 14], UNEVEN),
             ([2**62, 2**62, 2**62], UNEVEN),  # a sum past int64
-            ([21], f"tree node 7 of 21 has children (1, 4); {CHILDREN}"),  # one tree of all nodes
+            ([21], f"tree 0 of 1: node 7 of 21 has children (1, 4); {CHILDREN}"),  # one tree of all nodes
             ([7, 7], UNEVEN),
         ],
     )

@@ -55,6 +55,10 @@ class TestParseCsv:
         assert series.dates() == [date(2017, 1, 1), date(2017, 1, 2), date(2017, 1, 3)]
         npt.assert_array_equal(series.column("close"), [1000.0, 1020.0, 1090.0])
 
+    def test_days_are_one_datetime64_column(self):
+        series = parse_csv(GOOD_CSV)
+        assert series.days.dtype == np.dtype("datetime64[D]") and series.days.shape == (3,)
+
     def test_accepts_bytes_and_datetime_stamps(self):
         series = parse_csv(GOOD_CSV.encode("utf-8"))
         assert len(series) == 3
@@ -65,7 +69,7 @@ class TestParseCsv:
         for source in (b"\xef\xbb\xbf" + raw, io.BytesIO(b"\xef\xbb\xbf" + raw), bom, io.StringIO(bom)):
             series = parse_csv(source)
             plain = parse_csv(raw)
-            assert (series.symbol, series.name, series.days) == (plain.symbol, plain.name, plain.days)
+            assert (series.symbol, series.name, series.days.tolist()) == (plain.symbol, plain.name, plain.days.tolist())
             npt.assert_array_equal(series.values, plain.values)
 
     def test_non_utf8_bytes_are_a_validation_error(self):
@@ -270,7 +274,7 @@ def _outcome(text: str, split: bool = True):
             series = parse_csv(text)
         except (SchemaError, ValidationError) as exc:
             return type(exc).__name__, str(exc)
-    return series.symbol, series.name, series.days, series.values.dtype, series.values.tobytes()
+    return series.symbol, series.name, series.days.tolist(), series.values.dtype, series.values.tobytes()
 
 
 def _takes_split_path(text: str) -> bool:
@@ -401,6 +405,8 @@ def _csv_writer_text(header, columns) -> str:
     def cells(column):
         if not isinstance(column, np.ndarray):
             return column
+        if column.dtype.kind == "M":
+            return [day.isoformat() for day in column.tolist()]
         if column.dtype.kind != "f":
             return column.tolist()
         return ["" if not math.isfinite(x) else repr(x) for x in column.tolist()]
@@ -427,6 +433,7 @@ class TestWriteCsvBytes:
             pytest.param(["a", "f32"], [["1", "2"], np.array([0.1, 3.0], dtype=np.float32)], id="float32"),
             pytest.param(["s", "n"], [np.array(["a", "b,c"]), [None, 1.5]], id="string-array-and-none"),
             pytest.param(["s", "x"], [["a"] * 300 + ["b,c"] + ["d"] * 300, np.arange(601.0)], id="quote-in-a-later-block"),
+            pytest.param(["date", "s"], [np.array(["0001-01-01", "0999-12-31", "2017-01-02", "9999-12-31"] * 80, "datetime64[D]"), ["a,b"] * 320], id="dates"),
             pytest.param(["date"], [], id="zero-columns"),
             pytest.param([], [], id="no-header"),
         ],
@@ -477,6 +484,8 @@ class TestAlign:
         a = rows_to_series(random_walk_rows(T=10), symbol="A")
         b = rows_to_series(random_walk_rows(T=8)[3:], symbol="B")
         dates, (aa, bb) = align_on_dates([a, b])
+        assert dates.dtype == aa.days.dtype == np.dtype("datetime64[D]")
+        dates = dates.tolist()
         assert len(dates) == 5
         assert aa.dates() == bb.dates() == dates
         closes = {r["date"]: r["close"] for r in random_walk_rows(T=10)}

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import POOL, random_walk_rows, rows_to_series
+from conftest import CPUS, POOL, random_walk_rows, rows_to_series
 from coincast import lstm as lstm_mod
 from coincast import metrics as metrics_mod
 from coincast import pipeline
@@ -259,6 +259,32 @@ class TestHorizonBoosters:
             pipeline.run_jobs(fit_jobs(features, Y, 2))
         assert type(info.value) is kind
         assert str(info.value) == "narrow step 1 failed"
+
+
+def pid_jobs(count: int) -> list:
+    return [pipeline.Job(os.getpid, ()) for _ in range(count)]
+
+
+@POOL
+class TestPool:
+    """One pool runs each stage of a command."""
+
+    def test_a_later_stage_reuses_the_workers(self):
+        with pipeline.Pool() as pool:
+            first = set(pool.run(pid_jobs(2)))
+            forked = list(pool.workers)
+            assert pool.run(pid_jobs(1)) == [os.getpid()]  # a single job runs in this process
+            later = set(pool.run(pid_jobs(CPUS + 2)))
+            assert pool.workers[:2] == forked and len(pool.workers) == CPUS
+        assert os.getpid() not in later and first <= later and len(later) == CPUS
+        assert pool.workers == [] and not any(process.is_alive() for process, _ in forked)
+
+    def test_a_failing_stage_ends_the_workers(self):
+        with pipeline.Pool() as pool:
+            with pytest.raises(ZeroDivisionError):
+                pool.run([pipeline.Job(divmod, (1, 0)), *pid_jobs(2)])
+            assert pool.workers == []
+            assert os.getpid() not in pool.run(pid_jobs(2))
 
 
 class TestEvaluate:
