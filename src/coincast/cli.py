@@ -57,7 +57,7 @@ _EXIT_CODES = (
 
 class _Stage:
     """Collects output files in a temp dir next to the target, then commits
-    them with per-file atomic renames."""
+    them with per-file atomic renames once every destination can take its file."""
 
     def __init__(self, outdir: Path):
         self.final = outdir
@@ -79,13 +79,17 @@ class _Stage:
         self.write_text(relative, json_text(payload))
 
     def commit(self) -> None:
-        for root, _, files in os.walk(self.tmp):
-            for name in files:
-                src = Path(root) / name
-                rel = src.relative_to(self.tmp)
-                dest = self.final / rel
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(src, dest)
+        """Move every file into place, or none: each destination is checked first."""
+        moves = [(p, self.final / p.relative_to(self.tmp)) for p in self.tmp.rglob("*") if p.is_file()]
+        for _, dest in moves:
+            nearest = next(p for p in dest.parents if os.path.lexists(p))
+            if not nearest.is_dir():
+                raise FileExistsError(f"cannot write {dest}: {nearest} is not a directory")
+            if dest.is_dir() and not dest.is_symlink():
+                raise IsADirectoryError(f"cannot write {dest}: it is a directory")
+        for src, dest in moves:
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(src, dest)
         shutil.rmtree(self.tmp, ignore_errors=True)
 
     def abort(self) -> None:
@@ -262,8 +266,9 @@ def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
             break
         prepared.append((symbol, hashlib.sha256(raw).hexdigest(), train_ds, test_ds))
 
-    def save(i, models, loss_history):
-        symbol, data_hash, train_ds, test_ds = prepared[i]
+    train_sets = [train_ds for _, _, train_ds, _ in prepared]
+    fitted = pipeline.train_symbols(train_sets, cfg.lstm, cfg.gbt, cfg.gbt.n_rounds)
+    for (symbol, data_hash, train_ds, test_ds), (models, loss_history) in zip(prepared, fitted):
         bundle = pipeline.TrainedBundle(
             *models, train_ds.scaler, cfg, loss_history=loss_history, data_hash=data_hash
         )
@@ -272,9 +277,6 @@ def cmd_train(cfg: RunConfig, stage: _Stage) -> None:
         if cfg.pipeline.dump_windows:
             windows_to_csv(train_ds, model_dir / "windows_train.csv")
             windows_to_csv(test_ds, model_dir / "windows_test.csv")
-
-    train_sets = [train_ds for _, _, train_ds, _ in prepared]
-    pipeline.train_symbols(train_sets, cfg.lstm, cfg.gbt, cfg.gbt.n_rounds, save)
     if failure is not None:
         raise failure
 
@@ -309,7 +311,8 @@ def cmd_backtest(cfg: RunConfig, stage: _Stage) -> None:
         pipeline.Job(_backtest_symbol, (stage, cfg.analysis, symbol, path))
         for symbol, path in cfg.data.items()
     ]
-    pipeline.run_jobs(jobs)
+    with pipeline.Pool() as pool:
+        pool.run(jobs)
 
 
 def _backtest_symbol(stage: _Stage, a: AnalysisSection, symbol: str, path: str) -> None:

@@ -21,7 +21,7 @@ A command opens one :class:`Pool` and runs each of its stages on it as one
 serve every later stage. ``analyze`` has two stages, parsing each symbol's
 CSV and then writing each output file; ``train`` (through
 :func:`train_symbols`) and ``backtest``, whose jobs each run one symbol's
-backtest, have one, run by :func:`run_jobs`.
+backtest, have one.
 
 All model quality numbers are computed in original price units after
 inverting the fitted min-max scaler.
@@ -168,7 +168,6 @@ class Job:
     fn: Callable
     args: tuple
     cost: int = 0
-    group: int = 0  # the dataset the job belongs to
     after: int | None = None
 
 
@@ -177,14 +176,11 @@ def train_symbols(
     lstm_config: lstm_mod.TrainConfig,
     tree_params: TreeParams,
     n_rounds: int,
-    on_trained: Callable | None = None,
 ) -> list[tuple[tuple[Forecaster, ...], tuple[float, ...]]]:
     """Fit the hybrid and both baselines on each dataset's training windows.
 
     Returns each dataset's models ``(hybrid, lstm-only, gbt-lags)`` and LSTM
-    loss history, in order. ``on_trained(i, models, loss_history)``, if given,
-    is called in this process for dataset i as soon as it and every dataset
-    before it are fitted, so a caller can save them while later ones train.
+    loss history, in order, once every dataset is fitted.
 
     Each dataset's LSTM is one job and each booster is one job, all on one
     worker pool. ``gbt-lags`` boosters are ready at once and hybrid boosters
@@ -194,48 +190,42 @@ def train_symbols(
     as unpinned parallel LSTMs would oversubscribe the cores.
 
     The models are the same bits on every schedule. Errors come in dataset
-    order: the first dataset whose LSTM, boosters or ``on_trained`` call fails
-    decides the error, raised as the job raised it; the workers are then
-    ended, running or not. A worker that dies raises WorkerError.
+    order: the first dataset whose LSTM or boosters fail decides the error,
+    raised as the job raised it; the workers are then ended, running or not.
+    A worker that dies raises WorkerError.
     """
     from .numkernel import one_blas_thread
 
     jobs = []
     k = lstm_config.hidden_size
-    for group, ds in enumerate(train_sets):
+    for ds in train_sets:
         lstm_job = len(jobs)
-        jobs.append(Job(_train_lstm, (ds, lstm_config), group=group))
+        jobs.append(Job(_train_lstm, (ds, lstm_config)))
         steps = range(ds.n_steps_out)
-        jobs += [Job(_fit, (ds.Y[:, s], tree_params, n_rounds), k, group, lstm_job) for s in steps]
+        jobs += [Job(_fit, (ds.Y[:, s], tree_params, n_rounds), k, lstm_job) for s in steps]
         lags = ds.X.reshape(ds.n_samples, -1)
-        jobs += [Job(_fit, (lags, ds.Y[:, s], tree_params, n_rounds), lags.shape[1], group) for s in steps]
+        jobs += [Job(_fit, (lags, ds.Y[:, s], tree_params, n_rounds), lags.shape[1]) for s in steps]
 
+    with one_blas_thread() as blas, Pool(blas.pinned) as pool:
+        results = pool.run(jobs)
     fitted = []
-
-    def assemble(group, results):
-        (params, head, history, _), *boosters = results
-        n_steps = len(boosters) // 2
+    for ds in train_sets:
+        n_steps = ds.n_steps_out
+        (params, head, history, _), *boosters = results[: 1 + 2 * n_steps]
+        del results[: 1 + 2 * n_steps]
         fitted.append((_models(params, head, boosters[:n_steps], boosters[n_steps:]), tuple(history)))
-        if on_trained is not None:
-            on_trained(group, *fitted[-1])
-
-    with one_blas_thread() as blas:
-        run_jobs(jobs, assemble, workers=blas.pinned)
     return fitted
 
 
 class _Schedule:
-    """Which jobs of one run are waiting, done or failed, and which groups'
-    results have been handed on."""
+    """Which jobs of one run are waiting, done or failed."""
 
-    def __init__(self, jobs, on_group):
+    def __init__(self, jobs):
         self.jobs = jobs
-        self.on_group = on_group
         self.waiting = list(range(len(jobs)))
         self.results = {}
         self.first_failure = len(jobs)
         self.error = None
-        self.handed_on = 0  # jobs before this index went to on_group
 
     def ready(self) -> list[int]:
         """Waiting jobs whose inputs exist, in job order; none after a failure,
@@ -254,34 +244,17 @@ class _Schedule:
         return job.fn, args
 
     def finish(self, i, ok, value) -> None:
-        """Record job i; hand on the groups now complete in order, and raise
-        the first failure once every job before it has returned."""
+        """Record job i; raise the first failure once every job before it returned."""
         if ok:
             self.results[i] = value
         elif i < self.first_failure:
             self.first_failure, self.error = i, value
-        jobs = self.jobs
-        while self.handed_on < len(jobs):
-            first, group = self.handed_on, jobs[self.handed_on].group
-            end = next((j for j in range(first, len(jobs)) if jobs[j].group != group), len(jobs))
-            if not all(j in self.results for j in range(first, end)):
-                break
-            if self.on_group is not None:
-                self.on_group(group, [self.results[j] for j in range(first, end)])
-            self.handed_on = end
         if self.error is not None and all(j in self.results for j in range(self.first_failure)):
             raise self.error
 
     @property
     def done(self) -> bool:
-        return self.handed_on == len(self.jobs)
-
-
-def run_jobs(jobs: Sequence[Job], on_group=None, workers: bool = True) -> list:
-    """:meth:`Pool.run` of ``jobs`` on a pool of its own, for a command of one
-    stage."""
-    with Pool(workers) as pool:
-        return pool.run(jobs, on_group)
+        return len(self.results) == len(self.jobs)
 
 
 def _serve(conn) -> None:
@@ -324,10 +297,9 @@ class Pool:
     def __exit__(self, *exc_info):
         self.close()
 
-    def run(self, jobs: Sequence[Job], on_group=None) -> list:
-        """The result of every job, in job order; ``on_group(group, results)``
-        is called for each group as in :func:`train_symbols`. The scheduler of
-        ``train``, ``analyze`` and ``backtest``.
+    def run(self, jobs: Sequence[Job]) -> list:
+        """The result of every job, in job order. The scheduler of ``train``,
+        ``analyze`` and ``backtest``.
 
         With the pool's ``workers``, at least two usable CPUs and at least two
         jobs, jobs run in up to one forked worker per usable CPU, ready ones
@@ -340,7 +312,7 @@ class Pool:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         size = min(cpus, len(jobs)) if self.allowed else 0
         waited_on = {job.after for job in jobs}
-        schedule = _Schedule(jobs, on_group)
+        schedule = _Schedule(jobs)
         try:
             if size >= 2:
                 self._fork(size - len(self.workers))

@@ -630,6 +630,30 @@ class TestFailureModes:
             assert not list(tmp_path.rglob(".stage-*"))
         assert (tmp_path / "afile").read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize(
+        "command, blocker", [("train", "model/BTC"), ("evaluate", "report/report_ETH.json")]
+    )
+    def test_a_refused_destination_commits_nothing(self, tmp_path, capsys, command, blocker):
+        # train: a file where BTC's model directory goes; evaluate: a
+        # directory where ETH's JSON report goes. Every other file could be
+        # moved, and none is.
+        cfg = write_workspace(tmp_path, T=60)
+        out = tmp_path / "out"
+        if command == "train":
+            (out / "model").mkdir(parents=True)
+            (out / blocker).write_text("not a directory\n")
+            expected = f"{out / blocker} is not a directory\n"
+        else:
+            assert main(["train", "--config", str(cfg)]) == 0
+            (out / blocker).mkdir(parents=True)
+            expected = f"error: cannot write {out / blocker}: it is a directory\n"
+        before = sorted(p.relative_to(out) for p in out.rglob("*")), tree_hashes(out)
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.endswith(expected)
+        assert (sorted(p.relative_to(out) for p in out.rglob("*")), tree_hashes(out)) == before
+        assert not list(tmp_path.glob(".stage-*"))
+
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys):
         cfg = write_workspace(tmp_path, symbols=("BTC",), T=60)
         assert main(["train", "--config", str(cfg), "--set", "gbt.lambda=NaN"]) == 2
@@ -884,6 +908,35 @@ class TestTrainSchedule:
         assert time.monotonic() - started < 20
         assert capsys.readouterr().err == "error: booster fit failed\n"
         assert_no_child_left()
+        assert not list(tmp_path.glob(".stage-*"))
+
+    @pytest.mark.parametrize("name", ["in-process", "pool", "pool-unpinned"])
+    @pytest.mark.parametrize("eth_fits", ["succeed", "fail"])
+    def test_saving_comes_after_every_fit(self, tmp_path, capsys, monkeypatch, name, eth_fits):
+        # BTC's save fails; symbols are saved only once every fit has
+        # returned, so a later symbol's fit error wins over it
+        schedule(name, monkeypatch)
+        cfg = write_workspace(tmp_path, T=60)
+        (tmp_path / "eth.csv").write_text(rows_to_csv_text(random_walk_rows(T=90, seed=12), symbol="ETH"))
+        save, fit = pipeline.save_bundle, pipeline.train_booster
+
+        def failing_save(directory, bundle):
+            if Path(directory).name == "BTC":
+                raise OSError("cannot save BTC")
+            return save(directory, bundle)
+
+        def failing_fit(F, y, params, n_rounds):
+            if eth_fits == "fail" and F.shape[0] > 50:  # ETH has 65 training windows, BTC 41
+                raise DomainError("ETH booster fit failed")
+            return fit(F, y, params, n_rounds)
+
+        monkeypatch.setattr(pipeline, "save_bundle", failing_save)
+        monkeypatch.setattr(pipeline, "train_booster", failing_fit)
+        assert main(["train", "--config", str(cfg)]) == 3
+        expected = "cannot save BTC" if eth_fits == "succeed" else "ETH booster fit failed"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert_no_child_left()
+        assert not (tmp_path / "out").exists()
         assert not list(tmp_path.glob(".stage-*"))
 
     @TRAIN_POOL

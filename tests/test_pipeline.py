@@ -219,7 +219,7 @@ def fit_jobs(features, Y, n_rounds):
 
 
 class TestHorizonBoosters:
-    """Booster fits as jobs of ``pipeline.run_jobs``."""
+    """Booster fits as jobs on a ``pipeline.Pool``."""
 
     def test_each_booster_is_the_direct_fit(self, cpus, three_steps, monkeypatch):
         features, Y = three_steps
@@ -231,7 +231,8 @@ class TestHorizonBoosters:
             return booster
 
         monkeypatch.setattr(pipeline, "train_booster", tagged)
-        boosters = pipeline.run_jobs(fit_jobs(features, Y, 4))
+        with pipeline.Pool() as pool:
+            boosters = pool.run(fit_jobs(features, Y, 4))
         assert len(boosters) == 6
         fitted = [boosters[:3], boosters[3:]]
         for F, boosters in zip(features, fitted):
@@ -255,8 +256,8 @@ class TestHorizonBoosters:
             return train_booster(F, y, params, n_rounds)
 
         monkeypatch.setattr(pipeline, "train_booster", failing)
-        with pytest.raises(kind) as info:
-            pipeline.run_jobs(fit_jobs(features, Y, 2))
+        with pytest.raises(kind) as info, pipeline.Pool() as pool:
+            pool.run(fit_jobs(features, Y, 2))
         assert type(info.value) is kind
         assert str(info.value) == "narrow step 1 failed"
 
